@@ -88,7 +88,7 @@ def _scorer_from_args(args) -> "callable":
     else:
         params = enc.init_params(enc.EncoderConfig(
             hash_dim=CLI_HASH_DIM, embed_dim=CLI_EMBED_DIM,
-            proj_dim=CLI_PROJ_DIM, seed=args.seed,
+            proj_dim=CLI_PROJ_DIM, seed=derive_seed(args.seed, 1),
         ))
     return enc.make_scorer(params)
 

@@ -16,6 +16,15 @@ misordered pair fraction: strict_aoc <= mean BCE / log 2
 Both losses divide scores by the temperature tau and are computed with
 max-subtracted log-sum-exp / stable softplus, which matters at the
 default tau = 0.01 where raw exponentials overflow.
+
+``mw_loss`` never holds the B x B(HB+B-1) pair matrix. It streams over
+blocks of whole positive rows, about ``MW_BLOCK_PAIRS`` pairs each (one
+row when a row is longer), so its working memory is O(max(block, row)).
+Each pair costs one exp. The gradient is bit-identical to the unfused
+formula (full-matrix sigmoid, row sums, then column sums added row by
+row). The value is the sum of the B per-row softplus sums, so it matches
+the unfused full-matrix sum to rounding and no bit of it depends on the
+block size.
 """
 
 from __future__ import annotations
@@ -30,6 +39,8 @@ from .prng import Xoshiro256StarStar
 from .scoring import ScoreBatch
 
 LOG2 = float(np.log(2.0))
+# pairs per mw_loss block: 2^16 float64s, 512 KB per temporary
+MW_BLOCK_PAIRS = 1 << 16
 
 
 @dataclass
@@ -52,16 +63,6 @@ def softplus(x: np.ndarray) -> np.ndarray:
     """log(1 + e^x) without overflow: max(x, 0) + log1p(e^-|x|)."""
     x = np.asarray(x, dtype=np.float64)
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def cl_loss(scores: ScoreBatch) -> LossOutput:
@@ -90,6 +91,45 @@ def cl_loss(scores: ScoreBatch) -> LossOutput:
     return LossOutput(value=value, d_sim=d_sim, term_count=b * (m - 1))
 
 
+def _mw_pair_sums(
+    pos: np.ndarray, neg: np.ndarray, tau: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fused pass over x = (s-_k - s+_i)/tau for every (i, k) pair.
+
+    Returns per-row sums of softplus(x), per-row sums of sigmoid(x), and
+    per-column sums of sigmoid(x) accumulated row by row in row order.
+    Both use e = exp(-|x|): softplus = max(x, 0) + log1p(e), sigmoid =
+    (1 if x >= 0 else e) / (1 + e), the stable forms' exact operations.
+    """
+    b, n = len(pos), len(neg)
+    rows = max(1, MW_BLOCK_PAIRS // n)
+    x, e, t, u = (np.empty((min(rows, b), n)) for _ in range(4))
+    softplus_rows = np.empty(b)
+    sigmoid_rows = np.empty(b)
+    sigmoid_cols = np.zeros(n)
+    for start in range(0, b, rows):
+        r = min(rows, b - start)
+        xb, eb, tb, ub = x[:r], e[:r], t[:r], u[:r]
+        np.subtract(neg[None, :], pos[start:start + r, None], out=xb)
+        xb /= tau
+        np.abs(xb, out=eb)
+        np.negative(eb, out=eb)
+        np.exp(eb, out=eb)
+        np.log1p(eb, out=tb)
+        np.maximum(xb, 0.0, out=ub)
+        ub += tb
+        softplus_rows[start:start + r] = ub.sum(axis=1)
+        np.add(eb, 1.0, out=tb)
+        # numerator: 1 where x >= 0, else e; e <= 1, so max(e, [x >= 0])
+        np.greater_equal(xb, 0.0, out=ub)
+        np.maximum(eb, ub, out=eb)
+        eb /= tb
+        sigmoid_rows[start:start + r] = eb.sum(axis=1)
+        for row in eb:
+            sigmoid_cols += row
+    return softplus_rows, sigmoid_rows, sigmoid_cols
+
+
 def mw_loss(scores: ScoreBatch) -> LossOutput:
     """Pairwise binary cross-entropy between every positive score and the
     batch's pooled negative multiset.
@@ -98,19 +138,24 @@ def mw_loss(scores: ScoreBatch) -> LossOutput:
     over all B * (HB + B - 1) negative cells of the matrix. Each pair
     contributes sigmoid(-(s+_i - s-_k)/tau) / (B*tau) of gradient, pushing
     the positive up and the negative down.
+
+    The pairs are streamed in blocks of whole rows (see the module
+    docstring), so memory stays O(max(MW_BLOCK_PAIRS, B(HB+B-1))) rather
+    than O(B^2 (HB+B-1)). ``d_sim`` is bit-identical to the unfused
+    full-matrix formula; ``value`` sums the per-row sums.
     """
     b, m = scores.sim.shape
     if m < 2:
         raise ValueError("the pooled negative set is empty")
     mask = scores.offdiag_mask()
     neg = scores.sim[mask]  # row-major multiset of all negative cells
-    pos = scores.positives
-    diff = (pos[:, None] - neg[None, :]) / scores.tau
-    value = float(softplus(-diff).sum() / b)
-    sig = sigmoid(-diff)  # B x |S^-|
+    softplus_rows, sigmoid_rows, sigmoid_cols = _mw_pair_sums(
+        scores.positives, neg, scores.tau
+    )
+    value = float(softplus_rows.sum() / b)
     d_sim = np.zeros_like(scores.sim)
-    d_sim[np.arange(b), np.arange(b)] = -sig.sum(axis=1) / (b * scores.tau)
-    d_sim[mask] += sig.sum(axis=0) / (b * scores.tau)
+    d_sim[np.arange(b), np.arange(b)] = -sigmoid_rows / (b * scores.tau)
+    d_sim[mask] += sigmoid_cols / (b * scores.tau)
     # every positive against every pooled negative: b^2 * (m - 1) pairs
     return LossOutput(value=value, d_sim=d_sim, term_count=b * len(neg))
 

@@ -231,14 +231,26 @@ def train(
     if encoder_config is None:
         encoder_config = enc.EncoderConfig(seed=derive_seed(config.seed, 1))
     started = time.perf_counter()
+    steps_per_epoch = max(1, -(-len(train_queries) // config.B))
+    max_steps = config.max_epochs * steps_per_epoch
+    eval_batch_set = []
+    if max_steps > 0:
+        # fixed held-out batches: the evaluation loss is comparable across
+        # steps. Drawn first, so an eval split too small for B fails early.
+        eval_rng = Xoshiro256StarStar(derive_seed(config.seed, 3))
+        try:
+            eval_batch_set = [
+                sample_batch(eval_queries, config.B, config.H, eval_rng)
+                for _ in range(config.eval_batches)
+            ]
+        except ValueError as exc:
+            raise ValueError(f"eval split ({len(eval_queries)} queries): {exc}") from exc
+
     params = enc.init_params(encoder_config)
     state = OptimizerState.for_params(params)
     report = RunReport(loss_kind=config.loss_kind)
     loss = _loss_fn(config.loss_kind)
     out_path = Path(out_dir) if out_dir is not None else None
-
-    steps_per_epoch = max(1, -(-len(train_queries) // config.B))
-    max_steps = config.max_epochs * steps_per_epoch
     if max_steps == 0:
         report.wall_time = time.perf_counter() - started
         if out_path is not None:
@@ -246,13 +258,6 @@ def train(
         return params, report
 
     batch_rng = Xoshiro256StarStar(derive_seed(config.seed, 2))
-    eval_rng = Xoshiro256StarStar(derive_seed(config.seed, 3))
-
-    # fixed held-out batches: the evaluation loss is comparable across steps
-    eval_batch_set = [
-        sample_batch(eval_queries, config.B, config.H, eval_rng)
-        for _ in range(config.eval_batches)
-    ]
     corpus_tokens = enc.prepare_tokens(corpus.texts, encoder_config.hash_dim)
 
     def evaluate(step: int) -> EvalRecord:

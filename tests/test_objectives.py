@@ -17,12 +17,12 @@ from mwlab.objectives import (
     gaussian_degradation_demo,
     mw_bound_check,
     mw_loss,
-    sigmoid,
     softplus,
 )
+from mwlab import objectives
 from mwlab.prng import Xoshiro256StarStar
 from mwlab.scoring import ScoreBatch, comparison_counts
-from util import brute_force_strict_aoc, random_score_batch
+from util import brute_force_strict_aoc, naive_mw_loss, random_score_batch, sigmoid
 
 
 def fd_gradient_check(loss_fn, sb, h=1e-5, rtol=1e-3, n_entries=None):
@@ -144,6 +144,56 @@ class TestMwLoss:
         out = mw_loss(sb)
         assert np.isfinite(out.value)
         assert np.isfinite(out.d_sim).all()
+
+
+def assert_matches_unfused(sb):
+    out = mw_loss(sb)
+    value, d_sim = naive_mw_loss(sb)
+    np.testing.assert_array_equal(out.d_sim, d_sim)
+    assert abs(out.value - value) <= 1e-14 * abs(value)
+    return out
+
+
+class TestMwLossMatchesUnfused:
+    """The blocked, fused mw_loss against the full-matrix formula: the
+    gradient must agree bit for bit, the value to summation rounding."""
+
+    def test_single_block(self):
+        rng = np.random.default_rng(15)
+        for b, h, tau in [(2, 0, 1.0), (4, 2, 0.5), (8, 3, 0.01)]:
+            sb = random_score_batch(rng, b=b, h=h, tau=tau)
+            assert b * b * (b + h * b - 1) <= objectives.MW_BLOCK_PAIRS
+            assert_matches_unfused(sb)
+
+    def test_row_longer_than_block(self):
+        # B=40, H=40: 65560 pooled negatives, so each block is one row
+        sb = random_score_batch(np.random.default_rng(16), b=40, h=40, tau=0.01)
+        assert sb.B * (sb.M - 1) > objectives.MW_BLOCK_PAIRS
+        assert_matches_unfused(sb)
+
+    def test_partial_last_block(self):
+        # B=32, H=5: 6112 negatives, 10 rows per block, last block 2 rows
+        sb = random_score_batch(np.random.default_rng(17), b=32, h=5, tau=0.01)
+        rows = objectives.MW_BLOCK_PAIRS // (sb.B * (sb.M - 1))
+        assert 1 < rows < sb.B and sb.B % rows != 0
+        assert_matches_unfused(sb)
+
+    def test_low_temperature_extremes(self):
+        rng = np.random.default_rng(18)
+        sim = np.where(rng.random((6, 18)) < 0.5, 1.0, -1.0)
+        sim[0, 3] = sim[0, 0]  # a tied pair: x = 0 exactly
+        out = assert_matches_unfused(ScoreBatch(sim=sim, tau=1e-3))
+        assert np.isfinite(out.value) and out.value > 1000.0
+        assert np.isfinite(out.d_sim).all()
+
+    def test_no_bit_depends_on_block_size(self, monkeypatch):
+        sb = random_score_batch(np.random.default_rng(19), b=9, h=2, tau=0.05)
+        ref = mw_loss(sb)
+        for block in (1, 7, 200, 10**6):
+            monkeypatch.setattr(objectives, "MW_BLOCK_PAIRS", block)
+            out = mw_loss(sb)
+            assert out.value == ref.value
+            np.testing.assert_array_equal(out.d_sim, ref.d_sim)
 
 
 class TestDegenerateOrdering:

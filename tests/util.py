@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from mwlab.objectives import softplus
 from mwlab.scoring import ScoreBatch
 
 
@@ -52,3 +53,29 @@ def central_difference(f, x: float, h: float) -> float:
 
 def relative_error(a: float, b: float, floor: float = 1e-12) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
+
+
+def sigmoid(x) -> np.ndarray:
+    """Logistic function, branch-stable at both extremes."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def naive_mw_loss(scores: ScoreBatch) -> tuple[float, np.ndarray]:
+    """Unfused Mann-Whitney loss over the full B x |S^-| pair matrix:
+    (value, d_sim), with the gradient from sigmoid row and column sums."""
+    b = scores.B
+    mask = scores.offdiag_mask()
+    neg = scores.sim[mask]
+    diff = (scores.positives[:, None] - neg[None, :]) / scores.tau
+    value = float(softplus(-diff).sum() / b)
+    sig = sigmoid(-diff)
+    d_sim = np.zeros_like(scores.sim)
+    d_sim[np.arange(b), np.arange(b)] = -sig.sum(axis=1) / (b * scores.tau)
+    d_sim[mask] += sig.sum(axis=0) / (b * scores.tau)
+    return value, d_sim
