@@ -134,6 +134,9 @@ class QuerySet:
     def by_id(self, query_id: str) -> Query:
         return self._queries[self._by_id[query_id]]
 
+    def index_of(self, query_id: str) -> int:
+        return self._by_id[query_id]
+
 
 @dataclass(frozen=True)
 class TrainingBatch:

@@ -122,6 +122,12 @@ class TokenBatch:
     def n(self) -> int:
         return self.weights.shape[0]
 
+    def take(self, rows: Sequence[int]) -> "TokenBatch":
+        """The batch of the given rows, in order (repeats allowed): the
+        tokens ``prepare_tokens`` gives for those texts, without hashing."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return TokenBatch(weights=self.weights[rows], has_tokens=self.has_tokens[rows])
+
 
 def prepare_tokens(texts: Sequence[str], hash_dim: int) -> TokenBatch:
     """Tokenize and hash a batch once; reusable across encode calls."""
@@ -235,7 +241,8 @@ def make_scorer(params: EncoderParams):
 
 def save_checkpoint(params: EncoderParams, step: int, path: str | Path) -> None:
     """Write a checkpoint: one JSON header line, then the embedding and
-    projection matrices as raw little-endian float32, row-major."""
+    projection matrices as raw little-endian float64, row-major, so a
+    loaded checkpoint scores exactly as the parameters it was saved from."""
     cfg = params.config
     header = {
         "hash_dim": cfg.hash_dim, "embed_dim": cfg.embed_dim,
@@ -245,8 +252,8 @@ def save_checkpoint(params: EncoderParams, step: int, path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
         f.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
-        f.write(np.ascontiguousarray(params.embedding, dtype="<f4").tobytes())
-        f.write(np.ascontiguousarray(params.projection, dtype="<f4").tobytes())
+        f.write(np.ascontiguousarray(params.embedding, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(params.projection, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[EncoderParams, int]:
@@ -268,12 +275,12 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderParams, int]:
         n_embed = cfg.hash_dim * cfg.embed_dim
         n_proj = cfg.embed_dim * cfg.proj_dim
         raw = f.read()
-    expected = 4 * (n_embed + n_proj)
+    expected = 8 * (n_embed + n_proj)
     if len(raw) != expected:
         raise ValueError(
             f"{path}: checkpoint payload is {len(raw)} bytes, expected {expected}"
         )
-    flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     embedding = flat[:n_embed].reshape(cfg.hash_dim, cfg.embed_dim)
     projection = flat[n_embed:].reshape(cfg.embed_dim, cfg.proj_dim)
     return EncoderParams(config=cfg, embedding=embedding, projection=projection), step

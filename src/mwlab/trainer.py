@@ -8,6 +8,11 @@ retrieval metrics are computed; the parameters minimizing the evaluation
 loss are kept, and training stops after ``patience`` evaluations without
 improvement or when the epoch budget runs out.
 
+Each corpus, train-split and eval-split text is hashed once per run into
+a positional ``TokenBatch`` table, so a batch is a row gather of those
+tables, not a fresh tokenization. Adam updates in place through scratch
+buffers and is bit-identical to its textbook formula.
+
 Everything is a pure function of (config, data, seed): two runs with the
 same inputs produce bit-identical parameters, logs, and files.
 """
@@ -23,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import encoder as enc
-from .data import Corpus, QuerySet, sample_batch
+from .data import Corpus, QuerySet, TrainingBatch, sample_batch
 from .metrics import (
     mrr_at_k,
     ndcg_at_k,
@@ -110,7 +115,19 @@ def adam_step(
     state: OptimizerState,
     lr: float,
 ) -> tuple[enc.EncoderParams, OptimizerState]:
-    """Bias-corrected Adam update, in place on params and state."""
+    """Bias-corrected dense Adam (Kingma & Ba, ICLR 2015), in place on
+    params and state.
+
+    Every moment decays at every step, rows with zero gradient included::
+
+        m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+        p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+
+    The update runs through two scratch arrays per parameter instead of a
+    temporary per operation, in the same per-element order, so its bits
+    equal the formula's. A non-finite gradient raises ``TrainingDiverged``
+    before params or state change.
+    """
     if not grads.is_finite():
         raise TrainingDiverged(
             f"non-finite gradient at optimizer step {state.step + 1}"
@@ -122,11 +139,21 @@ def adam_step(
         (state.m.embedding, state.v.embedding, grads.embedding, params.embedding),
         (state.m.projection, state.v.projection, grads.projection, params.projection),
     ):
+        s1 = np.empty_like(p)
+        s2 = np.empty_like(p)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=s1)
         v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        np.square(g, out=s1)
+        s1 *= 1.0 - state.beta2
+        v += s1
+        np.divide(m, bc1, out=s1)
+        s1 *= lr
+        np.divide(v, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += state.eps
+        s1 /= s2
+        p -= s1
     return params, state
 
 
@@ -185,33 +212,29 @@ def _loss_fn(kind: str):
     return cl_loss if kind == "cl" else mw_loss
 
 
-def _batch_texts(batch, corpus: Corpus) -> tuple[list[str], list[str]]:
-    q_texts = [q.text for q in batch.queries]
-    p_texts = [corpus[d].text for d in batch.passage_ids]
-    return q_texts, p_texts
+def _gather(
+    batch: TrainingBatch,
+    queries: QuerySet,
+    query_tokens: enc.TokenBatch,
+    corpus: Corpus,
+    corpus_tokens: enc.TokenBatch,
+) -> tuple[enc.TokenBatch, enc.TokenBatch]:
+    """A batch's query and passage tokens, gathered by position from the
+    run's hashed query and corpus tables."""
+    q_rows = [queries.index_of(q.id) for q in batch.queries]
+    p_rows = [corpus.index_of(d) for d in batch.passage_ids]
+    return query_tokens.take(q_rows), corpus_tokens.take(p_rows)
 
 
-def _train_step(params, batch, corpus, tau, loss):
-    q_texts, p_texts = _batch_texts(batch, corpus)
-    q_enc = enc.encode_forward(params, q_texts)
-    p_enc = enc.encode_forward(params, p_texts)
+def _train_step(params, q_tokens, p_tokens, tau, loss):
+    q_enc = enc.encode_tokens(params, q_tokens)
+    p_enc = enc.encode_tokens(params, p_tokens)
     scores = score_batch(q_enc.vectors, p_enc.vectors, tau)
     out = loss(scores)
     d_q, d_p = backprop_scores(out.d_sim, q_enc.vectors, p_enc.vectors)
     grads = enc.encode_backward(q_enc, d_q, params)
     grads.add_(enc.encode_backward(p_enc, d_p, params))
     return out.value, grads
-
-
-def _cached_corpus_scorer(params: enc.EncoderParams, corpus_tokens):
-    """Scorer closure reusing pre-hashed corpus tokens across eval calls."""
-    def scorer(query_texts: Sequence[str], doc_texts: Sequence[str]) -> np.ndarray:
-        if len(doc_texts) != corpus_tokens.n:
-            raise ValueError("scorer cache does not match the document list")
-        q = enc.encode_forward(params, query_texts).vectors
-        d = enc.encode_tokens(params, corpus_tokens).vectors
-        return q @ d.T
-    return scorer
 
 
 def train(
@@ -227,6 +250,11 @@ def train(
     With ``out_dir`` set, a checkpoint ``ckpt_<step>`` is written at every
     evaluation-loss improvement and the report files at the end.
     ``max_epochs = 0`` returns the initial parameters untouched.
+
+    Before any other work, the fixed eval batches and the first training
+    batch are drawn, so a split too small for (B, H) raises a
+    ``ValueError`` naming it. Each text is then hashed once: the corpus,
+    the train split and the eval split become positional token tables.
     """
     if encoder_config is None:
         encoder_config = enc.EncoderConfig(seed=derive_seed(config.seed, 1))
@@ -234,6 +262,7 @@ def train(
     steps_per_epoch = max(1, -(-len(train_queries) // config.B))
     max_steps = config.max_epochs * steps_per_epoch
     eval_batch_set = []
+    batch = None
     if max_steps > 0:
         # fixed held-out batches: the evaluation loss is comparable across
         # steps. Drawn first, so an eval split too small for B fails early.
@@ -245,6 +274,13 @@ def train(
             ]
         except ValueError as exc:
             raise ValueError(f"eval split ({len(eval_queries)} queries): {exc}") from exc
+        # the batch stream is independent of the initialization, so
+        # drawing the first batch before it changes no bits
+        batch_rng = Xoshiro256StarStar(derive_seed(config.seed, 2))
+        try:
+            batch = sample_batch(train_queries, config.B, config.H, batch_rng)
+        except ValueError as exc:
+            raise ValueError(f"train split ({len(train_queries)} queries): {exc}") from exc
 
     params = enc.init_params(encoder_config)
     state = OptimizerState.for_params(params)
@@ -257,20 +293,24 @@ def train(
             report.write(out_path)
         return params, report
 
-    batch_rng = Xoshiro256StarStar(derive_seed(config.seed, 2))
-    corpus_tokens = enc.prepare_tokens(corpus.texts, encoder_config.hash_dim)
+    hash_dim = encoder_config.hash_dim
+    corpus_tokens = enc.prepare_tokens(corpus.texts, hash_dim)
+    train_tokens = enc.prepare_tokens([q.text for q in train_queries], hash_dim)
+    eval_tokens = enc.prepare_tokens([q.text for q in eval_queries], hash_dim)
+    eval_token_batches = [
+        _gather(b, eval_queries, eval_tokens, corpus, corpus_tokens) for b in eval_batch_set
+    ]
 
     def evaluate(step: int) -> EvalRecord:
         losses = []
-        for batch in eval_batch_set:
-            q_texts, p_texts = _batch_texts(batch, corpus)
-            q_enc = enc.encode_forward(params, q_texts)
-            p_enc = enc.encode_forward(params, p_texts)
-            losses.append(loss(score_batch(q_enc.vectors, p_enc.vectors, config.tau)).value)
+        for q_tokens, p_tokens in eval_token_batches:
+            q_vecs = enc.encode_tokens(params, q_tokens).vectors
+            p_vecs = enc.encode_tokens(params, p_tokens).vectors
+            losses.append(loss(score_batch(q_vecs, p_vecs, config.tau)).value)
         # score the eval queries against the corpus once, reuse for both
         # the pooled protocol and the ranked-list metrics
-        scorer = _cached_corpus_scorer(params, corpus_tokens)
-        scores = scorer([q.text for q in eval_queries], corpus.texts)
+        scores = (enc.encode_tokens(params, eval_tokens).vectors
+                  @ enc.encode_tokens(params, corpus_tokens).vectors.T)
         fixed = lambda q_texts, d_texts: scores  # noqa: E731
         _, pooled = pooled_auc_protocol(eval_queries, corpus, fixed, top_k=config.eval_top_k)
         lists = ranked_lists(eval_queries, corpus, fixed, depth=10)
@@ -285,8 +325,10 @@ def train(
     best_params = params.copy()
     bad_evals = 0
     for step in range(1, max_steps + 1):
-        batch = sample_batch(train_queries, config.B, config.H, batch_rng)
-        value, grads = _train_step(params, batch, corpus, config.tau, loss)
+        if step > 1:
+            batch = sample_batch(train_queries, config.B, config.H, batch_rng)
+        q_tokens, p_tokens = _gather(batch, train_queries, train_tokens, corpus, corpus_tokens)
+        value, grads = _train_step(params, q_tokens, p_tokens, config.tau, loss)
         if not np.isfinite(value):
             raise TrainingDiverged(f"non-finite training loss at step {step}")
         lr = lr_at(step, config)

@@ -1,12 +1,14 @@
 """Tests for the command-line entry point: seeds and exit codes."""
 
+import csv
 import json
 
 import pytest
 
 from mwlab import cli, experiments
-from mwlab.data import load_corpus, load_queries, save_queries
+from mwlab.data import SplitSpec, load_corpus, load_queries, save_queries, split_queries
 from mwlab.experiments import ComparisonSettings, synthetic_provider
+from mwlab.prng import derive_seed
 from mwlab.synthetic import SyntheticSpec
 from mwlab.trainer import TrainConfig
 
@@ -64,3 +66,48 @@ def test_train_with_short_eval_split_exits_2(tmp_path, capsys):
     assert cli.main(argv) == 2
     assert "error: eval split (3 queries): need 8 eligible" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_train_with_short_train_split_exits_2(tmp_path, capsys):
+    provider = synthetic_provider(SyntheticSpec(n_queries=30, n_docs=80))
+    corpus_path, queries_path = write_inputs(tmp_path, *provider(0))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"B": 8, "H": 0, "hash_dim": 256, "embed_dim": 8, "proj_dim": 4}))
+    argv = ["train", "--corpus", corpus_path, "--queries", queries_path,
+            "--config", str(config), "--out", str(tmp_path / "run"),
+            "--train-fraction", "0.1", "--eval-fraction", "0.5"]
+    assert cli.main(argv) == 2
+    assert "error: train split (3 queries): need 8 eligible" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_evaluate_on_best_checkpoint_reproduces_in_run_eval(tmp_path):
+    seed = 2
+    provider = synthetic_provider(SyntheticSpec(n_queries=60, n_docs=120))
+    corpus, queries = provider(seed)
+    corpus_path, queries_path = write_inputs(tmp_path, corpus, queries)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "B": 4, "H": 0, "base_lr": 0.05, "warmup_steps": 2, "max_epochs": 3,
+        "eval_every": 4, "eval_top_k": 20, "hash_dim": 256, "embed_dim": 8, "proj_dim": 4,
+    }))
+    run = tmp_path / "run"
+    assert cli.main(["train", "--corpus", corpus_path, "--queries", queries_path,
+                     "--config", str(config), "--out", str(run),
+                     "--seed", str(seed)]) == 0
+    best = json.loads((run / "report.json").read_text())["best_checkpoint_step"]
+    with open(run / "evals.csv", encoding="utf-8") as f:
+        row = next(r for r in csv.DictReader(f) if int(r["step"]) == best)
+
+    # the eval split train used, as cmd_train derives it
+    _, eval_qs, _ = split_queries(queries, SplitSpec(0.8, 0.1, seed=derive_seed(seed, 12)))
+    eval_path = tmp_path / "eval.jsonl"
+    save_queries(eval_qs, eval_path)
+    out = tmp_path / "eval_out"
+    assert cli.main(["evaluate", "--corpus", corpus_path, "--queries", str(eval_path),
+                     "--checkpoint", str(run / f"ckpt_{best}"), "--out", str(out),
+                     "--top-k", "20"]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["auc"] == float(row["auc"])
+    assert metrics["mrr_at_10"] == float(row["mrr10"])

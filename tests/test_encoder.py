@@ -7,10 +7,12 @@ from mwlab.encoder import (
     EncoderConfig,
     encode_backward,
     encode_forward,
+    encode_tokens,
     fnv1a64,
     init_params,
     load_checkpoint,
     make_scorer,
+    prepare_tokens,
     save_checkpoint,
     tokenize_hash,
 )
@@ -193,6 +195,29 @@ class TestInit:
             EncoderConfig(hash_dim=16, embed_dim=0)
 
 
+class TestTokenBatchTake:
+    TEXTS = ["alpha beta beta", "!!!", "gamma delta alpha", "", "Beta ALPHA epsilon"]
+
+    @pytest.mark.parametrize("rows", [[2, 0, 4], [1, 3], [4, 1, 4, 0, 1], [0]])
+    def test_equals_hashing_the_rows_texts(self, rows):
+        table = prepare_tokens(self.TEXTS, 64)
+        taken = table.take(rows)
+        direct = prepare_tokens([self.TEXTS[i] for i in rows], 64)
+        assert taken.weights.shape == direct.weights.shape
+        for attr in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(
+                getattr(taken.weights, attr), getattr(direct.weights, attr))
+        np.testing.assert_array_equal(taken.has_tokens, direct.has_tokens)
+
+    def test_taken_rows_encode_like_their_texts(self):
+        params = init_params(SMALL)
+        rows = [1, 2, 2, 4]
+        taken = encode_tokens(params, prepare_tokens(self.TEXTS, SMALL.hash_dim).take(rows))
+        direct = encode_forward(params, [self.TEXTS[i] for i in rows])
+        np.testing.assert_array_equal(taken.vectors, direct.vectors)
+        np.testing.assert_array_equal(taken.active, direct.active)
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         params = init_params(SMALL)
@@ -201,10 +226,19 @@ class TestCheckpoint:
         loaded, step = load_checkpoint(path)
         assert step == 12
         assert loaded.config == SMALL
-        # storage is float32: equality after casting
-        np.testing.assert_array_equal(
-            loaded.embedding, params.embedding.astype(np.float32).astype(np.float64)
-        )
+        # storage is float64: the parameters come back bit for bit
+        np.testing.assert_array_equal(loaded.embedding, params.embedding)
+        np.testing.assert_array_equal(loaded.projection, params.projection)
+
+    def test_float32_payload_rejected(self, tmp_path):
+        params = init_params(SMALL)
+        path = tmp_path / "ckpt"
+        save_checkpoint(params, step=0, path=path)
+        header = path.read_bytes().split(b"\n", 1)[0] + b"\n"
+        n = params.embedding.size + params.projection.size
+        path.write_bytes(header + np.zeros(n, dtype="<f4").tobytes())
+        with pytest.raises(ValueError, match=f"is {4 * n} bytes, expected {8 * n}"):
+            load_checkpoint(path)
 
     def test_header_is_json_line(self, tmp_path):
         import json

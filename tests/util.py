@@ -79,3 +79,20 @@ def naive_mw_loss(scores: ScoreBatch) -> tuple[float, np.ndarray]:
     d_sim[np.arange(b), np.arange(b)] = -sig.sum(axis=1) / (b * scores.tau)
     d_sim[mask] += sig.sum(axis=0) / (b * scores.tau)
     return value, d_sim
+
+
+def naive_adam_step(params, grads, state, lr) -> None:
+    """Bias-corrected dense Adam written as the formula, one temporary
+    per operation; updates params and state in place."""
+    state.step += 1
+    bc1 = 1.0 - state.beta1 ** state.step
+    bc2 = 1.0 - state.beta2 ** state.step
+    for m, v, g, p in (
+        (state.m.embedding, state.v.embedding, grads.embedding, params.embedding),
+        (state.m.projection, state.v.projection, grads.projection, params.projection),
+    ):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * np.square(g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
