@@ -40,6 +40,7 @@ from .metrics import (
     ROCCurve,
     ScorePool,
     auc,
+    evaluate,
     histogram,
     mann_whitney_u,
     mrr_at_k,
@@ -75,7 +76,7 @@ __all__ = [
     "gaussian_degradation_demo", "mw_bound_check",
     "ScorePool", "ROCCurve", "RankedList", "Histogram", "mann_whitney_u",
     "auc", "strict_aoc", "roc_curve", "pooled_auc_protocol", "mrr_at_k",
-    "ndcg_at_k", "histogram",
+    "ndcg_at_k", "histogram", "evaluate",
     "TrainConfig", "OptimizerState", "RunReport", "lr_at", "adam_step", "train",
     "Xoshiro256StarStar", "derive_seed",
     "__version__",

@@ -28,15 +28,7 @@ from .experiments import (
     synthetic_provider,
     write_comparison,
 )
-from .metrics import (
-    ScorePool,
-    histogram,
-    mrr_at_k,
-    ndcg_at_k,
-    pooled_auc_protocol,
-    ranked_lists,
-    roc_curve,
-)
+from .metrics import ScorePool, evaluate, histogram, roc_curve
 from .objectives import gaussian_degradation_demo, mw_bound_check
 from .prng import Xoshiro256StarStar, derive_seed
 from .scoring import comparison_counts
@@ -93,13 +85,13 @@ def _scorer_from_args(args) -> "callable":
     return enc.make_scorer(params)
 
 
-def _eval_pool(args) -> tuple[ScorePool, float, "QuerySet", "Corpus", "callable"]:
+def _evaluate_checkpoint(args) -> tuple[ScorePool, dict]:
+    """The evaluation bundle of --checkpoint on --queries against --corpus."""
     corpus = load_corpus(args.corpus)
     queries = load_queries(args.queries, corpus)
     params, _ = enc.load_checkpoint(args.checkpoint)
-    scorer = enc.make_scorer(params)
-    pool, auc_value = pooled_auc_protocol(queries, corpus, scorer, top_k=args.top_k)
-    return pool, auc_value, queries, corpus, scorer
+    scores = enc.make_scorer(params)(queries.texts, corpus.texts)
+    return evaluate(scores, queries, corpus, top_k=args.top_k)
 
 
 def cmd_mine(args) -> int:
@@ -131,15 +123,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    pool, auc_value, queries, corpus, scorer = _eval_pool(args)
-    lists = ranked_lists(queries, corpus, scorer, depth=10)
+    pool, metrics = _evaluate_checkpoint(args)
+    auc_value = metrics["auc"]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {
         "auc": auc_value,
         "aoc": 1.0 - auc_value,
-        "mrr_at_10": mrr_at_k(lists, 10),
-        "ndcg_at_10": ndcg_at_k(lists, 10),
+        "mrr_at_10": metrics["mrr10"],
+        "ndcg_at_10": metrics["ndcg10"],
         "n_pos": pool.n_pos,
         "n_neg": pool.n_neg,
     }
@@ -151,7 +143,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_roc(args) -> int:
-    pool, _, _, _, _ = _eval_pool(args)
+    pool, _ = _evaluate_checkpoint(args)
     curve = roc_curve(pool)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -163,7 +155,7 @@ def cmd_roc(args) -> int:
 
 
 def cmd_histogram(args) -> int:
-    pool, _, _, _, _ = _eval_pool(args)
+    pool, _ = _evaluate_checkpoint(args)
     hist = histogram(pool, bins=args.bins)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -28,6 +26,11 @@ logger = logging.getLogger(__name__)
 Scorer = Callable[[Sequence[str], Sequence[str]], np.ndarray]
 
 
+def _require_str(value, what: str) -> None:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {type(value).__name__} {value!r}")
+
+
 @dataclass(frozen=True)
 class Document:
     """A retrievable passage. ``id`` is unique within its corpus."""
@@ -36,8 +39,10 @@ class Document:
     text: str
 
     def __post_init__(self):
+        _require_str(self.id, "document id")
         if not self.id:
             raise ValueError("document id must be non-empty")
+        _require_str(self.text, f"document {self.id!r}: text")
         if not self.text:
             raise ValueError(f"document {self.id!r}: text must be non-empty")
 
@@ -56,8 +61,14 @@ class Query:
     hard_negative_ids: list[str] = field(default_factory=list)
 
     def __post_init__(self):
+        _require_str(self.id, "query id")
         if not self.id:
             raise ValueError("query id must be non-empty")
+        _require_str(self.text, f"query {self.id!r}: text")
+        if not (isinstance(self.positive_ids, list) and isinstance(self.hard_negative_ids, list)):
+            raise ValueError(f"query {self.id!r}: positive_ids and hard_negative_ids must be lists")
+        for doc_id in self.positive_ids + self.hard_negative_ids:
+            _require_str(doc_id, f"query {self.id!r}: document id")
         if not self.positive_ids:
             raise ValueError(f"query {self.id!r}: positive_ids must be non-empty")
         overlap = set(self.positive_ids) & set(self.hard_negative_ids)
@@ -136,6 +147,10 @@ class QuerySet:
 
     def index_of(self, query_id: str) -> int:
         return self._by_id[query_id]
+
+    @property
+    def texts(self) -> list[str]:
+        return [q.text for q in self._queries]
 
 
 @dataclass(frozen=True)
@@ -235,8 +250,8 @@ def load_queries(path: str | Path, corpus: Corpus) -> QuerySet:
                 query = Query(
                     id=obj["id"],
                     text=obj["text"],
-                    positive_ids=list(obj["positive_ids"]),
-                    hard_negative_ids=list(obj.get("hard_negative_ids", [])),
+                    positive_ids=obj["positive_ids"],
+                    hard_negative_ids=obj.get("hard_negative_ids", []),
                 )
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
@@ -268,13 +283,41 @@ def save_queries(queries: QuerySet, path: str | Path) -> None:
             f.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _thread_count() -> int:
-    """Worker cap for per-query mining, from MWLAB_THREADS (default 1)."""
-    raw = os.environ.get("MWLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def score_matrix(queries: QuerySet, corpus: Corpus, scorer: Scorer) -> np.ndarray:
+    """The scorer's n_queries x n_docs matrix, checked for shape."""
+    scores = np.asarray(scorer(queries.texts, corpus.texts), dtype=np.float64)
+    if scores.shape != (len(queries), len(corpus)):
+        raise ValueError(
+            f"scorer returned shape {scores.shape}, "
+            f"expected {(len(queries), len(corpus))}"
+        )
+    return scores
+
+
+def top_k_columns(
+    scores: np.ndarray,
+    doc_ids: Sequence[str],
+    k: int,
+    exclude: Sequence[Sequence[int]] | None = None,
+) -> list[np.ndarray]:
+    """Per row, the columns of its k best documents, best first: descending
+    score, ties by ascending document id. Row i skips the columns in
+    ``exclude[i]``; a row with fewer than k columns left returns them all.
+
+    Ids are unique, so the order is total and sorting the whole row, then
+    dropping the excluded columns, equals sorting only the candidates.
+    """
+    # rank of each column when ids are sorted ascending: the tie key
+    id_rank = np.argsort(np.argsort(np.array(doc_ids), kind="stable"), kind="stable")
+    out = []
+    for i, row in enumerate(scores):
+        order = np.lexsort((id_rank, -row))
+        if exclude is None:
+            out.append(order[:k])
+        else:
+            head = order[:k + len(exclude[i])]
+            out.append(head[~np.isin(head, exclude[i])][:k])
+    return out
 
 
 def mine_hard_negatives(
@@ -288,39 +331,17 @@ def mine_hard_negatives(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    query_texts = [q.text for q in queries]
-    scores = np.asarray(scorer(query_texts, corpus.texts), dtype=np.float64)
-    if scores.shape != (len(queries), len(corpus)):
-        raise ValueError(
-            f"scorer returned shape {scores.shape}, "
-            f"expected {(len(queries), len(corpus))}"
-        )
-    doc_ids = np.array(corpus.ids)
-    # Rank of each column when doc ids are sorted ascending; lexsort uses
-    # it as the tie key under descending score.
-    id_rank = np.argsort(np.argsort(doc_ids, kind="stable"), kind="stable")
-
-    def mine_one(i: int) -> Query:
-        q = queries[i]
-        pos = {corpus.index_of(d) for d in q.positive_ids}
-        mask = np.ones(len(corpus), dtype=bool)
-        mask[list(pos)] = False
-        candidates = np.flatnonzero(mask)
-        order = np.lexsort((id_rank[candidates], -scores[i, candidates]))
-        chosen = candidates[order[:k]]
+    scores = score_matrix(queries, corpus, scorer)
+    doc_ids = corpus.ids
+    positives = [[corpus.index_of(d) for d in q.positive_ids] for q in queries]
+    mined = []
+    for q, chosen in zip(queries, top_k_columns(scores, doc_ids, k, exclude=positives)):
         if len(chosen) < k:
             logger.warning(
                 "query %r: only %d negatives available (requested %d)",
                 q.id, len(chosen), k,
             )
-        return replace(q, hard_negative_ids=[str(doc_ids[j]) for j in chosen])
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            mined = list(pool.map(mine_one, range(len(queries))))
-    else:
-        mined = [mine_one(i) for i in range(len(queries))]
+        mined.append(replace(q, hard_negative_ids=[doc_ids[j] for j in chosen]))
     return QuerySet(mined)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -33,6 +33,20 @@ _MASK64 = (1 << 64) - 1
 NORM_FLOOR = 1e-12
 
 
+# Accepted value types per field annotation; bools are rejected everywhere.
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def check_field_types(config) -> None:
+    """Raise ValueError naming the first field of a config dataclass whose
+    value does not fit its annotation: an ``int`` field takes an int, a
+    ``float`` field an int or a float, a ``str`` field a str, none a bool."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+            raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     hash_dim: int = 1 << 15
@@ -41,6 +55,7 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if min(self.hash_dim, self.embed_dim, self.proj_dim) < 1:
             raise ValueError("all dimensions must be >= 1")
         if self.hash_dim & (self.hash_dim - 1) != 0:

@@ -2,9 +2,10 @@
 
 For each seed the same data, the same mined hard negatives, and the same
 parameter initialization feed two training runs differing only in the
-loss. Both winners are then scored on the held-out test split with the
-pooled AUC protocol, ranked-list metrics, and the positive/negative
-histogram overlap.
+loss. Each winner scores the held-out test split against the corpus
+once; ``metrics.evaluate`` turns that matrix into the pooled AUC and the
+ranked-list metrics, and its pool gives the positive/negative histogram
+overlap.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .data import Corpus, QuerySet, SplitSpec, mine_hard_negatives, split_queries
 from .encoder import EncoderConfig, init_params, make_scorer
-from .metrics import histogram, mrr_at_k, ndcg_at_k, pooled_auc_protocol, ranked_lists
+from .metrics import evaluate, histogram
 from .prng import derive_seed
 from .synthetic import SyntheticSpec, make_benchmark
 from .trainer import TrainConfig, train
@@ -56,17 +57,13 @@ def fixed_provider(corpus: Corpus, queries: QuerySet) -> DataProvider:
 
 
 def _evaluate_side(params, queries, corpus, settings) -> dict:
-    scorer = make_scorer(params)
-    pool, auc_value = pooled_auc_protocol(
-        queries, corpus, scorer, top_k=settings.eval_top_k
-    )
-    lists = ranked_lists(queries, corpus, scorer, depth=10)
-    overlap = histogram(pool, settings.bins).overlap_coefficient()
+    scores = make_scorer(params)(queries.texts, corpus.texts)
+    pool, metrics = evaluate(scores, queries, corpus, top_k=settings.eval_top_k)
     return {
-        "auc": auc_value,
-        "mrr10": mrr_at_k(lists, 10),
-        "ndcg10": ndcg_at_k(lists, 10),
-        "overlap": overlap,
+        "auc": metrics["auc"],
+        "mrr10": metrics["mrr10"],
+        "ndcg10": metrics["ndcg10"],
+        "overlap": histogram(pool, settings.bins).overlap_coefficient(),
     }
 
 

@@ -11,6 +11,12 @@ Mann-Whitney treatment. ``strict_aoc`` counts only strict inversions
 (s+ < s-), the form the pairwise-loss bound is stated against. For
 tie-free pools strict_aoc == 1 - auc exactly; with ties they differ by
 half the tie mass.
+
+``evaluate`` is the one evaluation bundle: it takes a precomputed
+n_queries x n_docs score matrix, runs the pooled AUC protocol and the
+depth-10 ranked lists over it, and returns the pool with auc, mrr10,
+ndcg10, precision10 and recall1. Training, ablation, comparison and the
+CLI all evaluate through it, so each scores a query set only once.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Corpus, QuerySet, Scorer
+from .data import Corpus, QuerySet, Scorer, score_matrix, top_k_columns
 
 
 @dataclass
@@ -147,12 +153,7 @@ def pooled_auc_protocol(
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     if len(queries) == 0:
         raise ValueError("query set is empty")
-    scores = np.asarray(scorer([q.text for q in queries], corpus.texts), dtype=np.float64)
-    if scores.shape != (len(queries), len(corpus)):
-        raise ValueError(
-            f"scorer returned shape {scores.shape}, "
-            f"expected {(len(queries), len(corpus))}"
-        )
+    scores = score_matrix(queries, corpus, scorer)
     pos_parts: list[np.ndarray] = []
     neg_parts: list[np.ndarray] = []
     for i, q in enumerate(queries):
@@ -258,19 +259,33 @@ def ranked_lists(
     document id) and keep the top ``depth`` ids."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    scores = np.asarray(scorer([q.text for q in queries], corpus.texts), dtype=np.float64)
-    doc_ids = np.array(corpus.ids)
-    id_rank = np.argsort(np.argsort(doc_ids, kind="stable"), kind="stable")
-    out = []
-    for i, q in enumerate(queries):
-        depth_i = min(depth, len(corpus))
-        order = np.lexsort((id_rank, -scores[i]))
-        top = order[:depth_i]
-        out.append(RankedList(
-            ranked_ids=[str(doc_ids[j]) for j in top],
-            relevant_ids=set(q.positive_ids),
-        ))
-    return out
+    doc_ids = corpus.ids
+    tops = top_k_columns(score_matrix(queries, corpus, scorer), doc_ids, depth)
+    return [
+        RankedList(ranked_ids=[doc_ids[j] for j in top], relevant_ids=set(q.positive_ids))
+        for q, top in zip(queries, tops)
+    ]
+
+
+def evaluate(
+    scores: np.ndarray, queries: QuerySet, corpus: Corpus, top_k: int = 500
+) -> tuple[ScorePool, dict]:
+    """The evaluation bundle over one precomputed n_queries x n_docs score
+    matrix: the pooled AUC protocol's pool, plus a dict of ``auc``,
+    ``mrr10``, ``ndcg10``, ``precision10`` and ``recall1`` (the last four
+    from the depth-10 ranked lists)."""
+    def fixed(query_texts: Sequence[str], doc_texts: Sequence[str]) -> np.ndarray:
+        return scores
+
+    pool, auc_value = pooled_auc_protocol(queries, corpus, fixed, top_k=top_k)
+    lists = ranked_lists(queries, corpus, fixed, depth=10)
+    return pool, {
+        "auc": auc_value,
+        "mrr10": mrr_at_k(lists, 10),
+        "ndcg10": ndcg_at_k(lists, 10),
+        "precision10": precision_at_k(lists, 10),
+        "recall1": recall_at_k(lists, 1),
+    }
 
 
 @dataclass
@@ -325,14 +340,3 @@ def histogram(pool: ScorePool, bins: int) -> Histogram:
         pos_counts=side_counts(pool.positives),
         neg_counts=side_counts(pool.negatives),
     )
-
-
-def pool_summary(pool: ScorePool) -> dict:
-    """The standard summary dict: auc, aoc (= 1 - auc), and pool sizes."""
-    a = auc(pool)
-    return {
-        "auc": a,
-        "aoc": 1.0 - a,
-        "n_pos": pool.n_pos,
-        "n_neg": pool.n_neg,
-    }

@@ -61,10 +61,6 @@ class Xoshiro256StarStar:
         self._s0, self._s1, self._s2, self._s3 = words
         self._spare_normal: float | None = None
 
-    def spawn(self, salt: int) -> "Xoshiro256StarStar":
-        """Child generator with a stream independent of this one."""
-        return Xoshiro256StarStar(derive_seed(self.next_u64(), salt))
-
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
         result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
@@ -102,9 +98,6 @@ class Xoshiro256StarStar:
         while v >= limit:
             v = self.next_u64()
         return v % n
-
-    def integers(self, n: int, size: int) -> np.ndarray:
-        return np.array([self.below(n) for _ in range(size)], dtype=np.int64)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""

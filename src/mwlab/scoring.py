@@ -62,10 +62,6 @@ class ScoreBatch:
             raise IndexError(f"query index {i} out of range for B={self.B}")
         return np.concatenate([np.arange(i), np.arange(i + 1, self.M)])
 
-    @property
-    def negative_index_sets(self) -> list[np.ndarray]:
-        return [self.negative_columns(i) for i in range(self.B)]
-
     def offdiag_mask(self) -> np.ndarray:
         """Boolean B x M mask of all negative cells."""
         mask = np.ones_like(self.sim, dtype=bool)

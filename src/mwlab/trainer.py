@@ -10,8 +10,10 @@ improvement or when the epoch budget runs out.
 
 Each corpus, train-split and eval-split text is hashed once per run into
 a positional ``TokenBatch`` table, so a batch is a row gather of those
-tables, not a fresh tokenization. Adam updates in place through scratch
-buffers and is bit-identical to its textbook formula.
+tables, not a fresh tokenization. An evaluation scores the eval split
+against the corpus once and hands the matrix to ``metrics.evaluate``.
+Adam updates in place through scratch buffers and is bit-identical to its
+textbook formula.
 
 Everything is a pure function of (config, data, seed): two runs with the
 same inputs produce bit-identical parameters, logs, and files.
@@ -29,14 +31,7 @@ import numpy as np
 
 from . import encoder as enc
 from .data import Corpus, QuerySet, TrainingBatch, sample_batch
-from .metrics import (
-    mrr_at_k,
-    ndcg_at_k,
-    pooled_auc_protocol,
-    precision_at_k,
-    ranked_lists,
-    recall_at_k,
-)
+from .metrics import evaluate
 from .objectives import cl_loss, mw_loss
 from .prng import Xoshiro256StarStar, derive_seed
 from .scoring import backprop_scores, score_batch
@@ -64,6 +59,7 @@ class TrainConfig:
     eval_top_k: int = 500
 
     def __post_init__(self):
+        enc.check_field_types(self)
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
         if self.B < 2:
@@ -295,31 +291,27 @@ def train(
 
     hash_dim = encoder_config.hash_dim
     corpus_tokens = enc.prepare_tokens(corpus.texts, hash_dim)
-    train_tokens = enc.prepare_tokens([q.text for q in train_queries], hash_dim)
-    eval_tokens = enc.prepare_tokens([q.text for q in eval_queries], hash_dim)
+    train_tokens = enc.prepare_tokens(train_queries.texts, hash_dim)
+    eval_tokens = enc.prepare_tokens(eval_queries.texts, hash_dim)
     eval_token_batches = [
         _gather(b, eval_queries, eval_tokens, corpus, corpus_tokens) for b in eval_batch_set
     ]
 
-    def evaluate(step: int) -> EvalRecord:
+    def run_eval(step: int) -> EvalRecord:
         losses = []
         for q_tokens, p_tokens in eval_token_batches:
             q_vecs = enc.encode_tokens(params, q_tokens).vectors
             p_vecs = enc.encode_tokens(params, p_tokens).vectors
             losses.append(loss(score_batch(q_vecs, p_vecs, config.tau)).value)
-        # score the eval queries against the corpus once, reuse for both
-        # the pooled protocol and the ranked-list metrics
         scores = (enc.encode_tokens(params, eval_tokens).vectors
                   @ enc.encode_tokens(params, corpus_tokens).vectors.T)
-        fixed = lambda q_texts, d_texts: scores  # noqa: E731
-        _, pooled = pooled_auc_protocol(eval_queries, corpus, fixed, top_k=config.eval_top_k)
-        lists = ranked_lists(eval_queries, corpus, fixed, depth=10)
+        _, metrics = evaluate(scores, eval_queries, corpus, top_k=config.eval_top_k)
         return EvalRecord(
             step=step,
             eval_loss=float(np.mean(losses)),
-            auc=pooled,
-            mrr10=mrr_at_k(lists, 10),
-            ndcg10=ndcg_at_k(lists, 10),
+            auc=metrics["auc"],
+            mrr10=metrics["mrr10"],
+            ndcg10=metrics["ndcg10"],
         )
 
     best_params = params.copy()
@@ -336,7 +328,7 @@ def train(
         report.steps.append((step, value, lr))
 
         if step % config.eval_every == 0 or step == max_steps:
-            rec = evaluate(step)
+            rec = run_eval(step)
             report.evals.append(rec)
             if rec.eval_loss < report.best_eval_loss:
                 report.best_eval_loss = rec.eval_loss
@@ -358,26 +350,6 @@ def train(
     if out_path is not None:
         report.write(out_path)
     return best_params, report
-
-
-def evaluate_params(
-    params: enc.EncoderParams,
-    queries: QuerySet,
-    corpus: Corpus,
-    top_k: int = 500,
-    depth: int = 10,
-) -> dict:
-    """Pooled AUC protocol plus ranked-list metrics for fixed parameters."""
-    scorer = enc.make_scorer(params)
-    _, pooled = pooled_auc_protocol(queries, corpus, scorer, top_k=top_k)
-    lists = ranked_lists(queries, corpus, scorer, depth=depth)
-    return {
-        "auc": pooled,
-        "mrr10": mrr_at_k(lists, 10),
-        "ndcg10": ndcg_at_k(lists, 10),
-        "precision10": precision_at_k(lists, 10),
-        "recall1": recall_at_k(lists, 1),
-    }
 
 
 def ablation_sweep(
@@ -402,8 +374,9 @@ def ablation_sweep(
         for b in batch_sizes:
             for h in hard_negative_counts:
                 cfg = replace(base_config, base_lr=lr, B=b, H=h)
-                best, report = train(cfg, train_queries, eval_queries, corpus, encoder_config)
-                metrics = evaluate_params(best, eval_queries, corpus, top_k=base_config.eval_top_k)
+                best, _ = train(cfg, train_queries, eval_queries, corpus, encoder_config)
+                scores = enc.make_scorer(best)(eval_queries.texts, corpus.texts)
+                _, metrics = evaluate(scores, eval_queries, corpus, top_k=base_config.eval_top_k)
                 rows.append({
                     "lr": lr,
                     "batch_size": b,

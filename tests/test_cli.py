@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from mwlab import cli, experiments
+from mwlab import cli, encoder, experiments
 from mwlab.data import SplitSpec, load_corpus, load_queries, save_queries, split_queries
 from mwlab.experiments import ComparisonSettings, synthetic_provider
 from mwlab.prng import derive_seed
@@ -111,3 +111,54 @@ def test_evaluate_on_best_checkpoint_reproduces_in_run_eval(tmp_path):
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["auc"] == float(row["auc"])
     assert metrics["mrr_at_10"] == float(row["mrr10"])
+
+
+def test_mine_with_non_string_text_exits_2(tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text('{"id": "d1", "text": "a b"}\n{"id": "d3", "text": 5}\n')
+    queries_path = tmp_path / "queries.jsonl"
+    queries_path.write_text('{"id": "q1", "text": "a", "positive_ids": ["d1"]}\n')
+    argv = ["mine", "--corpus", str(corpus_path), "--queries", str(queries_path),
+            "--out", str(tmp_path / "mined.jsonl")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "corpus.jsonl: line 2: document 'd3': text must be a string" in err
+
+
+@pytest.mark.parametrize("config, expected", [
+    ({"B": "4"}, "B must be int"),
+    ({"B": 4.5}, "B must be int"),
+    ({"eval_every": True}, "eval_every must be int"),
+    ({"tau": None}, "tau must be float"),
+    ({"loss_kind": 1}, "loss_kind must be str"),
+    ({"hash_dim": "x"}, "hash_dim must be int"),
+])
+def test_train_with_wrongly_typed_config_exits_2(tmp_path, capsys, config, expected):
+    provider = synthetic_provider(SyntheticSpec(n_queries=30, n_docs=80))
+    corpus_path, queries_path = write_inputs(tmp_path, *provider(0))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    argv = ["train", "--corpus", corpus_path, "--queries", queries_path,
+            "--config", str(config_path), "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 2
+    assert f"error: {expected}, got " in capsys.readouterr().err
+
+
+def test_evaluate_hashes_queries_and_corpus_once(tmp_path, monkeypatch):
+    corpus, queries = synthetic_provider(SyntheticSpec(n_queries=20, n_docs=50))(0)
+    corpus_path, queries_path = write_inputs(tmp_path, corpus, queries)
+    ckpt = tmp_path / "ckpt"
+    encoder.save_checkpoint(encoder.init_params(encoder.EncoderConfig(
+        hash_dim=256, embed_dim=8, proj_dim=4, seed=1)), 0, ckpt)
+    calls = []
+    prepare = encoder.prepare_tokens
+
+    def counting(texts, hash_dim):
+        calls.append(len(texts))
+        return prepare(texts, hash_dim)
+
+    monkeypatch.setattr(encoder, "prepare_tokens", counting)
+    assert cli.main(["evaluate", "--corpus", corpus_path, "--queries", queries_path,
+                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "out"),
+                     "--top-k", "10"]) == 0
+    assert calls == [len(queries), len(corpus)]

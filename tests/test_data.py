@@ -17,9 +17,12 @@ from mwlab.data import (
     mine_hard_negatives,
     sample_batch,
     save_queries,
+    score_matrix,
     split_queries,
+    top_k_columns,
 )
 from mwlab.prng import Xoshiro256StarStar
+from util import naive_top_k
 
 
 def write_jsonl(path, rows):
@@ -72,6 +75,39 @@ class TestLoadCorpus:
         write_jsonl(path, [{"id": "d1", "text": ""}])
         with pytest.raises(ValueError, match="line 1"):
             load_corpus(path)
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("doc_id, text", [(7, "t"), (None, "t"), ("d1", 5), ("d1", ["t"])])
+    def test_document_rejects_non_string(self, doc_id, text):
+        with pytest.raises(ValueError, match="must be a string"):
+            Document(doc_id, text)
+
+    @pytest.mark.parametrize("fields", [
+        {"id": 7},
+        {"text": 5},
+        {"positive_ids": [7]},
+        {"hard_negative_ids": ["d2", None]},
+        {"positive_ids": "d1"},
+        {"hard_negative_ids": "d2"},
+    ])
+    def test_query_rejects_wrong_types(self, fields):
+        args = {"id": "q1", "text": "x", "positive_ids": ["d1"], **fields}
+        with pytest.raises(ValueError, match="must be a string|must be lists"):
+            Query(**args)
+
+    def test_load_corpus_names_file_and_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [{"id": "d1", "text": "a"}, {"id": "d3", "text": 5}])
+        with pytest.raises(ValueError, match=r"corpus\.jsonl: line 2: .*text must be a string"):
+            load_corpus(path)
+
+    def test_load_queries_names_file_and_line(self, tmp_path):
+        corpus = Corpus([Document("7", "a")])
+        path = tmp_path / "queries.jsonl"
+        write_jsonl(path, [{"id": "q1", "text": "x", "positive_ids": [7]}])
+        with pytest.raises(ValueError, match=r"queries\.jsonl: line 1: .*must be a string"):
+            load_queries(path, corpus)
 
 
 class TestLoadQueries:
@@ -171,6 +207,29 @@ class TestMining:
                 key=lambda d: (-scores[j, corpus.index_of(d)], d),
             )[:7]
             assert q.hard_negative_ids == expected
+
+
+class TestScoreMatrix:
+    def test_wrong_shape_rejected(self, small_corpus):
+        queries = QuerySet([Query("q1", "x", ["d1"])])
+        with pytest.raises(ValueError, match="scorer returned shape"):
+            score_matrix(queries, small_corpus, lambda q, d: np.zeros((1, 3)))
+
+
+class TestTopKColumns:
+    @pytest.mark.parametrize("k", [1, 4, 17, 30])  # 30 > 20 columns
+    def test_matches_full_sort_oracle(self, k):
+        rng = np.random.default_rng(k)
+        n = 20
+        ids = [f"d{i:02d}" for i in rng.permutation(n)]  # columns not in id order
+        scores = rng.integers(0, 4, size=(12, n)) / 4.0  # few values: many ties
+        exclude = [rng.choice(n, size=rng.integers(0, 5), replace=False).tolist()
+                   for _ in range(len(scores))]
+        excluded = top_k_columns(scores, ids, k, exclude=exclude)
+        full = top_k_columns(scores, ids, k)
+        for i, row in enumerate(scores):
+            assert excluded[i].tolist() == naive_top_k(row, ids, k, exclude[i])
+            assert full[i].tolist() == naive_top_k(row, ids, k)
 
 
 class TestSampleBatch:

@@ -12,11 +12,11 @@ from mwlab.metrics import (
     RankedList,
     ScorePool,
     auc,
+    evaluate,
     histogram,
     mann_whitney_u,
     mrr_at_k,
     ndcg_at_k,
-    pool_summary,
     pooled_auc_protocol,
     precision_at_k,
     ranked_lists,
@@ -102,10 +102,6 @@ class TestAuc:
         assert strict_aoc(ScorePool(pos, neg)) == pytest.approx(
             brute_force_strict_aoc(pos, neg), abs=1e-15
         )
-
-    def test_pool_summary_keys(self):
-        summary = pool_summary(ScorePool([1.0], [0.0]))
-        assert summary == {"auc": 1.0, "aoc": 0.0, "n_pos": 1, "n_neg": 1}
 
 
 class TestRocCurve:
@@ -196,6 +192,33 @@ class TestPooledProtocol:
         queries = QuerySet([Query("q", "q", ["d0"])])
         with pytest.raises(ValueError, match="non-positive"):
             pooled_auc_protocol(queries, corpus, lambda q, d: np.ones((1, 1)), top_k=5)
+
+
+class TestEvaluate:
+    def test_equals_its_parts(self):
+        rng = np.random.default_rng(5)
+        ids = [f"d{i:02d}" for i in rng.permutation(30)]
+        corpus = Corpus([Document(d, d) for d in ids])
+        queries = QuerySet([
+            Query(f"q{i}", f"q{i}", rng.choice(ids, size=1 + i % 3, replace=False).tolist())
+            for i in range(8)
+        ])
+        scores = rng.integers(0, 5, size=(8, 30)) / 4.0  # ties within and across rows
+        scorer = lambda q, d: scores  # noqa: E731
+        pool, metrics = evaluate(scores, queries, corpus, top_k=6)
+
+        ref_pool, ref_auc = pooled_auc_protocol(queries, corpus, scorer, top_k=6)
+        lists = ranked_lists(queries, corpus, scorer, depth=10)
+        np.testing.assert_array_equal(pool.positives, ref_pool.positives)
+        np.testing.assert_array_equal(pool.negatives, ref_pool.negatives)
+        assert pool.n_neg == 8 * 6  # top_k below every query's negative count
+        assert metrics == {
+            "auc": ref_auc,
+            "mrr10": mrr_at_k(lists, 10),
+            "ndcg10": ndcg_at_k(lists, 10),
+            "precision10": precision_at_k(lists, 10),
+            "recall1": recall_at_k(lists, 1),
+        }
 
 
 class TestRankedMetrics:

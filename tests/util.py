@@ -96,3 +96,11 @@ def naive_adam_step(params, grads, state, lr) -> None:
         v *= state.beta2
         v += (1.0 - state.beta2) * np.square(g)
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+
+def naive_top_k(row, ids, k, exclude=()) -> list[int]:
+    """Columns of the k best entries of a score row, by a full Python
+    sort on (descending score, ascending id), skipping ``exclude``."""
+    skip = set(exclude)
+    order = sorted(range(len(row)), key=lambda j: (-row[j], ids[j]))
+    return [j for j in order if j not in skip][:k]
