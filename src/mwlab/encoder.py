@@ -285,8 +285,10 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderParams, int]:
                 proj_dim=header["proj_dim"], seed=header["seed"],
             )
             step = int(header["step"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: malformed checkpoint header") from exc
+        except KeyError as exc:
+            raise ValueError(f"{path}: checkpoint header lacks {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed checkpoint header: {exc}") from exc
         n_embed = cfg.hash_dim * cfg.embed_dim
         n_proj = cfg.embed_dim * cfg.proj_dim
         raw = f.read()

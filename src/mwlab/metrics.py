@@ -71,20 +71,13 @@ def mann_whitney_u(pool: ScorePool) -> float:
     """
     _require_both_sides(pool, "mann_whitney_u")
     scores = np.concatenate([pool.positives, pool.negatives])
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    ranks = np.empty(len(scores), dtype=np.float64)
-    # midranks: equal values share the mean of their 1-based rank range
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    scores.sort()
+    # a positive's tie group fills sorted positions lo..hi-1, so its
+    # midrank is the mean 1-based rank 0.5 * (lo + hi - 1) + 1
+    lo = np.searchsorted(scores, pool.positives, side="left")
+    hi = np.searchsorted(scores, pool.positives, side="right")
     n_pos = pool.n_pos
-    rank_sum = float(ranks[:n_pos].sum())
+    rank_sum = float((0.5 * (lo + hi - 1) + 1.0).sum())
     return rank_sum - n_pos * (n_pos + 1) / 2.0
 
 

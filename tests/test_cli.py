@@ -162,3 +162,21 @@ def test_evaluate_hashes_queries_and_corpus_once(tmp_path, monkeypatch):
                      "--checkpoint", str(ckpt), "--out", str(tmp_path / "out"),
                      "--top-k", "10"]) == 0
     assert calls == [len(queries), len(corpus)]
+
+
+@pytest.mark.parametrize("edit, expected", [
+    ({"hash_dim": 12}, "hash_dim must be a power of two, got 12"),
+    ({"step": "x"}, "invalid literal for int()"),
+])
+def test_evaluate_with_bad_checkpoint_header_exits_2(tmp_path, capsys, edit, expected):
+    corpus, queries = synthetic_provider(SyntheticSpec(n_queries=20, n_docs=50))(0)
+    corpus_path, queries_path = write_inputs(tmp_path, corpus, queries)
+    ckpt = tmp_path / "ckpt"
+    encoder.save_checkpoint(encoder.init_params(encoder.EncoderConfig(
+        hash_dim=256, embed_dim=8, proj_dim=4, seed=1)), 0, ckpt)
+    header, payload = ckpt.read_bytes().split(b"\n", 1)
+    ckpt.write_bytes(json.dumps({**json.loads(header), **edit}).encode() + b"\n" + payload)
+    assert cli.main(["evaluate", "--corpus", corpus_path, "--queries", queries_path,
+                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and expected in err

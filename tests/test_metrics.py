@@ -24,7 +24,7 @@ from mwlab.metrics import (
     roc_curve,
     strict_aoc,
 )
-from util import brute_force_strict_aoc, brute_force_u
+from util import brute_force_strict_aoc, brute_force_u, naive_mann_whitney_u
 
 
 class TestMannWhitneyU:
@@ -53,6 +53,19 @@ class TestMannWhitneyU:
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError, match="both sides"):
             mann_whitney_u(ScorePool([], [1.0]))
+
+    @pytest.mark.parametrize("levels", [1, 2, 7, 50, None])
+    def test_equals_midrank_walk(self, levels):
+        # levels=1 makes every score equal; None draws continuous scores
+        rng = np.random.default_rng(levels or 0)
+        for n_pos, n_neg in ((1, 1), (1, 300), (300, 1), (400, 3000)):
+            if levels is None:
+                pos, neg = rng.normal(size=n_pos), rng.normal(size=n_neg)
+            else:
+                pos = rng.integers(0, levels, n_pos) / 8.0
+                neg = rng.integers(0, levels, n_neg) / 8.0
+            pool = ScorePool(pos, neg)
+            assert mann_whitney_u(pool) == naive_mann_whitney_u(pool)
 
 
 class TestAuc:

@@ -6,10 +6,13 @@ here step by step, so the generator of the library under test cannot
 drift without this file noticing.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from mwlab.prng import Xoshiro256StarStar, _splitmix64, derive_seed
+from mwlab.encoder import EncoderConfig, init_params
+from mwlab.prng import _LANE_CUTOFF, _LANES, Xoshiro256StarStar, _splitmix64, derive_seed
 
 MASK = (1 << 64) - 1
 
@@ -111,3 +114,44 @@ class TestDistributions:
         gen.shuffle(items)
         assert sorted(items) == list(range(50))
         assert items != list(range(50))
+
+
+# Draw counts on both sides of the lane cutoff, counts that leave the
+# last lane short, and the CLI encoder's embedding plus projection.
+BULK_SIZES = (0, 1, _LANE_CUTOFF - 1, _LANE_CUTOFF, _LANE_CUTOFF + 1, 5000,
+              _LANES * 512 + 17, 8192 * 32 + 32 * 16)
+
+
+@pytest.fixture(scope="module")
+def reference_streams():
+    """Per seed: the first max(BULK_SIZES) + 1 reference outputs."""
+    n = max(BULK_SIZES) + 1
+    return {seed: np.array(reference_xoshiro_sequence(seed, n), dtype=np.uint64)
+            for seed in (0, 1, MASK)}
+
+
+class TestBulkDraws:
+    @pytest.mark.parametrize("n", BULK_SIZES)
+    def test_doubles_match_reference_and_leave_state_after_n(self, reference_streams, n):
+        for seed, stream in reference_streams.items():
+            gen = Xoshiro256StarStar(seed)
+            expected = (stream[:n] >> np.uint64(11)) * 2.0 ** -53
+            np.testing.assert_array_equal(gen.doubles(n), expected)
+            assert gen.next_u64() == int(stream[n])
+
+    def test_pending_spare_normal_survives_doubles(self):
+        bulk, scalar = Xoshiro256StarStar(3), Xoshiro256StarStar(3)
+        bulk.normal()
+        scalar.normal()
+        bulk.doubles(_LANE_CUTOFF + 5)
+        for _ in range(_LANE_CUTOFF + 5):
+            scalar.random()
+        assert [bulk.normal() for _ in range(3)] == [scalar.normal() for _ in range(3)]
+
+    def test_init_params_golden_digest(self):
+        # recorded from the scalar generator, one draw per weight
+        params = init_params(EncoderConfig(hash_dim=8192, embed_dim=32, proj_dim=16,
+                                           seed=derive_seed(0, 1)))
+        digest = hashlib.sha256(params.embedding.tobytes() + params.projection.tobytes())
+        assert digest.hexdigest() == (
+            "2dd6cf134e34994199ffd1830ad63bab17814b5ba421519bceef4042351f3c46")

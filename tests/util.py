@@ -25,6 +25,25 @@ def brute_force_u(positives, negatives) -> float:
     return u
 
 
+def naive_mann_whitney_u(pool) -> float:
+    """U from midranks assigned by a Python walk over the sorted scores,
+    one tie group at a time."""
+    scores = np.concatenate([pool.positives, pool.negatives])
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    ranks = np.empty(len(scores), dtype=np.float64)
+    i = 0
+    n = len(scores)
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    n_pos = pool.n_pos
+    return float(ranks[:n_pos].sum()) - n_pos * (n_pos + 1) / 2.0
+
+
 def brute_force_strict_aoc(positives, negatives) -> float:
     """O(n_pos * n_neg) strictly-misordered fraction."""
     bad = sum(1 for p in positives for n in negatives if p < n)
