@@ -51,8 +51,8 @@ class Document:
 class Query:
     """A query with its labeled positives and (possibly unmined) hard negatives.
 
-    Invariants: ``positive_ids`` is non-empty, and no id appears in both
-    ``positive_ids`` and ``hard_negative_ids``.
+    Invariants: ``positive_ids`` is non-empty, and no id appears twice in
+    ``positive_ids`` and ``hard_negative_ids`` together.
     """
 
     id: str
@@ -71,6 +71,11 @@ class Query:
             _require_str(doc_id, f"query {self.id!r}: document id")
         if not self.positive_ids:
             raise ValueError(f"query {self.id!r}: positive_ids must be non-empty")
+        for name, ids in (("positive_ids", self.positive_ids),
+                          ("hard_negative_ids", self.hard_negative_ids)):
+            if len(set(ids)) < len(ids):
+                dup = next(d for i, d in enumerate(ids) if d in ids[:i])
+                raise ValueError(f"query {self.id!r}: document {dup!r} appears twice in {name}")
         overlap = set(self.positive_ids) & set(self.hard_negative_ids)
         if overlap:
             raise ValueError(
@@ -141,9 +146,6 @@ class QuerySet:
 
     def __getitem__(self, i: int) -> Query:
         return self._queries[i]
-
-    def by_id(self, query_id: str) -> Query:
-        return self._queries[self._by_id[query_id]]
 
     def index_of(self, query_id: str) -> int:
         return self._by_id[query_id]
@@ -304,19 +306,21 @@ def top_k_columns(
     score, ties by ascending document id. Row i skips the columns in
     ``exclude[i]``; a row with fewer than k columns left returns them all.
 
-    Ids are unique, so the order is total and sorting the whole row, then
-    dropping the excluded columns, equals sorting only the candidates.
+    With m = k + |exclude[i]|, a row sorts only its candidates: the columns
+    scoring at least its m-th best score. Ties at that boundary stay in, and
+    unique ids make the order total, so the sorted candidates begin with the
+    first m columns of the sorted row. An all-equal row sorts every column.
     """
     # rank of each column when ids are sorted ascending: the tie key
     id_rank = np.argsort(np.argsort(np.array(doc_ids), kind="stable"), kind="stable")
+    n = scores.shape[1]
     out = []
     for i, row in enumerate(scores):
-        order = np.lexsort((id_rank, -row))
-        if exclude is None:
-            out.append(order[:k])
-        else:
-            head = order[:k + len(exclude[i])]
-            out.append(head[~np.isin(head, exclude[i])][:k])
+        skip = () if exclude is None else exclude[i]
+        m = k + len(skip)
+        cand = np.flatnonzero(row >= np.partition(row, n - m)[n - m]) if 0 < m < n else np.arange(n)
+        head = cand[np.lexsort((id_rank[cand], -row[cand]))[:m]]
+        out.append(head if exclude is None else head[~np.isin(head, skip)][:k])
     return out
 
 

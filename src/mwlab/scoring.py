@@ -56,12 +56,6 @@ class ScoreBatch:
         """s+_i = sim[i, i]."""
         return np.diagonal(self.sim)[: self.B].copy()
 
-    def negative_columns(self, i: int) -> np.ndarray:
-        """Column indices of query i's negative set (all columns but i)."""
-        if not 0 <= i < self.B:
-            raise IndexError(f"query index {i} out of range for B={self.B}")
-        return np.concatenate([np.arange(i), np.arange(i + 1, self.M)])
-
     def offdiag_mask(self) -> np.ndarray:
         """Boolean B x M mask of all negative cells."""
         mask = np.ones_like(self.sim, dtype=bool)

@@ -180,3 +180,143 @@ def test_evaluate_with_bad_checkpoint_header_exits_2(tmp_path, capsys, edit, exp
                      "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err and expected in err
+
+
+def exit_code(argv) -> int:
+    """cli.main's return value, or the code of the SystemExit that argparse
+    raises for an argument it cannot parse."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def toy_checkpoint(tmp_path) -> list[str]:
+    """Arguments naming a 20-query, 50-document fixture and a fresh
+    checkpoint, for the commands that evaluate one."""
+    corpus, queries = synthetic_provider(SyntheticSpec(n_queries=20, n_docs=50))(0)
+    corpus_path, queries_path = write_inputs(tmp_path, corpus, queries)
+    ckpt = tmp_path / "ckpt"
+    encoder.save_checkpoint(encoder.init_params(encoder.EncoderConfig(
+        hash_dim=256, embed_dim=8, proj_dim=4, seed=1)), 0, ckpt)
+    return ["--corpus", corpus_path, "--queries", queries_path, "--checkpoint", str(ckpt)]
+
+
+def test_mine_with_repeated_positive_exits_2(tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text('{"id": "a", "text": "x y"}\n{"id": "b", "text": "y z"}\n')
+    queries_path = tmp_path / "queries.jsonl"
+    queries_path.write_text('{"id": "q", "text": "t", "positive_ids": ["a", "a"]}\n')
+    argv = ["mine", "--corpus", str(corpus_path), "--queries", str(queries_path),
+            "--out", str(tmp_path / "mined.jsonl")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "queries.jsonl: line 1: query 'q': document 'a' appears twice in positive_ids" in err
+    assert not (tmp_path / "mined.jsonl").exists()
+
+
+def test_lemma1_demo_writes_one_row_per_sigma(tmp_path):
+    out = tmp_path / "demo.csv"
+    assert cli.main(["lemma1-demo", "--synthetic", "--n-queries", "20",
+                     "--sigma", "0", "2", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [r["sigma"] for r in rows] == ["0.0", "2.0"]
+    # the demo pools start cleanly separated, and no offset keeps them so
+    assert float(rows[0]["aoc_before"]) == float(rows[0]["aoc_after"]) == 0.0
+    assert float(rows[1]["aoc_after"]) > 0.0
+
+
+def test_lemma2_check_passes(capsys):
+    argv = ["lemma2-check", "--trials", "12", "--max-side", "30"]
+    assert cli.main(argv) == 0
+    assert "trials=12 violations=0" in capsys.readouterr().out
+
+
+def test_lemma2_check_exits_1_when_the_bound_fails(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "mw_bound_check", lambda pool, tau: (0.5, 0.25, False))
+    assert cli.main(["lemma2-check", "--trials", "3", "--max-side", "5"]) == 1
+    captured = capsys.readouterr()
+    assert "trials=3 violations=3" in captured.out
+    dumps = [json.loads(line) for line in captured.err.splitlines()]
+    assert [(d["aoc"], d["mw"]) for d in dumps] == [(0.5, 0.25)] * 3
+
+
+def test_counts_prints_both_term_counts(capsys):
+    assert cli.main(["counts", "4", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "cl_terms=44 mw_terms=176"
+
+
+def test_roc_writes_points_from_origin_to_corner(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["roc", *toy_checkpoint(tmp_path), "--out", str(out), "--top-k", "10"]) == 0
+    points = [tuple(map(float, line.split(","))) for line in (out / "roc.csv").read_text().splitlines()]
+    assert points[0] == (0.0, 0.0) and points[-1] == (1.0, 1.0)
+
+
+def test_histogram_counts_add_up_to_the_pool(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["histogram", *toy_checkpoint(tmp_path), "--out", str(out),
+                     "--top-k", "10", "--bins", "7"]) == 0
+    rows = [line.split(",") for line in (out / "hist.csv").read_text().splitlines()]
+    assert len(rows) == 7
+    # 20 queries, one positive and 10 pooled negatives each
+    assert sum(int(r[2]) for r in rows) == 20
+    assert sum(int(r[3]) for r in rows) == 200
+
+
+def test_ablate_writes_one_row_per_grid_cell(tmp_path):
+    corpus, queries = synthetic_provider(SyntheticSpec(n_queries=60, n_docs=120))(0)
+    corpus_path, queries_path = write_inputs(tmp_path, corpus, queries)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "max_epochs": 1, "eval_every": 4, "eval_top_k": 20,
+        "hash_dim": 256, "embed_dim": 8, "proj_dim": 4,
+    }))
+    out = tmp_path / "out"
+    assert cli.main(["ablate", "--corpus", corpus_path, "--queries", queries_path,
+                     "--config", str(config), "--out", str(out), "--lrs", "0.01", "0.05",
+                     "--batch-sizes", "4", "--hard-negatives", "0"]) == 0
+    with open(out / "ablation.csv", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["lr"], r["batch_size"], r["hard_negative"]) for r in rows] == [
+        ("0.01", "4", "0"), ("0.05", "4", "0")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma1-demo", "--sigma", "1", "--out", "demo.csv"],  # neither --pool nor --synthetic
+    ["lemma1-demo", "--synthetic", "--sigma", "x", "--out", "demo.csv"],
+    ["lemma2-check", "--tau", "0"],
+    ["lemma2-check", "--trials", "many"],
+    ["counts", "1", "0"],
+    ["counts", "4"],
+])
+def test_bad_argument_exits_2(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert exit_code(argv) == 2
+    assert not (tmp_path / "demo.csv").exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("roc", ["--top-k", "0"]),
+    ("roc", ["--top-k", "ten"]),
+    ("histogram", ["--bins", "0"]),
+    ("histogram", ["--bins", "1.5"]),
+])
+def test_evaluating_command_with_bad_argument_exits_2(tmp_path, command, extra):
+    out = tmp_path / "out"
+    assert exit_code([command, *toy_checkpoint(tmp_path), "--out", str(out), *extra]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--lrs", "0.05", "--batch-sizes", "1", "--hard-negatives", "0"],
+    ["--lrs", "0.05", "--batch-sizes", "4", "--hard-negatives", "-1"],
+    ["--lrs", "0.05", "--batch-sizes", "4"],
+])
+def test_ablate_with_bad_argument_exits_2(tmp_path, extra):
+    corpus, queries = synthetic_provider(SyntheticSpec(n_queries=30, n_docs=60))(0)
+    corpus_path, queries_path = write_inputs(tmp_path, corpus, queries)
+    out = tmp_path / "out"
+    assert exit_code(["ablate", "--corpus", corpus_path, "--queries", queries_path,
+                      "--out", str(out), *extra]) == 2
+    assert not out.exists()

@@ -133,6 +133,18 @@ class TestLoadQueries:
         with pytest.raises(ValueError, match="both positive and hard negative"):
             load_queries(path, small_corpus)
 
+    @pytest.mark.parametrize("field, ids", [
+        ("positive_ids", ["d1", "d2", "d1"]),
+        ("hard_negative_ids", ["d3", "d3"]),
+    ])
+    def test_repeated_id_rejected(self, tmp_path, small_corpus, field, ids):
+        row = {"id": "q1", "text": "hi", "positive_ids": ["d2"], field: ids}
+        path = tmp_path / "queries.jsonl"
+        write_jsonl(path, [{"id": "q0", "text": "ok", "positive_ids": ["d4"]}, row])
+        expected = rf"queries\.jsonl: line 2: query 'q1': document '{ids[-1]}' appears twice in {field}"
+        with pytest.raises(ValueError, match=expected):
+            load_queries(path, small_corpus)
+
     def test_dangling_reference_rejected(self, tmp_path, small_corpus):
         path = tmp_path / "queries.jsonl"
         write_jsonl(path, [{"id": "q1", "text": "hi", "positive_ids": ["ghost"]}])
@@ -162,9 +174,9 @@ class TestMining:
 
         queries = QuerySet([Query("q1", "x", ["d1"])])
         mined = mine_hard_negatives(queries, small_corpus, scorer, k=2)
-        assert mined.by_id("q1").hard_negative_ids == ["d2", "d4"]
+        assert mined[mined.index_of("q1")].hard_negative_ids == ["d2", "d4"]
         # input unchanged
-        assert queries.by_id("q1").hard_negative_ids == []
+        assert queries[queries.index_of("q1")].hard_negative_ids == []
 
     def test_k_zero_rejected(self, small_corpus):
         queries = QuerySet([Query("q1", "x", ["d1"])])
@@ -179,7 +191,7 @@ class TestMining:
 
         queries = QuerySet([Query("q1", "x", ["pos"])])
         mined = mine_hard_negatives(queries, corpus, scorer, k=1)
-        assert mined.by_id("q1").hard_negative_ids == ["a"]
+        assert mined[mined.index_of("q1")].hard_negative_ids == ["a"]
 
     def test_short_corpus_returns_all_available(self, small_corpus, caplog):
         def scorer(q_texts, d_texts):
@@ -188,7 +200,7 @@ class TestMining:
         queries = QuerySet([Query("q1", "x", ["d1"])])
         with caplog.at_level("WARNING"):
             mined = mine_hard_negatives(queries, small_corpus, scorer, k=10)
-        assert sorted(mined.by_id("q1").hard_negative_ids) == ["d2", "d3", "d4"]
+        assert sorted(mined[mined.index_of("q1")].hard_negative_ids) == ["d2", "d3", "d4"]
         assert any("only 3 negatives" in r.getMessage() for r in caplog.records)
 
     def test_matches_full_sort_brute_force(self):
@@ -225,6 +237,38 @@ class TestTopKColumns:
         scores = rng.integers(0, 4, size=(12, n)) / 4.0  # few values: many ties
         exclude = [rng.choice(n, size=rng.integers(0, 5), replace=False).tolist()
                    for _ in range(len(scores))]
+        excluded = top_k_columns(scores, ids, k, exclude=exclude)
+        full = top_k_columns(scores, ids, k)
+        for i, row in enumerate(scores):
+            assert excluded[i].tolist() == naive_top_k(row, ids, k, exclude[i])
+            assert full[i].tolist() == naive_top_k(row, ids, k)
+
+    # 300 columns: k << n ranks only each row's candidates; k >= n and
+    # k + |exclude| >= n sort the whole row
+    @pytest.mark.parametrize("k", [0, 1, 10, 40, 295, 300, 450])
+    def test_candidate_ranking_matches_full_sort_oracle(self, k):
+        rng = np.random.default_rng(100 + k)
+        n = 300
+        ids = [f"d{i:03d}" for i in rng.permutation(n)]
+        order = rng.permutation(n)
+        leaders, group = order[:5], order[5:25]
+        straddle = rng.uniform(-1.0, 0.0, n)
+        straddle[leaders] = 1.0 + np.arange(5)
+        straddle[group] = 0.5  # one tie group over places 6-25
+        scores = np.vstack([
+            np.full(n, 0.25),  # all equal: every column is a candidate
+            straddle,
+            straddle,
+            rng.normal(size=n),
+            rng.integers(0, 3, size=n) / 2.0,
+        ])
+        exclude = [
+            rng.choice(n, size=2, replace=False).tolist(),
+            [],
+            group[:3].tolist() + [leaders[0]],  # excluded inside the boundary tie group
+            rng.choice(n, size=min(k + 5, n), replace=False).tolist(),  # |exclude| > k
+            rng.choice(n, size=3, replace=False).tolist(),
+        ]
         excluded = top_k_columns(scores, ids, k, exclude=exclude)
         full = top_k_columns(scores, ids, k)
         for i, row in enumerate(scores):

@@ -12,8 +12,7 @@ class TestScoreBatch:
         eye = np.eye(2)
         sb = score_batch(eye, eye, tau=1.0)
         np.testing.assert_array_equal(sb.sim, np.eye(2))
-        np.testing.assert_array_equal(sb.negative_columns(0), [1])
-        np.testing.assert_array_equal(sb.negative_columns(1), [0])
+        np.testing.assert_array_equal(sb.offdiag_mask(), [[False, True], [True, False]])
 
     def test_negative_set_sizes(self):
         rng = np.random.default_rng(0)
@@ -21,8 +20,7 @@ class TestScoreBatch:
         p = random_unit_rows(rng, 4 + 2 * 4, 8)
         sb = score_batch(q, p, tau=0.5)
         assert sb.B == 4 and sb.H == 2 and sb.M == 12
-        for i in range(4):
-            assert len(sb.negative_columns(i)) == 2 * 4 + 3  # HB + (B - 1)
+        assert sb.offdiag_mask().sum(axis=1).tolist() == [2 * 4 + 3] * 4  # HB + (B - 1)
 
     def test_duplicate_passages_stay_distinct_columns(self):
         rng = np.random.default_rng(1)
@@ -64,9 +62,9 @@ class TestScoreBatch:
 
     def test_union_of_negative_sets_size(self):
         sb = ScoreBatch(sim=np.zeros((3, 9)), tau=1.0)
-        total = sum(len(sb.negative_columns(i)) for i in range(3))
-        assert total == 3 * (2 * 3 + 3 - 1)
-        assert sb.offdiag_mask().sum() == total
+        mask = sb.offdiag_mask()
+        assert mask.sum(axis=1).tolist() == [2 * 3 + 3 - 1] * 3
+        assert mask.sum() == 3 * (2 * 3 + 3 - 1)
 
 
 class TestComparisonCounts:
