@@ -223,21 +223,26 @@ def cmd_lemma1_demo(args) -> int:
         pools = make_offset_demo_pools(args.n_queries, rng)
     else:
         raise ValueError("lemma1-demo needs --pool FILE or --synthetic")
+    # every row first, so a bad --sigma leaves no partial --out file
+    rows = [
+        (sigma, *gaussian_degradation_demo(
+            pools, sigma, Xoshiro256StarStar(derive_seed(args.seed, 100 + i)), tau=args.tau))
+        for i, sigma in enumerate(args.sigma)
+    ]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as f:
         f.write("sigma,aoc_before,aoc_after,cl_before,cl_after\n")
-        for i, sigma in enumerate(args.sigma):
-            rng = Xoshiro256StarStar(derive_seed(args.seed, 100 + i))
-            before, after, cl_before, cl_after = gaussian_degradation_demo(
-                pools, sigma, rng, tau=args.tau,
-            )
-            f.write(f"{sigma!r},{before!r},{after!r},{cl_before!r},{cl_after!r}\n")
+        for row in rows:
+            f.write(",".join(repr(x) for x in row) + "\n")
     print(f"wrote {len(args.sigma)} rows -> {out}")
     return 0
 
 
 def cmd_lemma2_check(args) -> int:
+    for flag, value in (("--trials", args.trials), ("--max-side", args.max_side)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     rng = Xoshiro256StarStar(derive_seed(args.seed, 30))
     violations = 0
     for trial in range(args.trials):

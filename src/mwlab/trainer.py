@@ -15,6 +15,14 @@ against the corpus once and hands the matrix to ``metrics.evaluate``.
 Adam updates in place through scratch buffers and is bit-identical to its
 textbook formula.
 
+Steps and Adam run on a sub-table: the rows R the corpus and train split
+hash to, in ascending order, zero-padded to a power of two. Every batch
+draws from those two tables, so a row outside R (or a padding row) gets
+g = +0 at every step, keeps m = v = 0, and is a fixed point of dense
+Adam. The monotone slot map keeps each token row's nonzero order, so the
+sparse products sum the same doubles in the same order: the bits are the
+full table's, at Adam's cost for |R| rows.
+
 Everything is a pure function of (config, data, seed): two runs with the
 same inputs produce bit-identical parameters, logs, and files.
 """
@@ -28,6 +36,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import encoder as enc
 from .data import Corpus, QuerySet, TrainingBatch, sample_batch
@@ -222,6 +231,23 @@ def _gather(
     return query_tokens.take(q_rows), corpus_tokens.take(p_rows)
 
 
+def _sub_table(
+    params: enc.EncoderParams, tables: Sequence[enc.TokenBatch]
+) -> tuple[np.ndarray, enc.EncoderParams, list[enc.TokenBatch]]:
+    """(R, sub-table, tables remapped onto it). R is the sorted set of
+    buckets the tables use; the sub-table holds ``embedding[R]`` and zero
+    padding up to a power of two, and shares the projection array."""
+    rows = np.unique(np.concatenate([t.weights.indices for t in tables]))
+    size = 1 << max(0, len(rows) - 1).bit_length()
+    embedding = np.zeros((size, params.config.embed_dim))
+    embedding[:len(rows)] = params.embedding[rows]
+    sub = enc.EncoderParams(replace(params.config, hash_dim=size), embedding, params.projection)
+    remapped = [enc.TokenBatch(sp.csr_matrix(
+        (t.weights.data, np.searchsorted(rows, t.weights.indices), t.weights.indptr),
+        shape=(t.n, size)), t.has_tokens) for t in tables]
+    return rows, sub, remapped
+
+
 def _train_step(params, q_tokens, p_tokens, tau, loss):
     q_enc = enc.encode_tokens(params, q_tokens)
     p_enc = enc.encode_tokens(params, p_tokens)
@@ -251,6 +277,10 @@ def train(
     batch are drawn, so a split too small for (B, H) raises a
     ``ValueError`` naming it. Each text is then hashed once: the corpus,
     the train split and the eval split become positional token tables.
+
+    Steps and Adam run on the sub-table of the module docstring. Every
+    evaluation first writes it back into the full parameters, which
+    encode the eval split and the corpus; a run ends with an evaluation.
     """
     if encoder_config is None:
         encoder_config = enc.EncoderConfig(seed=derive_seed(config.seed, 1))
@@ -279,7 +309,6 @@ def train(
             raise ValueError(f"train split ({len(train_queries)} queries): {exc}") from exc
 
     params = enc.init_params(encoder_config)
-    state = OptimizerState.for_params(params)
     report = RunReport(loss_kind=config.loss_kind)
     loss = _loss_fn(config.loss_kind)
     out_path = Path(out_dir) if out_dir is not None else None
@@ -296,8 +325,11 @@ def train(
     eval_token_batches = [
         _gather(b, eval_queries, eval_tokens, corpus, corpus_tokens) for b in eval_batch_set
     ]
+    rows, sub, (sub_corpus, sub_train) = _sub_table(params, [corpus_tokens, train_tokens])
+    state = OptimizerState.for_params(sub)
 
     def run_eval(step: int) -> EvalRecord:
+        params.embedding[rows] = sub.embedding[:len(rows)]
         losses = []
         for q_tokens, p_tokens in eval_token_batches:
             q_vecs = enc.encode_tokens(params, q_tokens).vectors
@@ -319,12 +351,12 @@ def train(
     for step in range(1, max_steps + 1):
         if step > 1:
             batch = sample_batch(train_queries, config.B, config.H, batch_rng)
-        q_tokens, p_tokens = _gather(batch, train_queries, train_tokens, corpus, corpus_tokens)
-        value, grads = _train_step(params, q_tokens, p_tokens, config.tau, loss)
+        q_tokens, p_tokens = _gather(batch, train_queries, sub_train, corpus, sub_corpus)
+        value, grads = _train_step(sub, q_tokens, p_tokens, config.tau, loss)
         if not np.isfinite(value):
             raise TrainingDiverged(f"non-finite training loss at step {step}")
         lr = lr_at(step, config)
-        adam_step(params, grads, state, lr)
+        adam_step(sub, grads, state, lr)
         report.steps.append((step, value, lr))
 
         if step % config.eval_every == 0 or step == max_steps:
@@ -342,10 +374,6 @@ def train(
                 if bad_evals >= config.patience:
                     break
 
-    if not report.evals:
-        # run too short for any evaluation: the last step's params win
-        best_params = params.copy()
-        report.best_checkpoint_step = report.steps[-1][0]
     report.wall_time = time.perf_counter() - started
     if out_path is not None:
         report.write(out_path)

@@ -320,3 +320,54 @@ def test_ablate_with_bad_argument_exits_2(tmp_path, extra):
     assert exit_code(["ablate", "--corpus", corpus_path, "--queries", queries_path,
                       "--out", str(out), *extra]) == 2
     assert not out.exists()
+
+
+def test_lemma1_demo_with_a_negative_sigma_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "demo.csv"
+    assert cli.main(["lemma1-demo", "--synthetic", "--n-queries", "20",
+                     "--sigma", "1", "-1", "--out", str(out)]) == 2
+    assert "sigma must be >= 0, got -1.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--trials", "0"], "--trials must be >= 1, got 0"),
+    (["--trials", "-3"], "--trials must be >= 1, got -3"),
+    (["--max-side", "0"], "--max-side must be >= 1, got 0"),
+])
+def test_lemma2_check_rejects_an_empty_run(capsys, extra, message):
+    assert cli.main(["lemma2-check", *extra]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def compare_inputs(tmp_path) -> list[str]:
+    """--corpus, --queries and a small --config for `compare` on a
+    60-query, 150-document fixture."""
+    corpus, queries = synthetic_provider(SyntheticSpec(n_queries=60, n_docs=150))(0)
+    corpus_path, queries_path = write_inputs(tmp_path, corpus, queries)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "B": 4, "H": 2, "max_epochs": 1, "eval_every": 3, "warmup_steps": 2,
+        "eval_batches": 1, "hash_dim": 256, "embed_dim": 8, "proj_dim": 4,
+    }))
+    return ["--corpus", corpus_path, "--queries", queries_path, "--config", str(config)]
+
+
+def test_compare_on_files_writes_the_comparison(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["compare", *compare_inputs(tmp_path), "--seeds", "0", "--out", str(out),
+                     "--mine-k", "5", "--top-k", "20"]) == 0
+    result = json.loads((out / "compare.json").read_text())
+    assert [r["seed"] for r in result["per_seed"]] == [0]
+    assert result["mean"]["auc_gain"] == result["per_seed"][0]["auc_gain"]
+
+
+@pytest.mark.parametrize("keep", ["--corpus", "--queries"])
+def test_compare_with_one_input_file_exits_2(tmp_path, capsys, keep):
+    args = compare_inputs(tmp_path)
+    one = args[args.index(keep):args.index(keep) + 2]
+    out = tmp_path / "out"
+    assert exit_code(["compare", *one, "--seeds", "0", "--out", str(out)]) == 2
+    assert "compare needs --synthetic or both --corpus and --queries" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,14 +1,16 @@
 """Tests for the training loop: the determinism contract, up-front
 validation of both splits, the training step against text encoding and
-finite differences, and Adam against its formula."""
+finite differences, training on the sub-table of touchable rows, and Adam
+against its formula."""
 
-from dataclasses import replace
+import hashlib
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from mwlab import trainer
-from mwlab.data import QuerySet, SplitSpec, mine_hard_negatives, sample_batch, split_queries
+from mwlab.data import Corpus, QuerySet, SplitSpec, mine_hard_negatives, sample_batch, split_queries
 from mwlab.encoder import (
     EncoderConfig,
     EncoderGrads,
@@ -217,6 +219,117 @@ def snapshot(params: EncoderParams, state: OptimizerState) -> list[bytes]:
     arrays = (params.embedding, params.projection, state.m.embedding,
               state.m.projection, state.v.embedding, state.v.projection)
     return [a.tobytes() for a in arrays] + [repr(state.step).encode()]
+
+
+# 4096 buckets: the toy runs hash to a few hundred, so training runs on a
+# sub-table well below the full one (256 buckets leave it at full size)
+WIDE = replace(ENCODER, hash_dim=4096)
+# sha256 of train()'s params bytes, steps and evals, recorded with the
+# full-table training loop before the sub-table existed
+GOLDEN = {
+    ("wide", "cl"): "0fbcba7fe620c4121c441e8bcdd38f26cc13941ddfbf830c791be2e8a2424c25",
+    ("wide", "mw"): "438fa091b6d02948e4187a4d631e65c03b5f097c18a4dca0dfd86f676bed7b27",
+    ("token-free", "cl"): "191da9d089163fddc61c85342e1f21e80cb5af96157ccfef143e1610644c4223",
+    ("token-free", "mw"): "99ef5fbc5e6c26a225230de4dbcdf7c3fe7cf0e20c55b5b42f79185876f47404",
+}
+
+
+def retext(queries, text_of) -> QuerySet:
+    return QuerySet([replace(q, text=text_of(i, q.text)) for i, q in enumerate(queries)])
+
+
+@pytest.fixture(scope="module")
+def sub_table_data(toy_data):
+    """Two variants of the toy data. "wide": every train query has a word
+    of its own, so the train split hashes to rows the corpus does not, and
+    every eval query too, so the eval split hashes to rows no batch
+    touches. "token-free": every fifth document and every third train
+    query has no token."""
+    corpus, train_qs, eval_qs = toy_data
+    return {
+        "wide": (corpus, retext(train_qs, lambda i, t: f"{t} trainword{i}"),
+                 retext(eval_qs, lambda i, t: f"{t} evalword{i}")),
+        "token-free": (
+            Corpus([replace(d, text="--" if i % 5 == 0 else d.text)
+                    for i, d in enumerate(corpus)]),
+            retext(train_qs, lambda i, t: "!!!" if i % 3 == 0 else t), eval_qs),
+    }
+
+
+def run_digest(params: EncoderParams, report: trainer.RunReport) -> str:
+    h = hashlib.sha256()
+    h.update(params.embedding.tobytes())
+    h.update(params.projection.tobytes())
+    h.update(repr(report.steps).encode())
+    h.update(repr([astuple(r) for r in report.evals]).encode())
+    return h.hexdigest()
+
+
+def touchable_rows(corpus, train_qs) -> np.ndarray:
+    return np.union1d(prepare_tokens(corpus.texts, WIDE.hash_dim).weights.indices,
+                      prepare_tokens(train_qs.texts, WIDE.hash_dim).weights.indices)
+
+
+class TestSubTable:
+    @pytest.mark.parametrize("data, loss_kind", sorted(GOLDEN))
+    def test_equals_full_table_training(self, sub_table_data, data, loss_kind):
+        corpus, train_qs, eval_qs = sub_table_data[data]
+        params, report = train(
+            replace(MW_CONFIG, loss_kind=loss_kind), train_qs, eval_qs, corpus, WIDE)
+        assert len(report.steps) == 12 and len(report.evals) == 4
+        assert run_digest(params, report) == GOLDEN[data, loss_kind]
+
+    @pytest.mark.parametrize("loss_kind", ["cl", "mw"])
+    def test_untouchable_rows_are_fixed_points(self, sub_table_data, loss_kind):
+        corpus, train_qs, eval_qs = sub_table_data["wide"]
+        params, _ = train(replace(MW_CONFIG, loss_kind=loss_kind), train_qs, eval_qs, corpus, WIDE)
+        init = init_params(WIDE)
+        rows = touchable_rows(corpus, train_qs)
+        outside = np.setdiff1d(np.arange(WIDE.hash_dim), rows)
+        eval_only = np.setdiff1d(prepare_tokens(eval_qs.texts, WIDE.hash_dim).weights.indices, rows)
+        assert len(rows) < WIDE.hash_dim // 8 and len(eval_only) > 0
+        assert params.embedding[outside].tobytes() == init.embedding[outside].tobytes()
+        # rows only the train split hashes to trained too
+        train_only = np.setdiff1d(rows, prepare_tokens(corpus.texts, WIDE.hash_dim).weights.indices)
+        assert len(train_only) > 0
+        assert (params.embedding[train_only] != init.embedding[train_only]).any()
+
+    def test_tables_keep_their_nonzero_order(self, sub_table_data):
+        corpus, train_qs, _ = sub_table_data["wide"]
+        tables = [prepare_tokens(texts, WIDE.hash_dim) for texts in (corpus.texts, train_qs.texts)]
+        params = init_params(WIDE)
+        rows, sub, remapped = trainer._sub_table(params, tables)
+        np.testing.assert_array_equal(rows, touchable_rows(corpus, train_qs))
+        size = sub.config.hash_dim
+        assert size == 256 and size // 2 < len(rows) <= size
+        assert sub.projection is params.projection
+        np.testing.assert_array_equal(sub.embedding[:len(rows)], params.embedding[rows])
+        assert not sub.embedding[len(rows):].any()
+        for full, small in zip(tables, remapped):
+            assert small.weights.shape == (full.n, size)
+            np.testing.assert_array_equal(small.has_tokens, full.has_tokens)
+            np.testing.assert_array_equal(small.weights.indptr, full.weights.indptr)
+            assert small.weights.data.tobytes() == full.weights.data.tobytes()
+            np.testing.assert_array_equal(rows[small.weights.indices], full.weights.indices)
+            # slots ascend within every token row, as the buckets do
+            for i in range(small.n):
+                slots = small.weights.indices[small.weights.indptr[i]:small.weights.indptr[i + 1]]
+                assert (np.diff(slots) > 0).all()
+
+    def test_token_free_tables_train_nothing(self, toy_data):
+        corpus, train_qs, eval_qs = toy_data
+        blank_corpus = Corpus([replace(d, text="--") for d in corpus])
+        blank_train = retext(train_qs, lambda i, t: "!!!")
+        rows, sub, _ = trainer._sub_table(init_params(WIDE), [
+            prepare_tokens(blank_corpus.texts, WIDE.hash_dim),
+            prepare_tokens(blank_train.texts, WIDE.hash_dim)])
+        assert len(rows) == 0 and sub.embedding.shape == (1, WIDE.embed_dim)
+        params, report = train(MW_CONFIG, blank_train, eval_qs, blank_corpus, WIDE)
+        assert len(report.steps) == 12 and np.isfinite([s[1] for s in report.steps]).all()
+        # every training text encodes to the fallback, which carries no gradient
+        init = init_params(WIDE)
+        assert params.embedding.tobytes() == init.embedding.tobytes()
+        assert params.projection.tobytes() == init.projection.tobytes()
 
 
 class TestAdam:
