@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import encoder as enc
-from .data import SplitSpec, load_corpus, load_queries, mine_hard_negatives, save_queries, split_queries
+from .data import (EVAL_FRACTION, TRAIN_FRACTION, SplitSpec, load_corpus, load_queries,
+                   mine_hard_negatives, save_queries, split_queries)
 from .experiments import (
     ComparisonSettings,
     fixed_provider,
@@ -171,13 +172,8 @@ def cmd_compare(args) -> int:
     config = _load_config(args.config)
     train_cfg, encoder_cfg = _build_configs(args, config)
     settings = ComparisonSettings(
-        base_config=train_cfg,
-        hash_dim=encoder_cfg.hash_dim,
-        embed_dim=encoder_cfg.embed_dim,
-        proj_dim=encoder_cfg.proj_dim,
-        mine_k=args.mine_k,
-        eval_top_k=args.top_k,
-        bins=args.bins,
+        base_config=train_cfg, encoder=encoder_cfg,
+        mine_k=args.mine_k, eval_top_k=args.top_k, bins=args.bins,
     )
     if args.synthetic:
         template = SyntheticSpec(n_queries=args.synth_queries, n_docs=args.synth_docs)
@@ -323,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--loss", choices=["cl", "mw"])
     p.add_argument("--seed", type=int)
-    p.add_argument("--train-fraction", type=float, default=0.8, dest="train_fraction")
-    p.add_argument("--eval-fraction", type=float, default=0.1, dest="eval_fraction")
+    p.add_argument("--train-fraction", type=float, default=TRAIN_FRACTION, dest="train_fraction")
+    p.add_argument("--eval-fraction", type=float, default=EVAL_FRACTION, dest="eval_fraction")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="pooled AUC protocol -> metrics.json")
@@ -349,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synth-docs", type=int, default=5000, dest="synth_docs")
     p.add_argument("--config", help="JSON training config (loss_kind ignored)")
     p.add_argument("--seeds", type=int, nargs="+", required=True)
-    p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     p.add_argument("--mine-k", type=int, default=50, dest="mine_k")
     p.add_argument("--top-k", type=int, default=500, dest="top_k")
@@ -385,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lrs", type=float, nargs="+", required=True)
     p.add_argument("--batch-sizes", type=int, nargs="+", required=True, dest="batch_sizes")
     p.add_argument("--hard-negatives", type=int, nargs="+", required=True, dest="hard_negatives")
-    p.add_argument("--train-fraction", type=float, default=0.8, dest="train_fraction")
-    p.add_argument("--eval-fraction", type=float, default=0.1, dest="eval_fraction")
+    p.add_argument("--train-fraction", type=float, default=TRAIN_FRACTION, dest="train_fraction")
+    p.add_argument("--eval-fraction", type=float, default=EVAL_FRACTION, dest="eval_fraction")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("counts", help="comparison-term counts for a (B, H) batch")

@@ -197,6 +197,11 @@ class TrainingBatch:
         return list(self.positive_ids) + flat_negs
 
 
+# The split `mwlab train` and `ablate` use by default and `compare` always uses.
+TRAIN_FRACTION = 0.8
+EVAL_FRACTION = 0.1
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Deterministic train/eval/test split by fractions of the query set."""

@@ -6,9 +6,13 @@ mean of embedding rows, a linear projection, and L2 normalization, so
 the similarity of two encodings is their cosine. Query and passage sides
 share the same weights.
 
-Texts with no tokens (or a vanishing pre-normalization vector) map to a
-fixed fallback, the first standard basis vector, and receive zero
-gradient; the fallback is not trainable.
+A batch of texts is hashed once into its token table, a plain
+``scipy.sparse.csr_matrix`` with one row per text; encoding takes that
+table or any row gather of it. A row whose pre-normalization vector has
+norm below ``NORM_FLOOR`` maps to a fixed fallback, the first standard
+basis vector, and receives zero gradient; the fallback is not trainable.
+A text with no tokens has an empty row, pools to exact zeros, and so
+always takes the fallback.
 """
 
 from __future__ import annotations
@@ -125,45 +129,27 @@ def tokenize_hash(text: str, hash_dim: int) -> dict[int, int]:
     return counts
 
 
-@dataclass
-class TokenBatch:
-    """Hashed token counts for a batch of texts, as a sparse row-normalized
-    count matrix (rows sum to 1 except all-zero rows for empty texts)."""
-
-    weights: sp.csr_matrix  # n_texts x hash_dim, count / total per row
-    has_tokens: np.ndarray  # bool per row
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
-    def take(self, rows: Sequence[int]) -> "TokenBatch":
-        """The batch of the given rows, in order (repeats allowed): the
-        tokens ``prepare_tokens`` gives for those texts, without hashing."""
-        rows = np.asarray(rows, dtype=np.intp)
-        return TokenBatch(weights=self.weights[rows], has_tokens=self.has_tokens[rows])
-
-
-def prepare_tokens(texts: Sequence[str], hash_dim: int) -> TokenBatch:
-    """Tokenize and hash a batch once; reusable across encode calls."""
+def prepare_tokens(texts: Sequence[str], hash_dim: int) -> sp.csr_matrix:
+    """Tokenize and hash a batch once into its token table: the
+    n_texts x hash_dim CSR matrix of count / total per row, buckets
+    ascending. A text without tokens is a row with no stored entry. Row
+    ``i`` of the table, or of any row gather ``table[rows]``, is what
+    hashing text ``i`` alone gives."""
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
-    has_tokens = np.zeros(len(texts), dtype=bool)
-    for i, text in enumerate(texts):
+    for text in texts:
         counts = tokenize_hash(text, hash_dim)
         if counts:
-            has_tokens[i] = True
             total = sum(counts.values())
             for bucket in sorted(counts):
                 indices.append(bucket)
                 data.append(counts[bucket] / total)
         indptr.append(len(indices))
-    weights = sp.csr_matrix(
+    return sp.csr_matrix(
         (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
         shape=(len(texts), hash_dim),
     )
-    return TokenBatch(weights=weights, has_tokens=has_tokens)
 
 
 @dataclass
@@ -172,31 +158,31 @@ class EmbeddingBatch:
 
     vectors: np.ndarray       # n x proj_dim, rows unit norm (or fallback e1)
     pooled: np.ndarray        # n x embed_dim, count-weighted embedding mean
-    pre_norm: np.ndarray      # n x proj_dim, pooled @ projection
-    norms: np.ndarray         # n, L2 norms of pre_norm
+    norms: np.ndarray         # n, L2 norms of pooled @ projection
     active: np.ndarray        # bool per row; False rows are fallback
-    tokens: TokenBatch
+    tokens: sp.csr_matrix     # the token table encoded
 
     @property
     def n(self) -> int:
         return self.vectors.shape[0]
 
 
-def encode_tokens(params: EncoderParams, tokens: TokenBatch) -> EmbeddingBatch:
-    """Forward pass from pre-hashed tokens."""
-    pooled = tokens.weights @ params.embedding
-    pre_norm = pooled @ params.projection
-    norms = np.linalg.norm(pre_norm, axis=1)
-    active = tokens.has_tokens & (norms >= NORM_FLOOR)
-    safe = np.where(norms < NORM_FLOOR, 1.0, norms)
-    vectors = pre_norm / safe[:, None]
+def encode_tokens(params: EncoderParams, tokens: sp.csr_matrix) -> EmbeddingBatch:
+    """Forward pass from a token table. A token-free row pools to exact
+    zeros, so its norm is 0 and the norm floor alone sends it to the
+    fallback."""
+    pooled = tokens @ params.embedding
+    projected = pooled @ params.projection
+    norms = np.linalg.norm(projected, axis=1)
+    active = norms >= NORM_FLOOR
+    safe = np.where(active, norms, 1.0)
+    vectors = projected / safe[:, None]
     if not active.all():
         fallback = np.zeros(params.config.proj_dim)
         fallback[0] = 1.0
         vectors[~active] = fallback
     return EmbeddingBatch(
-        vectors=vectors, pooled=pooled, pre_norm=pre_norm,
-        norms=norms, active=active, tokens=tokens,
+        vectors=vectors, pooled=pooled, norms=norms, active=active, tokens=tokens,
     )
 
 
@@ -221,7 +207,7 @@ def encode_backward(
         )
     if not np.isfinite(upstream_grad).all():
         raise ValueError("upstream_grad must be finite")
-    # d pre_norm = (g - (g . y) y) / ||u||, zeroed on fallback rows
+    # d projected = (g - (g . y) y) / ||u||, zeroed on fallback rows
     y = batch.vectors
     inner = np.einsum("ij,ij->i", upstream_grad, y)
     safe = np.where(batch.active, batch.norms, 1.0)
@@ -229,7 +215,7 @@ def encode_backward(
     d_pre[~batch.active] = 0.0
     d_projection = batch.pooled.T @ d_pre
     d_pooled = d_pre @ params.projection.T
-    d_embedding = np.asarray((batch.tokens.weights.T @ d_pooled))
+    d_embedding = np.asarray((batch.tokens.T @ d_pooled))
     return EncoderGrads(embedding=d_embedding, projection=d_projection)
 
 

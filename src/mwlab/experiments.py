@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Corpus, QuerySet, SplitSpec, mine_hard_negatives, split_queries
+from .data import (EVAL_FRACTION, TRAIN_FRACTION, Corpus, QuerySet, SplitSpec,
+                   mine_hard_negatives, split_queries)
 from .encoder import EncoderConfig, init_params, make_scorer
 from .metrics import evaluate, histogram
 from .prng import derive_seed
@@ -29,17 +30,19 @@ DataProvider = Callable[[int], tuple[Corpus, QuerySet]]
 
 @dataclass(frozen=True)
 class ComparisonSettings:
-    """Everything about a comparison run except the seed list."""
+    """Everything about a comparison run except the seed list. Each seed
+    replaces the seeds of ``base_config`` and ``encoder``."""
 
     base_config: TrainConfig
-    hash_dim: int = 8192
-    embed_dim: int = 32
-    proj_dim: int = 16
+    encoder: EncoderConfig
     mine_k: int = 50
     eval_top_k: int = 500
     bins: int = 50
-    train_fraction: float = 0.8
-    eval_fraction: float = 0.1
+
+    def __post_init__(self):
+        for name in ("mine_k", "eval_top_k", "bins"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def synthetic_provider(template: SyntheticSpec) -> DataProvider:
@@ -72,20 +75,11 @@ def run_single_seed(
 ) -> dict:
     """Mine, split, train both losses, and evaluate on the test split."""
     corpus, queries = provider(seed)
-    encoder_config = EncoderConfig(
-        hash_dim=settings.hash_dim,
-        embed_dim=settings.embed_dim,
-        proj_dim=settings.proj_dim,
-        seed=derive_seed(seed, 1),
-    )
+    encoder_config = replace(settings.encoder, seed=derive_seed(seed, 1))
     if settings.base_config.H > 0:
         scorer = make_scorer(init_params(encoder_config))
         queries = mine_hard_negatives(queries, corpus, scorer, k=settings.mine_k)
-    split = SplitSpec(
-        train_fraction=settings.train_fraction,
-        eval_fraction=settings.eval_fraction,
-        seed=derive_seed(seed, 12),
-    )
+    split = SplitSpec(TRAIN_FRACTION, EVAL_FRACTION, seed=derive_seed(seed, 12))
     train_qs, eval_qs, test_qs = split_queries(queries, split)
 
     result: dict = {"seed": seed}

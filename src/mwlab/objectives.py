@@ -228,6 +228,8 @@ def gaussian_degradation_demo(
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
     if not pools:
         raise ValueError("no per-query pools given")
     offsets = rng.normals(len(pools), sigma)

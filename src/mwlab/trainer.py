@@ -9,9 +9,11 @@ loss are kept, and training stops after ``patience`` evaluations without
 improvement or when the epoch budget runs out.
 
 Each corpus, train-split and eval-split text is hashed once per run into
-a positional ``TokenBatch`` table, so a batch is a row gather of those
-tables, not a fresh tokenization. An evaluation scores the eval split
-against the corpus once and hands the matrix to ``metrics.evaluate``.
+a positional token table, the CSR matrix ``encoder.prepare_tokens``
+returns, so a batch is a row gather of those tables, not a fresh
+tokenization. An evaluation encodes the eval split and the corpus once:
+each fixed eval batch takes its rows of those vectors, and their score
+matrix goes to ``metrics.evaluate``.
 Adam updates in place through scratch buffers and is bit-identical to its
 textbook formula.
 
@@ -30,7 +32,6 @@ same inputs produce bit-identical parameters, logs, and files.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -85,8 +86,9 @@ class TrainConfig:
             raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.eval_every < 1:
-            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
+        for name in ("eval_every", "eval_batches", "eval_top_k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -173,18 +175,13 @@ class EvalRecord:
 
 @dataclass
 class RunReport:
-    """Per-step losses, per-evaluation metrics, and the winning step.
-
-    ``wall_time`` is informational only and is never written into the
-    report files, which must be reproducible byte-for-byte.
-    """
+    """Per-step losses, per-evaluation metrics, and the winning step."""
 
     steps: list[tuple[int, float, float]] = field(default_factory=list)  # (step, loss, lr)
     evals: list[EvalRecord] = field(default_factory=list)
     best_checkpoint_step: int = 0
     best_eval_loss: float = float("inf")
     loss_kind: str = "cl"
-    wall_time: float = 0.0
 
     def write(self, out_dir: str | Path) -> None:
         """Emit report.json, steps.csv, and evals.csv."""
@@ -217,34 +214,29 @@ def _loss_fn(kind: str):
     return cl_loss if kind == "cl" else mw_loss
 
 
-def _gather(
-    batch: TrainingBatch,
-    queries: QuerySet,
-    query_tokens: enc.TokenBatch,
-    corpus: Corpus,
-    corpus_tokens: enc.TokenBatch,
-) -> tuple[enc.TokenBatch, enc.TokenBatch]:
-    """A batch's query and passage tokens, gathered by position from the
-    run's hashed query and corpus tables."""
-    q_rows = [queries.index_of(q.id) for q in batch.queries]
-    p_rows = [corpus.index_of(d) for d in batch.passage_ids]
-    return query_tokens.take(q_rows), corpus_tokens.take(p_rows)
+def _rows(
+    batch: TrainingBatch, queries: QuerySet, corpus: Corpus
+) -> tuple[np.ndarray, np.ndarray]:
+    """A batch's query and passage positions in the query set and the
+    corpus: the rows of their token tables or encodings."""
+    q_rows = np.fromiter((queries.index_of(q.id) for q in batch.queries), np.intp)
+    p_rows = np.fromiter((corpus.index_of(d) for d in batch.passage_ids), np.intp)
+    return q_rows, p_rows
 
 
 def _sub_table(
-    params: enc.EncoderParams, tables: Sequence[enc.TokenBatch]
-) -> tuple[np.ndarray, enc.EncoderParams, list[enc.TokenBatch]]:
+    params: enc.EncoderParams, tables: Sequence[sp.csr_matrix]
+) -> tuple[np.ndarray, enc.EncoderParams, list[sp.csr_matrix]]:
     """(R, sub-table, tables remapped onto it). R is the sorted set of
     buckets the tables use; the sub-table holds ``embedding[R]`` and zero
     padding up to a power of two, and shares the projection array."""
-    rows = np.unique(np.concatenate([t.weights.indices for t in tables]))
+    rows = np.unique(np.concatenate([t.indices for t in tables]))
     size = 1 << max(0, len(rows) - 1).bit_length()
     embedding = np.zeros((size, params.config.embed_dim))
     embedding[:len(rows)] = params.embedding[rows]
     sub = enc.EncoderParams(replace(params.config, hash_dim=size), embedding, params.projection)
-    remapped = [enc.TokenBatch(sp.csr_matrix(
-        (t.weights.data, np.searchsorted(rows, t.weights.indices), t.weights.indptr),
-        shape=(t.n, size)), t.has_tokens) for t in tables]
+    remapped = [sp.csr_matrix((t.data, np.searchsorted(rows, t.indices), t.indptr),
+                              shape=(t.shape[0], size)) for t in tables]
     return rows, sub, remapped
 
 
@@ -280,11 +272,11 @@ def train(
 
     Steps and Adam run on the sub-table of the module docstring. Every
     evaluation first writes it back into the full parameters, which
-    encode the eval split and the corpus; a run ends with an evaluation.
+    encode the eval split and the corpus once; the fixed eval batches
+    are rows of those two encodings. A run ends with an evaluation.
     """
     if encoder_config is None:
         encoder_config = enc.EncoderConfig(seed=derive_seed(config.seed, 1))
-    started = time.perf_counter()
     steps_per_epoch = max(1, -(-len(train_queries) // config.B))
     max_steps = config.max_epochs * steps_per_epoch
     eval_batch_set = []
@@ -313,7 +305,6 @@ def train(
     loss = _loss_fn(config.loss_kind)
     out_path = Path(out_dir) if out_dir is not None else None
     if max_steps == 0:
-        report.wall_time = time.perf_counter() - started
         if out_path is not None:
             report.write(out_path)
         return params, report
@@ -322,22 +313,17 @@ def train(
     corpus_tokens = enc.prepare_tokens(corpus.texts, hash_dim)
     train_tokens = enc.prepare_tokens(train_queries.texts, hash_dim)
     eval_tokens = enc.prepare_tokens(eval_queries.texts, hash_dim)
-    eval_token_batches = [
-        _gather(b, eval_queries, eval_tokens, corpus, corpus_tokens) for b in eval_batch_set
-    ]
+    eval_rows = [_rows(b, eval_queries, corpus) for b in eval_batch_set]
     rows, sub, (sub_corpus, sub_train) = _sub_table(params, [corpus_tokens, train_tokens])
     state = OptimizerState.for_params(sub)
 
     def run_eval(step: int) -> EvalRecord:
         params.embedding[rows] = sub.embedding[:len(rows)]
-        losses = []
-        for q_tokens, p_tokens in eval_token_batches:
-            q_vecs = enc.encode_tokens(params, q_tokens).vectors
-            p_vecs = enc.encode_tokens(params, p_tokens).vectors
-            losses.append(loss(score_batch(q_vecs, p_vecs, config.tau)).value)
-        scores = (enc.encode_tokens(params, eval_tokens).vectors
-                  @ enc.encode_tokens(params, corpus_tokens).vectors.T)
-        _, metrics = evaluate(scores, eval_queries, corpus, top_k=config.eval_top_k)
+        q_vecs = enc.encode_tokens(params, eval_tokens).vectors
+        d_vecs = enc.encode_tokens(params, corpus_tokens).vectors
+        losses = [loss(score_batch(q_vecs[q], d_vecs[p], config.tau)).value
+                  for q, p in eval_rows]
+        _, metrics = evaluate(q_vecs @ d_vecs.T, eval_queries, corpus, top_k=config.eval_top_k)
         return EvalRecord(
             step=step,
             eval_loss=float(np.mean(losses)),
@@ -351,8 +337,8 @@ def train(
     for step in range(1, max_steps + 1):
         if step > 1:
             batch = sample_batch(train_queries, config.B, config.H, batch_rng)
-        q_tokens, p_tokens = _gather(batch, train_queries, sub_train, corpus, sub_corpus)
-        value, grads = _train_step(sub, q_tokens, p_tokens, config.tau, loss)
+        q, p = _rows(batch, train_queries, corpus)
+        value, grads = _train_step(sub, sub_train[q], sub_corpus[p], config.tau, loss)
         if not np.isfinite(value):
             raise TrainingDiverged(f"non-finite training loss at step {step}")
         lr = lr_at(step, config)
@@ -374,7 +360,6 @@ def train(
                 if bad_evals >= config.patience:
                     break
 
-    report.wall_time = time.perf_counter() - started
     if out_path is not None:
         report.write(out_path)
     return best_params, report

@@ -7,10 +7,9 @@ import pytest
 
 from mwlab import cli, encoder, experiments
 from mwlab.data import SplitSpec, load_corpus, load_queries, save_queries, split_queries
-from mwlab.experiments import ComparisonSettings, synthetic_provider
+from mwlab.experiments import synthetic_provider
 from mwlab.prng import derive_seed
 from mwlab.synthetic import SyntheticSpec
-from mwlab.trainer import TrainConfig
 
 
 def write_inputs(tmp_path, corpus, queries):
@@ -37,9 +36,6 @@ def test_mine_seed_matches_compare_mining(tmp_path, monkeypatch):
     assert cli.main(argv) == 0
     from_cli = load_queries(out, load_corpus(corpus_path))
 
-    settings = ComparisonSettings(base_config=TrainConfig(), mine_k=k)
-    assert (settings.hash_dim, settings.embed_dim, settings.proj_dim) == (
-        cli.CLI_HASH_DIM, cli.CLI_EMBED_DIM, cli.CLI_PROJ_DIM)
     mine = experiments.mine_hard_negatives
 
     def capture(*args, **kwargs):
@@ -48,7 +44,8 @@ def test_mine_seed_matches_compare_mining(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiments, "mine_hard_negatives", capture)
     with pytest.raises(_Mined) as caught:
-        experiments.run_single_seed(seed, provider, settings)
+        cli.main(["compare", "--corpus", corpus_path, "--queries", queries_path,
+                  "--seeds", str(seed), "--mine-k", str(k), "--out", str(tmp_path / "cmp")])
     from_compare = caught.value.args[0]
     assert [q.id for q in from_cli] == [q.id for q in from_compare]
     assert [q.hard_negative_ids for q in from_cli] == [
@@ -289,6 +286,8 @@ def test_ablate_writes_one_row_per_grid_cell(tmp_path):
     ["lemma2-check", "--trials", "many"],
     ["counts", "1", "0"],
     ["counts", "4"],
+    ["lemma1-demo", "--synthetic", "--sigma", "1", "--tau", "0", "--out", "demo.csv"],
+    ["lemma1-demo", "--synthetic", "--sigma", "1", "--tau", "-1", "--out", "demo.csv"],
 ])
 def test_bad_argument_exits_2(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -370,4 +369,42 @@ def test_compare_with_one_input_file_exits_2(tmp_path, capsys, keep):
     out = tmp_path / "out"
     assert exit_code(["compare", *one, "--seeds", "0", "--out", str(out)]) == 2
     assert "compare needs --synthetic or both --corpus and --queries" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def refuse_training(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run with bad settings started training")
+    monkeypatch.setattr(cli, "train", refuse)
+    monkeypatch.setattr(experiments, "train", refuse)
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"eval_batches": 0}, "eval_batches must be >= 1, got 0"),
+    ({"eval_top_k": 0}, "eval_top_k must be >= 1, got 0"),
+])
+def test_train_with_out_of_range_config_exits_2(tmp_path, monkeypatch, capsys, config, message):
+    refuse_training(monkeypatch)
+    corpus, queries = synthetic_provider(SyntheticSpec(n_queries=30, n_docs=80))(0)
+    corpus_path, queries_path = write_inputs(tmp_path, corpus, queries)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--corpus", corpus_path, "--queries", queries_path,
+                     "--config", str(config_path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--bins", "0"], "bins must be >= 1, got 0"),
+    (["--mine-k", "0"], "mine_k must be >= 1, got 0"),
+    (["--top-k", "-1"], "eval_top_k must be >= 1, got -1"),
+])
+def test_compare_with_out_of_range_setting_exits_2(tmp_path, monkeypatch, capsys, extra, message):
+    refuse_training(monkeypatch)
+    out = tmp_path / "out"
+    assert cli.main(["compare", *compare_inputs(tmp_path), "--seeds", "0", "--out", str(out),
+                     *extra]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()

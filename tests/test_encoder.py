@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mwlab.encoder import (
+    NORM_FLOOR,
     EncoderConfig,
     encode_backward,
     encode_forward,
@@ -63,6 +64,17 @@ class TestForward:
         expected[0] = 1.0
         np.testing.assert_array_equal(out.vectors[0], expected)
         assert not out.active[0]
+
+    def test_vanishing_vector_hits_fallback(self):
+        # tokens present, but the pre-normalization norm is under the floor
+        params = init_params(SMALL)
+        params.embedding *= 1e-14
+        out = encode_forward(params, ["alpha beta", "gamma"])
+        assert (0.0 < out.norms).all() and (out.norms < NORM_FLOOR).all()
+        assert not out.active.any()
+        expected = np.zeros((2, SMALL.proj_dim))
+        expected[:, 0] = 1.0
+        np.testing.assert_array_equal(out.vectors, expected)
 
     def test_output_rows_unit_norm(self):
         params = init_params(SMALL)
@@ -195,24 +207,22 @@ class TestInit:
             EncoderConfig(hash_dim=16, embed_dim=0)
 
 
-class TestTokenBatchTake:
+class TestTokenTableRows:
     TEXTS = ["alpha beta beta", "!!!", "gamma delta alpha", "", "Beta ALPHA epsilon"]
 
     @pytest.mark.parametrize("rows", [[2, 0, 4], [1, 3], [4, 1, 4, 0, 1], [0]])
     def test_equals_hashing_the_rows_texts(self, rows):
         table = prepare_tokens(self.TEXTS, 64)
-        taken = table.take(rows)
+        taken = table[np.array(rows, dtype=np.intp)]
         direct = prepare_tokens([self.TEXTS[i] for i in rows], 64)
-        assert taken.weights.shape == direct.weights.shape
+        assert taken.shape == direct.shape
         for attr in ("data", "indices", "indptr"):
-            np.testing.assert_array_equal(
-                getattr(taken.weights, attr), getattr(direct.weights, attr))
-        np.testing.assert_array_equal(taken.has_tokens, direct.has_tokens)
+            np.testing.assert_array_equal(getattr(taken, attr), getattr(direct, attr))
 
-    def test_taken_rows_encode_like_their_texts(self):
+    def test_rows_encode_like_their_texts(self):
         params = init_params(SMALL)
-        rows = [1, 2, 2, 4]
-        taken = encode_tokens(params, prepare_tokens(self.TEXTS, SMALL.hash_dim).take(rows))
+        rows = np.array([1, 2, 2, 4], dtype=np.intp)
+        taken = encode_tokens(params, prepare_tokens(self.TEXTS, SMALL.hash_dim)[rows])
         direct = encode_forward(params, [self.TEXTS[i] for i in rows])
         np.testing.assert_array_equal(taken.vectors, direct.vectors)
         np.testing.assert_array_equal(taken.active, direct.active)

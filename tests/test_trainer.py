@@ -51,11 +51,9 @@ def gathered_batch(toy_data, seed: int = 3):
     """A training batch and its tokens gathered from the run's tables."""
     corpus, train_qs, _ = toy_data
     batch = sample_batch(train_qs, MW_CONFIG.B, MW_CONFIG.H, Xoshiro256StarStar(seed))
-    q_tokens, p_tokens = trainer._gather(
-        batch,
-        train_qs, prepare_tokens([q.text for q in train_qs], ENCODER.hash_dim),
-        corpus, prepare_tokens(corpus.texts, ENCODER.hash_dim),
-    )
+    q_rows, p_rows = trainer._rows(batch, train_qs, corpus)
+    q_tokens = prepare_tokens(train_qs.texts, ENCODER.hash_dim)[q_rows]
+    p_tokens = prepare_tokens(corpus.texts, ENCODER.hash_dim)[p_rows]
     return batch, q_tokens, p_tokens
 
 
@@ -266,8 +264,8 @@ def run_digest(params: EncoderParams, report: trainer.RunReport) -> str:
 
 
 def touchable_rows(corpus, train_qs) -> np.ndarray:
-    return np.union1d(prepare_tokens(corpus.texts, WIDE.hash_dim).weights.indices,
-                      prepare_tokens(train_qs.texts, WIDE.hash_dim).weights.indices)
+    return np.union1d(prepare_tokens(corpus.texts, WIDE.hash_dim).indices,
+                      prepare_tokens(train_qs.texts, WIDE.hash_dim).indices)
 
 
 class TestSubTable:
@@ -286,11 +284,11 @@ class TestSubTable:
         init = init_params(WIDE)
         rows = touchable_rows(corpus, train_qs)
         outside = np.setdiff1d(np.arange(WIDE.hash_dim), rows)
-        eval_only = np.setdiff1d(prepare_tokens(eval_qs.texts, WIDE.hash_dim).weights.indices, rows)
+        eval_only = np.setdiff1d(prepare_tokens(eval_qs.texts, WIDE.hash_dim).indices, rows)
         assert len(rows) < WIDE.hash_dim // 8 and len(eval_only) > 0
         assert params.embedding[outside].tobytes() == init.embedding[outside].tobytes()
         # rows only the train split hashes to trained too
-        train_only = np.setdiff1d(rows, prepare_tokens(corpus.texts, WIDE.hash_dim).weights.indices)
+        train_only = np.setdiff1d(rows, prepare_tokens(corpus.texts, WIDE.hash_dim).indices)
         assert len(train_only) > 0
         assert (params.embedding[train_only] != init.embedding[train_only]).any()
 
@@ -306,14 +304,13 @@ class TestSubTable:
         np.testing.assert_array_equal(sub.embedding[:len(rows)], params.embedding[rows])
         assert not sub.embedding[len(rows):].any()
         for full, small in zip(tables, remapped):
-            assert small.weights.shape == (full.n, size)
-            np.testing.assert_array_equal(small.has_tokens, full.has_tokens)
-            np.testing.assert_array_equal(small.weights.indptr, full.weights.indptr)
-            assert small.weights.data.tobytes() == full.weights.data.tobytes()
-            np.testing.assert_array_equal(rows[small.weights.indices], full.weights.indices)
+            assert small.shape == (full.shape[0], size)
+            np.testing.assert_array_equal(small.indptr, full.indptr)
+            assert small.data.tobytes() == full.data.tobytes()
+            np.testing.assert_array_equal(rows[small.indices], full.indices)
             # slots ascend within every token row, as the buckets do
-            for i in range(small.n):
-                slots = small.weights.indices[small.weights.indptr[i]:small.weights.indptr[i + 1]]
+            for i in range(small.shape[0]):
+                slots = small.indices[small.indptr[i]:small.indptr[i + 1]]
                 assert (np.diff(slots) > 0).all()
 
     def test_token_free_tables_train_nothing(self, toy_data):
