@@ -14,7 +14,6 @@ from .data import (
     Query,
     QuerySet,
     SplitSpec,
-    TrainingBatch,
     load_corpus,
     load_queries,
     mine_hard_negatives,
@@ -65,7 +64,7 @@ from .trainer import OptimizerState, RunReport, TrainConfig, adam_step, lr_at, t
 __version__ = "0.1.0"
 
 __all__ = [
-    "Corpus", "Document", "Query", "QuerySet", "SplitSpec", "TrainingBatch",
+    "Corpus", "Document", "Query", "QuerySet", "SplitSpec",
     "load_corpus", "load_queries", "save_queries", "mine_hard_negatives",
     "sample_batch", "split_queries",
     "EncoderConfig", "EncoderParams", "EncoderGrads", "encode_forward",

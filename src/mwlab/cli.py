@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields as dataclass_fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -76,13 +77,10 @@ def _build_configs(args, config: dict) -> tuple[TrainConfig, enc.EncoderConfig]:
 
 
 def _scorer_from_args(args) -> "callable":
-    if getattr(args, "checkpoint", None):
+    if args.checkpoint:
         params, _ = enc.load_checkpoint(args.checkpoint)
     else:
-        params = enc.init_params(enc.EncoderConfig(
-            hash_dim=CLI_HASH_DIM, embed_dim=CLI_EMBED_DIM,
-            proj_dim=CLI_PROJ_DIM, seed=derive_seed(args.seed, 1),
-        ))
+        params = enc.init_params(_build_configs(args, {})[1])
     return enc.make_scorer(params)
 
 
@@ -170,10 +168,11 @@ def cmd_histogram(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _load_config(args.config)
+    if args.top_k is not None:
+        config["eval_top_k"] = args.top_k
     train_cfg, encoder_cfg = _build_configs(args, config)
     settings = ComparisonSettings(
-        base_config=train_cfg, encoder=encoder_cfg,
-        mine_k=args.mine_k, eval_top_k=args.top_k, bins=args.bins,
+        base_config=train_cfg, encoder=encoder_cfg, mine_k=args.mine_k, bins=args.bins,
     )
     if args.synthetic:
         template = SyntheticSpec(n_queries=args.synth_queries, n_docs=args.synth_docs)
@@ -300,8 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mwlab",
         description="Train and dissect dual-encoder retrievers under the "
                     "softmax contrastive loss and the pairwise Mann-Whitney loss.",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no flag prefixes: `--seed 3` must not silently mean `--seeds 3`
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("mine", help="attach brute-force hard negatives to queries")
     p.add_argument("--corpus", required=True)
@@ -347,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, nargs="+", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mine-k", type=int, default=50, dest="mine_k")
-    p.add_argument("--top-k", type=int, default=500, dest="top_k")
+    p.add_argument("--top-k", type=int, dest="top_k",
+                   help="negatives pooled per query (default: the config's eval_top_k)")
     p.add_argument("--bins", type=int, default=50)
     p.set_defaults(func=cmd_compare)
 

@@ -1,10 +1,13 @@
-"""Corpus and query ingestion, hard-negative mining, and batch assembly.
+"""Corpus and query ingestion, hard-negative mining, and batch sampling.
 
 Data lives in JSONL files: one JSON object per line. A corpus line is
 ``{"id": str, "text": str}``; a query line is ``{"id": str, "text": str,
 "positive_ids": [str], "hard_negative_ids": [str]}`` where the last field
 is optional before mining. Mining rewrites the query file with the
 ``hard_negative_ids`` filled in.
+
+A training batch is its rows: ``sample_batch`` returns positions in the
+query set and the corpus, which index their token tables directly.
 """
 
 from __future__ import annotations
@@ -147,54 +150,9 @@ class QuerySet:
     def __getitem__(self, i: int) -> Query:
         return self._queries[i]
 
-    def index_of(self, query_id: str) -> int:
-        return self._by_id[query_id]
-
     @property
     def texts(self) -> list[str]:
         return [q.text for q in self._queries]
-
-
-@dataclass(frozen=True)
-class TrainingBatch:
-    """One training batch: B queries, one positive each, and a B x H block
-    of hard negatives.
-
-    ``passage_ids`` lists the batch's passages in scoring-column order:
-    the B positives first, then all hard negatives query-major.
-    """
-
-    queries: list[Query]
-    positive_ids: list[str]
-    hard_negative_ids: list[list[str]]
-
-    def __post_init__(self):
-        b = len(self.queries)
-        if b < 2:
-            raise ValueError(f"batch needs B >= 2 queries, got {b}")
-        if len(self.positive_ids) != b or len(self.hard_negative_ids) != b:
-            raise ValueError("positives and hard negatives must align with queries")
-        if len(set(self.positive_ids)) != b:
-            raise ValueError("batch positives must be pairwise distinct")
-        h = len(self.hard_negative_ids[0])
-        for q, pos, negs in zip(self.queries, self.positive_ids, self.hard_negative_ids):
-            if len(negs) != h:
-                raise ValueError("all queries must contribute the same number of hard negatives")
-            if pos in negs:
-                raise ValueError(f"query {q.id!r}: its positive appears among its hard negatives")
-
-    @property
-    def B(self) -> int:
-        return len(self.queries)
-
-    @property
-    def H(self) -> int:
-        return len(self.hard_negative_ids[0])
-
-    @property
-    def passage_ids(self) -> list[str]:
-        flat_negs = [d for negs in self.hard_negative_ids for d in negs]
-        return list(self.positive_ids) + flat_negs
 
 
 # The split `mwlab train` and `ablate` use by default and `compare` always uses.
@@ -355,21 +313,24 @@ def mine_hard_negatives(
 
 
 def sample_batch(
-    queries: QuerySet, B: int, H: int, rng: Xoshiro256StarStar
-) -> TrainingBatch:
-    """Draw a training batch: B distinct queries, one positive each, H hard
-    negatives each.
+    queries: QuerySet, corpus: Corpus, B: int, H: int, rng: Xoshiro256StarStar
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a training batch as rows: ``(q_rows, p_rows)``, two ``np.intp``
+    arrays. ``q_rows`` are B distinct positions in ``queries``; ``p_rows``
+    are positions in ``corpus`` in scoring-column order: one positive per
+    query first, then each query's H hard negatives, query-major.
 
     Only queries with at least H mined hard negatives are eligible. Batches
     whose sampled positives collide (two queries sharing a positive
     document) are redrawn, so in-batch negatives never silently contain
-    another query's positive.
+    another query's positive. ``Query``'s invariant keeps a positive out of
+    its own query's hard negatives.
     """
     if B < 2:
         raise ValueError(f"B must be >= 2, got {B}")
     if H < 0:
         raise ValueError(f"H must be >= 0, got {H}")
-    eligible = [q for q in queries if len(q.hard_negative_ids) >= H and q.positive_ids]
+    eligible = [i for i, q in enumerate(queries) if len(q.hard_negative_ids) >= H]
     if len(eligible) < B:
         raise ValueError(
             f"need {B} eligible queries (>= {H} hard negatives each), "
@@ -377,13 +338,13 @@ def sample_batch(
         )
     for _ in range(100):
         picked = [eligible[i] for i in rng.sample_indices(len(eligible), B)]
-        positives = [q.positive_ids[rng.below(len(q.positive_ids))] for q in picked]
+        chosen = [queries[i] for i in picked]
+        positives = [q.positive_ids[rng.below(len(q.positive_ids))] for q in chosen]
         if len(set(positives)) == B:
-            negatives = [
-                [q.hard_negative_ids[j] for j in rng.sample_indices(len(q.hard_negative_ids), H)]
-                for q in picked
-            ]
-            return TrainingBatch(picked, positives, negatives)
+            negatives = [q.hard_negative_ids[j] for q in chosen
+                         for j in rng.sample_indices(len(q.hard_negative_ids), H)]
+            p_rows = [corpus.index_of(d) for d in positives + negatives]
+            return np.array(picked, dtype=np.intp), np.array(p_rows, dtype=np.intp)
     raise ValueError(
         f"could not draw {B} queries with distinct positives after 100 attempts"
     )

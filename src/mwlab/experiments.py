@@ -36,11 +36,10 @@ class ComparisonSettings:
     base_config: TrainConfig
     encoder: EncoderConfig
     mine_k: int = 50
-    eval_top_k: int = 500
     bins: int = 50
 
     def __post_init__(self):
-        for name in ("mine_k", "eval_top_k", "bins"):
+        for name in ("mine_k", "bins"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -61,7 +60,7 @@ def fixed_provider(corpus: Corpus, queries: QuerySet) -> DataProvider:
 
 def _evaluate_side(params, queries, corpus, settings) -> dict:
     scores = make_scorer(params)(queries.texts, corpus.texts)
-    pool, metrics = evaluate(scores, queries, corpus, top_k=settings.eval_top_k)
+    pool, metrics = evaluate(scores, queries, corpus, top_k=settings.base_config.eval_top_k)
     return {
         "auc": metrics["auc"],
         "mrr10": metrics["mrr10"],

@@ -59,12 +59,6 @@ class LossOutput:
             raise ValueError("loss gradient must be finite")
 
 
-def softplus(x: np.ndarray) -> np.ndarray:
-    """log(1 + e^x) without overflow: max(x, 0) + log1p(e^-|x|)."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
 def cl_loss(scores: ScoreBatch) -> LossOutput:
     """Softmax contrastive loss over each query's own row.
 
@@ -252,12 +246,14 @@ def mw_bound_check(pool: ScorePool, tau: float) -> tuple[float, float, bool]:
     positive-negative pairs of softplus(-(s+ - s-)/tau), and holds is
     aoc <= mw_population / log 2. The pointwise inequality
     1{z <= 0} <= softplus(-z/tau) / log 2 makes this true for every pool.
+    The pairs go through ``mw_loss``'s blocked kernel, so memory stays
+    O(MW_BLOCK_PAIRS) however large the pool.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if pool.n_pos == 0 or pool.n_neg == 0:
         raise ValueError("bound check needs scores on both sides")
     aoc = strict_aoc(pool)
-    diff = (pool.positives[:, None] - pool.negatives[None, :]) / tau
-    mw_population = float(softplus(-diff).mean())
+    softplus_rows, _, _ = _mw_pair_sums(pool.positives, pool.negatives, tau)
+    mw_population = float(softplus_rows.sum() / (pool.n_pos * pool.n_neg))
     return aoc, mw_population, aoc <= mw_population / LOG2

@@ -10,7 +10,8 @@ improvement or when the epoch budget runs out.
 
 Each corpus, train-split and eval-split text is hashed once per run into
 a positional token table, the CSR matrix ``encoder.prepare_tokens``
-returns, so a batch is a row gather of those tables, not a fresh
+returns. ``data.sample_batch`` draws a batch as query-split and corpus
+positions, so a batch is a row gather of those tables, not a fresh
 tokenization. An evaluation encodes the eval split and the corpus once:
 each fixed eval batch takes its rows of those vectors, and their score
 matrix goes to ``metrics.evaluate``.
@@ -40,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import encoder as enc
-from .data import Corpus, QuerySet, TrainingBatch, sample_batch
+from .data import Corpus, QuerySet, sample_batch
 from .metrics import evaluate
 from .objectives import cl_loss, mw_loss
 from .prng import Xoshiro256StarStar, derive_seed
@@ -214,16 +215,6 @@ def _loss_fn(kind: str):
     return cl_loss if kind == "cl" else mw_loss
 
 
-def _rows(
-    batch: TrainingBatch, queries: QuerySet, corpus: Corpus
-) -> tuple[np.ndarray, np.ndarray]:
-    """A batch's query and passage positions in the query set and the
-    corpus: the rows of their token tables or encodings."""
-    q_rows = np.fromiter((queries.index_of(q.id) for q in batch.queries), np.intp)
-    p_rows = np.fromiter((corpus.index_of(d) for d in batch.passage_ids), np.intp)
-    return q_rows, p_rows
-
-
 def _sub_table(
     params: enc.EncoderParams, tables: Sequence[sp.csr_matrix]
 ) -> tuple[np.ndarray, enc.EncoderParams, list[sp.csr_matrix]]:
@@ -279,15 +270,15 @@ def train(
         encoder_config = enc.EncoderConfig(seed=derive_seed(config.seed, 1))
     steps_per_epoch = max(1, -(-len(train_queries) // config.B))
     max_steps = config.max_epochs * steps_per_epoch
-    eval_batch_set = []
+    eval_rows = []
     batch = None
     if max_steps > 0:
         # fixed held-out batches: the evaluation loss is comparable across
         # steps. Drawn first, so an eval split too small for B fails early.
         eval_rng = Xoshiro256StarStar(derive_seed(config.seed, 3))
         try:
-            eval_batch_set = [
-                sample_batch(eval_queries, config.B, config.H, eval_rng)
+            eval_rows = [
+                sample_batch(eval_queries, corpus, config.B, config.H, eval_rng)
                 for _ in range(config.eval_batches)
             ]
         except ValueError as exc:
@@ -296,7 +287,7 @@ def train(
         # drawing the first batch before it changes no bits
         batch_rng = Xoshiro256StarStar(derive_seed(config.seed, 2))
         try:
-            batch = sample_batch(train_queries, config.B, config.H, batch_rng)
+            batch = sample_batch(train_queries, corpus, config.B, config.H, batch_rng)
         except ValueError as exc:
             raise ValueError(f"train split ({len(train_queries)} queries): {exc}") from exc
 
@@ -313,7 +304,6 @@ def train(
     corpus_tokens = enc.prepare_tokens(corpus.texts, hash_dim)
     train_tokens = enc.prepare_tokens(train_queries.texts, hash_dim)
     eval_tokens = enc.prepare_tokens(eval_queries.texts, hash_dim)
-    eval_rows = [_rows(b, eval_queries, corpus) for b in eval_batch_set]
     rows, sub, (sub_corpus, sub_train) = _sub_table(params, [corpus_tokens, train_tokens])
     state = OptimizerState.for_params(sub)
 
@@ -336,8 +326,8 @@ def train(
     bad_evals = 0
     for step in range(1, max_steps + 1):
         if step > 1:
-            batch = sample_batch(train_queries, config.B, config.H, batch_rng)
-        q, p = _rows(batch, train_queries, corpus)
+            batch = sample_batch(train_queries, corpus, config.B, config.H, batch_rng)
+        q, p = batch
         value, grads = _train_step(sub, sub_train[q], sub_corpus[p], config.tau, loss)
         if not np.isfinite(value):
             raise TrainingDiverged(f"non-finite training loss at step {step}")

@@ -408,3 +408,35 @@ def test_compare_with_out_of_range_setting_exits_2(tmp_path, monkeypatch, capsys
                      *extra]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra, flag", [
+    ("compare", ["--seeds", "0", "1"], ["--seed", "3"]),  # not --seeds 3
+    ("train", [], ["--los", "mw"]),  # not --loss mw
+])
+def test_flag_prefix_exits_2(tmp_path, monkeypatch, capsys, command, extra, flag):
+    refuse_training(monkeypatch)
+    monkeypatch.setattr(cli, "run_comparison", lambda *args: pytest.fail("compare ran"))
+    corpus, queries = synthetic_provider(SyntheticSpec(n_queries=30, n_docs=80))(0)
+    corpus_path, queries_path = write_inputs(tmp_path, corpus, queries)
+    out = tmp_path / "out"
+    assert exit_code([command, "--corpus", corpus_path, "--queries", queries_path, *extra,
+                      "--out", str(out), *flag]) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _Trained(Exception):
+    pass
+
+
+@pytest.mark.parametrize("extra, top_k", [(["--top-k", "7"], 7), ([], 500)])
+def test_compare_top_k_sets_the_runs_eval_top_k(tmp_path, monkeypatch, extra, top_k):
+    def capture(config, *args, **kwargs):
+        raise _Trained(config)
+
+    monkeypatch.setattr(experiments, "train", capture)
+    with pytest.raises(_Trained) as caught:
+        cli.main(["compare", *compare_inputs(tmp_path), "--seeds", "0", "--mine-k", "5",
+                  "--out", str(tmp_path / "out"), *extra])
+    assert caught.value.args[0].eval_top_k == top_k

@@ -1,6 +1,7 @@
 """Tests for corpus/query ingestion, mining, and batch sampling."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from mwlab.data import (
     Query,
     QuerySet,
     SplitSpec,
-    TrainingBatch,
     load_corpus,
     load_queries,
     mine_hard_negatives,
@@ -21,7 +21,9 @@ from mwlab.data import (
     split_queries,
     top_k_columns,
 )
+from mwlab.encoder import EncoderConfig, init_params, make_scorer
 from mwlab.prng import Xoshiro256StarStar
+from mwlab.synthetic import SyntheticSpec, make_benchmark
 from util import naive_top_k
 
 
@@ -174,9 +176,9 @@ class TestMining:
 
         queries = QuerySet([Query("q1", "x", ["d1"])])
         mined = mine_hard_negatives(queries, small_corpus, scorer, k=2)
-        assert mined[mined.index_of("q1")].hard_negative_ids == ["d2", "d4"]
+        assert mined[0].hard_negative_ids == ["d2", "d4"]
         # input unchanged
-        assert queries[queries.index_of("q1")].hard_negative_ids == []
+        assert queries[0].hard_negative_ids == []
 
     def test_k_zero_rejected(self, small_corpus):
         queries = QuerySet([Query("q1", "x", ["d1"])])
@@ -191,7 +193,7 @@ class TestMining:
 
         queries = QuerySet([Query("q1", "x", ["pos"])])
         mined = mine_hard_negatives(queries, corpus, scorer, k=1)
-        assert mined[mined.index_of("q1")].hard_negative_ids == ["a"]
+        assert mined[0].hard_negative_ids == ["a"]
 
     def test_short_corpus_returns_all_available(self, small_corpus, caplog):
         def scorer(q_texts, d_texts):
@@ -200,7 +202,7 @@ class TestMining:
         queries = QuerySet([Query("q1", "x", ["d1"])])
         with caplog.at_level("WARNING"):
             mined = mine_hard_negatives(queries, small_corpus, scorer, k=10)
-        assert sorted(mined[mined.index_of("q1")].hard_negative_ids) == ["d2", "d3", "d4"]
+        assert sorted(mined[0].hard_negative_ids) == ["d2", "d3", "d4"]
         assert any("only 3 negatives" in r.getMessage() for r in caplog.records)
 
     def test_matches_full_sort_brute_force(self):
@@ -276,72 +278,89 @@ class TestTopKColumns:
             assert full[i].tolist() == naive_top_k(row, ids, k)
 
 
+@pytest.fixture(scope="module")
+def mined_toy():
+    """Mined planted data in which query i also counts query i + 1's
+    positive as its own, so drawn positives collide and get redrawn."""
+    corpus, queries = make_benchmark(SyntheticSpec(n_queries=30, n_docs=80, seed=3))
+    scorer = make_scorer(init_params(EncoderConfig(hash_dim=256, embed_dim=8, proj_dim=4, seed=1)))
+    queries = mine_hard_negatives(queries, corpus, scorer, k=5)
+    shared = []
+    for i, q in enumerate(queries):
+        extra = queries[(i + 1) % len(queries)].positive_ids[0]
+        shared.append(replace(
+            q, positive_ids=q.positive_ids + [extra],
+            hard_negative_ids=[d for d in q.hard_negative_ids if d != extra]))
+    return corpus, QuerySet(shared)
+
+
 class TestSampleBatch:
-    def make_queries(self, n, n_negs=3):
+    def make_data(self, n, n_negs=3):
+        corpus = Corpus([Document(f"d{i}", f"text {i}") for i in range(3 * n)])
         qs = []
         for i in range(n):
             negs = [f"d{(i + j + 1) % (2 * n)}" for j in range(n_negs)]
             qs.append(Query(f"q{i}", f"text {i}", [f"d{i + 2 * n}"], negs))
-        return QuerySet(qs)
+        return QuerySet(qs), corpus
 
     def test_exhaustive_two_queries(self):
-        queries = self.make_queries(2, n_negs=0)
-        batch = sample_batch(queries, B=2, H=0, rng=Xoshiro256StarStar(0))
-        assert {q.id for q in batch.queries} == {"q0", "q1"}
-        assert batch.H == 0
+        queries, corpus = self.make_data(2, n_negs=0)
+        q_rows, p_rows = sample_batch(queries, corpus, B=2, H=0, rng=Xoshiro256StarStar(0))
+        assert sorted(q_rows.tolist()) == [0, 1]
+        assert [corpus.ids[j] for j in p_rows] == [f"d{4 + i}" for i in q_rows]
 
     def test_deterministic_under_seed(self):
-        queries = self.make_queries(20)
-        b1 = sample_batch(queries, B=5, H=2, rng=Xoshiro256StarStar(123))
-        b2 = sample_batch(queries, B=5, H=2, rng=Xoshiro256StarStar(123))
-        assert [q.id for q in b1.queries] == [q.id for q in b2.queries]
-        assert b1.positive_ids == b2.positive_ids
-        assert b1.hard_negative_ids == b2.hard_negative_ids
+        queries, corpus = self.make_data(20)
+        b1 = sample_batch(queries, corpus, B=5, H=2, rng=Xoshiro256StarStar(123))
+        b2 = sample_batch(queries, corpus, B=5, H=2, rng=Xoshiro256StarStar(123))
+        for rows1, rows2 in zip(b1, b2):
+            assert rows1.dtype == np.intp
+            np.testing.assert_array_equal(rows1, rows2)
+
+    def test_single_query_batch_rejected(self):
+        queries, corpus = self.make_data(4)
+        with pytest.raises(ValueError, match="B must be >= 2, got 1"):
+            sample_batch(queries, corpus, B=1, H=0, rng=Xoshiro256StarStar(0))
 
     def test_insufficient_queries(self):
-        queries = self.make_queries(2)
+        queries, corpus = self.make_data(2)
         with pytest.raises(ValueError, match="eligible"):
-            sample_batch(queries, B=3, H=0, rng=Xoshiro256StarStar(0))
+            sample_batch(queries, corpus, B=3, H=0, rng=Xoshiro256StarStar(0))
 
     def test_too_few_hard_negatives_excludes_query(self):
-        queries = self.make_queries(4, n_negs=1)
+        queries, corpus = self.make_data(4, n_negs=1)
         with pytest.raises(ValueError, match="eligible"):
-            sample_batch(queries, B=3, H=2, rng=Xoshiro256StarStar(0))
+            sample_batch(queries, corpus, B=3, H=2, rng=Xoshiro256StarStar(0))
 
     def test_shared_positive_batches_redrawn(self):
         # two queries share the only positive; a batch with both is impossible
+        corpus = Corpus([Document("p", "x"), Document("other", "y")])
         queries = QuerySet([
             Query("q0", "a", ["p"]),
             Query("q1", "b", ["p"]),
             Query("q2", "c", ["other"]),
         ])
         for seed in range(10):
-            batch = sample_batch(queries, B=2, H=0, rng=Xoshiro256StarStar(seed))
-            assert len(set(batch.positive_ids)) == 2
+            q_rows, p_rows = sample_batch(queries, corpus, B=2, H=0, rng=Xoshiro256StarStar(seed))
+            assert 2 in q_rows
+            assert sorted(p_rows.tolist()) == [0, 1]
 
-    def test_passage_ids_layout(self):
-        queries = self.make_queries(6)
-        batch = sample_batch(queries, B=3, H=2, rng=Xoshiro256StarStar(4))
-        ids = batch.passage_ids
-        assert ids[:3] == batch.positive_ids
-        assert ids[3:5] == batch.hard_negative_ids[0]
-        assert ids[5:7] == batch.hard_negative_ids[1]
-
-
-class TestTrainingBatchInvariants:
-    def test_duplicate_positives_rejected(self):
-        qs = [Query("q0", "a", ["p"]), Query("q1", "b", ["p"])]
-        with pytest.raises(ValueError, match="distinct"):
-            TrainingBatch(qs, ["p", "p"], [[], []])
-
-    def test_positive_among_own_negatives_rejected(self):
-        qs = [Query("q0", "a", ["p0", "x"]), Query("q1", "b", ["p1"])]
-        with pytest.raises(ValueError, match="among its hard negatives"):
-            TrainingBatch(qs, ["p0", "p1"], [["p0"], ["z"]])
-
-    def test_single_query_rejected(self):
-        with pytest.raises(ValueError, match="B >= 2"):
-            TrainingBatch([Query("q0", "a", ["p"])], ["p"], [[]])
+    def test_rows_form_a_valid_batch(self, mined_toy):
+        corpus, queries = mined_toy
+        ids = corpus.ids
+        for seed in range(50):
+            B, H = 2 + seed % 7, seed % 4
+            q_rows, p_rows = sample_batch(queries, corpus, B, H, Xoshiro256StarStar(seed))
+            assert len(set(q_rows.tolist())) == len(q_rows) == B
+            assert len(p_rows) == B * (1 + H)
+            assert len(set(p_rows[:B].tolist())) == B
+            for i, r in enumerate(q_rows):
+                q = queries[r]
+                assert ids[p_rows[i]] in q.positive_ids
+                negatives = [ids[j] for j in p_rows[B + i * H:B + (i + 1) * H]]
+                assert len(set(negatives)) == H
+                assert set(negatives) <= set(q.hard_negative_ids)
+                assert not set(negatives) & set(q.positive_ids)
 
 
 class TestSplit:

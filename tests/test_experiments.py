@@ -16,8 +16,8 @@ from mwlab.trainer import TrainConfig
 
 TOY = ComparisonSettings(
     base_config=TrainConfig(B=4, H=2, max_epochs=2, eval_every=3, warmup_steps=2,
-                            eval_batches=1),
-    encoder=EncoderConfig(hash_dim=1024, embed_dim=16, proj_dim=8), mine_k=10, eval_top_k=20,
+                            eval_batches=1, eval_top_k=20),
+    encoder=EncoderConfig(hash_dim=1024, embed_dim=16, proj_dim=8), mine_k=10,
 )
 
 

@@ -17,12 +17,11 @@ from mwlab.objectives import (
     gaussian_degradation_demo,
     mw_bound_check,
     mw_loss,
-    softplus,
 )
 from mwlab import objectives
 from mwlab.prng import Xoshiro256StarStar
 from mwlab.scoring import ScoreBatch, comparison_counts
-from util import brute_force_strict_aoc, naive_mw_loss, random_score_batch, sigmoid
+from util import brute_force_strict_aoc, naive_mw_loss, random_score_batch, sigmoid, softplus
 
 
 def fd_gradient_check(loss_fn, sb, h=1e-5, rtol=1e-3, n_entries=None):
@@ -343,6 +342,17 @@ class TestMwBound:
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError):
             mw_bound_check(ScorePool([1.0], []), tau=1.0)
+
+    @pytest.mark.parametrize("n_pos, n_neg", [
+        (3, objectives.MW_BLOCK_PAIRS + 7),  # each row longer than a block
+        (50, 4000),  # several blocks of whole rows
+    ])
+    def test_blocked_mean_equals_full_matrix_formula(self, n_pos, n_neg):
+        rng = np.random.default_rng(n_neg)
+        pool = ScorePool(rng.uniform(-1, 1, n_pos), rng.uniform(-1, 1, n_neg))
+        _, mw, _ = mw_bound_check(pool, tau=0.05)
+        diff = (pool.positives[:, None] - pool.negatives[None, :]) / 0.05
+        assert mw == pytest.approx(float(softplus(-diff).mean()), rel=1e-12)
 
 
 class TestStableScalarHelpers:

@@ -48,19 +48,19 @@ def toy_data():
 
 
 def gathered_batch(toy_data, seed: int = 3):
-    """A training batch and its tokens gathered from the run's tables."""
+    """A training batch's rows and its tokens gathered from the run's tables."""
     corpus, train_qs, _ = toy_data
-    batch = sample_batch(train_qs, MW_CONFIG.B, MW_CONFIG.H, Xoshiro256StarStar(seed))
-    q_rows, p_rows = trainer._rows(batch, train_qs, corpus)
-    q_tokens = prepare_tokens(train_qs.texts, ENCODER.hash_dim)[q_rows]
-    p_tokens = prepare_tokens(corpus.texts, ENCODER.hash_dim)[p_rows]
-    return batch, q_tokens, p_tokens
+    rows = sample_batch(train_qs, corpus, MW_CONFIG.B, MW_CONFIG.H, Xoshiro256StarStar(seed))
+    q_tokens = prepare_tokens(train_qs.texts, ENCODER.hash_dim)[rows[0]]
+    p_tokens = prepare_tokens(corpus.texts, ENCODER.hash_dim)[rows[1]]
+    return rows, q_tokens, p_tokens
 
 
-def text_step(params, batch, corpus, tau, loss):
+def text_step(params, rows, queries, corpus, tau, loss):
     """The training step with every batch text hashed afresh."""
-    q_enc = encode_forward(params, [q.text for q in batch.queries])
-    p_enc = encode_forward(params, [corpus[d].text for d in batch.passage_ids])
+    q_rows, p_rows = rows
+    q_enc = encode_forward(params, [queries[i].text for i in q_rows])
+    p_enc = encode_forward(params, [corpus.texts[j] for j in p_rows])
     out = loss(score_batch(q_enc.vectors, p_enc.vectors, tau))
     d_q, d_p = backprop_scores(out.d_sim, q_enc.vectors, p_enc.vectors)
     grads = encode_backward(q_enc, d_q, params)
@@ -158,12 +158,12 @@ class TestTrainSplitValidation:
 class TestTrainStep:
     @pytest.mark.parametrize("loss_kind", ["cl", "mw"])
     def test_gathered_tokens_match_text_encoding(self, toy_data, loss_kind):
-        corpus = toy_data[0]
+        corpus, train_qs, _ = toy_data
         params = init_params(ENCODER)
-        batch, q_tokens, p_tokens = gathered_batch(toy_data)
+        rows, q_tokens, p_tokens = gathered_batch(toy_data)
         loss = LOSSES[loss_kind]
         value, grads = trainer._train_step(params, q_tokens, p_tokens, MW_CONFIG.tau, loss)
-        ref_value, ref_grads = text_step(params, batch, corpus, MW_CONFIG.tau, loss)
+        ref_value, ref_grads = text_step(params, rows, train_qs, corpus, MW_CONFIG.tau, loss)
         assert value == ref_value
         np.testing.assert_array_equal(grads.embedding, ref_grads.embedding)
         np.testing.assert_array_equal(grads.projection, ref_grads.projection)

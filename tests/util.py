@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from mwlab.objectives import softplus
 from mwlab.scoring import ScoreBatch
 
 
@@ -72,6 +71,12 @@ def central_difference(f, x: float, h: float) -> float:
 
 def relative_error(a: float, b: float, floor: float = 1e-12) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
+
+
+def softplus(x) -> np.ndarray:
+    """log(1 + e^x) without overflow: max(x, 0) + log1p(e^-|x|)."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def sigmoid(x) -> np.ndarray:
