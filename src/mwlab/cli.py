@@ -89,7 +89,7 @@ def _evaluate_checkpoint(args) -> tuple[ScorePool, dict]:
     corpus = load_corpus(args.corpus)
     queries = load_queries(args.queries, corpus)
     params, _ = enc.load_checkpoint(args.checkpoint)
-    scores = enc.make_scorer(params)(queries.texts, corpus.texts)
+    scores = enc.make_scorer(params)(queries, corpus)
     return evaluate(scores, queries, corpus, top_k=args.top_k)
 
 

@@ -6,8 +6,11 @@ Data lives in JSONL files: one JSON object per line. A corpus line is
 is optional before mining. Mining rewrites the query file with the
 ``hard_negative_ids`` filled in.
 
+A ``Corpus`` or ``QuerySet`` hashes its texts once per ``hash_dim``
+(``tokens``) and keeps that table until it grows, so mining, every
+training run and every evaluation of one collection share one table.
 A training batch is its rows: ``sample_batch`` returns positions in the
-query set and the corpus, which index their token tables directly.
+query set and the corpus, which index those tables directly.
 """
 
 from __future__ import annotations
@@ -19,14 +22,17 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
+from .encoder import prepare_tokens
 from .prng import Xoshiro256StarStar
 
 logger = logging.getLogger(__name__)
 
-# A scorer maps (query texts, document texts) to an n_queries x n_docs
-# score matrix. It must be total: every pair gets a finite score.
-Scorer = Callable[[Sequence[str], Sequence[str]], np.ndarray]
+# A scorer maps (query set, corpus) to an n_queries x n_docs score matrix.
+# It must be total: every pair gets a finite score. An encoder's scorer
+# (``encoder.make_scorer``) encodes the two collections' cached token tables.
+Scorer = Callable[["QuerySet", "Corpus"], np.ndarray]
 
 
 def _require_str(value, what: str) -> None:
@@ -50,12 +56,13 @@ class Document:
             raise ValueError(f"document {self.id!r}: text must be non-empty")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Query:
     """A query with its labeled positives and (possibly unmined) hard negatives.
 
     Invariants: ``positive_ids`` is non-empty, and no id appears twice in
-    ``positive_ids`` and ``hard_negative_ids`` together.
+    ``positive_ids`` and ``hard_negative_ids`` together. Frozen, so a query
+    set's cached token table cannot go stale; ``replace`` makes a changed copy.
     """
 
     id: str
@@ -87,72 +94,77 @@ class Query:
             )
 
 
-class Corpus:
-    """An ordered, id-indexed collection of documents."""
+class _Collection:
+    """An ordered, id-indexed list of items with an ``id`` and a ``text``.
 
-    def __init__(self, documents: Sequence[Document] = ()):
-        self._docs: list[Document] = []
+    ``tokens(hash_dim)`` is the token table of the texts, hashed on first
+    use and cached on the object until the next ``add``. Its arrays are
+    read-only, so no caller can change the table another caller shares.
+    """
+
+    kind = ""  # names the item in errors
+
+    def __init__(self, items: Sequence = ()):
+        self._items: list = []
         self._by_id: dict[str, int] = {}
-        for doc in documents:
-            self.add(doc)
+        self._tokens: dict[int, sp.csr_matrix] = {}
+        for item in items:
+            self.add(item)
 
-    def add(self, doc: Document) -> None:
-        if doc.id in self._by_id:
-            raise ValueError(f"duplicate document id {doc.id!r}")
-        self._by_id[doc.id] = len(self._docs)
-        self._docs.append(doc)
+    def add(self, item) -> None:
+        if item.id in self._by_id:
+            raise ValueError(f"duplicate {self.kind} id {item.id!r}")
+        self._by_id[item.id] = len(self._items)
+        self._items.append(item)
+        self._tokens.clear()
 
     def __len__(self) -> int:
-        return len(self._docs)
+        return len(self._items)
 
-    def __iter__(self) -> Iterator[Document]:
-        return iter(self._docs)
+    def __iter__(self) -> Iterator:
+        return iter(self._items)
+
+    @property
+    def texts(self) -> list[str]:
+        return [item.text for item in self._items]
+
+    def tokens(self, hash_dim: int) -> sp.csr_matrix:
+        """``prepare_tokens(self.texts, hash_dim)``, computed once."""
+        table = self._tokens.get(hash_dim)
+        if table is None:
+            table = prepare_tokens(self.texts, hash_dim)
+            for array in (table.data, table.indices, table.indptr):
+                array.flags.writeable = False
+            self._tokens[hash_dim] = table
+        return table
+
+
+class Corpus(_Collection):
+    """An ordered, id-indexed collection of documents."""
+
+    kind = "document"
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._by_id
 
     def __getitem__(self, doc_id: str) -> Document:
-        return self._docs[self._by_id[doc_id]]
+        return self._items[self._by_id[doc_id]]
 
     def index_of(self, doc_id: str) -> int:
         return self._by_id[doc_id]
 
     @property
     def ids(self) -> list[str]:
-        return [d.id for d in self._docs]
-
-    @property
-    def texts(self) -> list[str]:
-        return [d.text for d in self._docs]
+        return [d.id for d in self._items]
 
 
-class QuerySet:
+class QuerySet(_Collection):
     """An ordered, id-indexed collection of queries."""
 
-    def __init__(self, queries: Sequence[Query] = ()):
-        self._queries: list[Query] = []
-        self._by_id: dict[str, int] = {}
-        for q in queries:
-            self.add(q)
-
-    def add(self, query: Query) -> None:
-        if query.id in self._by_id:
-            raise ValueError(f"duplicate query id {query.id!r}")
-        self._by_id[query.id] = len(self._queries)
-        self._queries.append(query)
-
-    def __len__(self) -> int:
-        return len(self._queries)
-
-    def __iter__(self) -> Iterator[Query]:
-        return iter(self._queries)
+    kind = "query"
 
     def __getitem__(self, i: int) -> Query:
-        return self._queries[i]
-
-    @property
-    def texts(self) -> list[str]:
-        return [q.text for q in self._queries]
+        return self._items[i]
 
 
 # The split `mwlab train` and `ablate` use by default and `compare` always uses.
@@ -250,7 +262,7 @@ def save_queries(queries: QuerySet, path: str | Path) -> None:
 
 def score_matrix(queries: QuerySet, corpus: Corpus, scorer: Scorer) -> np.ndarray:
     """The scorer's n_queries x n_docs matrix, checked for shape."""
-    scores = np.asarray(scorer(queries.texts, corpus.texts), dtype=np.float64)
+    scores = np.asarray(scorer(queries, corpus), dtype=np.float64)
     if scores.shape != (len(queries), len(corpus)):
         raise ValueError(
             f"scorer returned shape {scores.shape}, "

@@ -8,11 +8,13 @@ share the same weights.
 
 A batch of texts is hashed once into its token table, a plain
 ``scipy.sparse.csr_matrix`` with one row per text; encoding takes that
-table or any row gather of it. A row whose pre-normalization vector has
-norm below ``NORM_FLOOR`` maps to a fixed fallback, the first standard
-basis vector, and receives zero gradient; the fallback is not trainable.
-A text with no tokens has an empty row, pools to exact zeros, and so
-always takes the fallback.
+table or any row gather of it. ``data.Corpus`` and ``data.QuerySet``
+cache their table per ``hash_dim`` and ``make_scorer`` encodes those, so
+scoring a collection again hashes nothing. A row whose pre-normalization
+vector has norm below ``NORM_FLOOR`` maps to a fixed fallback, the first
+standard basis vector, and receives zero gradient; the fallback is not
+trainable. A text with no tokens has an empty row, pools to exact zeros,
+and so always takes the fallback.
 """
 
 from __future__ import annotations
@@ -117,16 +119,32 @@ def fnv1a64(token: str) -> int:
     return h
 
 
+class _Buckets(dict):
+    """token -> bucket for one ``hash_dim``, each token hashed on first
+    sight. One map serves one ``prepare_tokens`` call and is then dropped."""
+
+    def __init__(self, hash_dim: int):
+        if hash_dim & (hash_dim - 1) != 0 or hash_dim < 1:
+            raise ValueError(f"hash_dim must be a power of two, got {hash_dim}")
+        self.mask = hash_dim - 1
+
+    def __missing__(self, token: str) -> int:
+        bucket = self[token] = fnv1a64(token) & self.mask
+        return bucket
+
+
+def _count_buckets(text: str, buckets: _Buckets) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for token in _TOKEN_RE.findall(text.lower()):
+        bucket = buckets[token]
+        counts[bucket] = counts.get(bucket, 0) + 1
+    return counts
+
+
 def tokenize_hash(text: str, hash_dim: int) -> dict[int, int]:
     """Lowercase, split on non-alphanumeric runs, hash each token into a
     bucket. Returns bucket -> occurrence count; empty text gives {}."""
-    if hash_dim & (hash_dim - 1) != 0 or hash_dim < 1:
-        raise ValueError(f"hash_dim must be a power of two, got {hash_dim}")
-    counts: dict[int, int] = {}
-    for token in _TOKEN_RE.findall(text.lower()):
-        bucket = fnv1a64(token) & (hash_dim - 1)
-        counts[bucket] = counts.get(bucket, 0) + 1
-    return counts
+    return _count_buckets(text, _Buckets(hash_dim))
 
 
 def prepare_tokens(texts: Sequence[str], hash_dim: int) -> sp.csr_matrix:
@@ -134,12 +152,14 @@ def prepare_tokens(texts: Sequence[str], hash_dim: int) -> sp.csr_matrix:
     n_texts x hash_dim CSR matrix of count / total per row, buckets
     ascending. A text without tokens is a row with no stored entry. Row
     ``i`` of the table, or of any row gather ``table[rows]``, is what
-    hashing text ``i`` alone gives."""
+    hashing text ``i`` alone gives. Each distinct token is hashed once
+    per call; the collections' ``tokens`` cache the table."""
+    buckets = _Buckets(hash_dim)
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
     for text in texts:
-        counts = tokenize_hash(text, hash_dim)
+        counts = _count_buckets(text, buckets)
         if counts:
             total = sum(counts.values())
             for bucket in sorted(counts):
@@ -232,10 +252,13 @@ def init_params(config: EncoderConfig) -> EncoderParams:
 
 
 def make_scorer(params: EncoderParams):
-    """Similarity scorer over raw texts: cosine of the two encodings."""
-    def scorer(query_texts: Sequence[str], doc_texts: Sequence[str]) -> np.ndarray:
-        q = encode_forward(params, query_texts).vectors
-        d = encode_forward(params, doc_texts).vectors
+    """Similarity scorer over a query set and a corpus: the cosine of the
+    two encodings of their cached token tables (``tokens(hash_dim)``)."""
+    hash_dim = params.config.hash_dim
+
+    def scorer(queries, corpus) -> np.ndarray:
+        q = encode_tokens(params, queries.tokens(hash_dim)).vectors
+        d = encode_tokens(params, corpus.tokens(hash_dim)).vectors
         return q @ d.T
     return scorer
 

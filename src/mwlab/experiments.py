@@ -59,7 +59,7 @@ def fixed_provider(corpus: Corpus, queries: QuerySet) -> DataProvider:
 
 
 def _evaluate_side(params, queries, corpus, settings) -> dict:
-    scores = make_scorer(params)(queries.texts, corpus.texts)
+    scores = make_scorer(params)(queries, corpus)
     pool, metrics = evaluate(scores, queries, corpus, top_k=settings.base_config.eval_top_k)
     return {
         "auc": metrics["auc"],

@@ -267,7 +267,7 @@ def evaluate(
     matrix: the pooled AUC protocol's pool, plus a dict of ``auc``,
     ``mrr10``, ``ndcg10``, ``precision10`` and ``recall1`` (the last four
     from the depth-10 ranked lists)."""
-    def fixed(query_texts: Sequence[str], doc_texts: Sequence[str]) -> np.ndarray:
+    def fixed(_queries: QuerySet, _corpus: Corpus) -> np.ndarray:
         return scores
 
     pool, auc_value = pooled_auc_protocol(queries, corpus, fixed, top_k=top_k)

@@ -8,15 +8,15 @@ retrieval metrics are computed; the parameters minimizing the evaluation
 loss are kept, and training stops after ``patience`` evaluations without
 improvement or when the epoch budget runs out.
 
-Each corpus, train-split and eval-split text is hashed once per run into
-a positional token table, the CSR matrix ``encoder.prepare_tokens``
-returns. ``data.sample_batch`` draws a batch as query-split and corpus
-positions, so a batch is a row gather of those tables, not a fresh
-tokenization. An evaluation encodes the eval split and the corpus once:
-each fixed eval batch takes its rows of those vectors, and their score
-matrix goes to ``metrics.evaluate``.
-Adam updates in place through scratch buffers and is bit-identical to its
-textbook formula.
+The corpus, train split and eval split each give their positional token
+table: the read-only CSR matrix ``tokens(hash_dim)`` caches on the
+collection, so a run hashes only what no earlier run or mining hashed.
+``data.sample_batch`` draws a batch as query-split and corpus positions,
+so a batch is a row gather of those tables, not a fresh tokenization. An
+evaluation encodes the eval split and the corpus once: each fixed eval
+batch takes its rows of those vectors, and their score matrix goes to
+``metrics.evaluate``. Adam updates in place through scratch buffers and
+is bit-identical to its textbook formula.
 
 Steps and Adam run on a sub-table: the rows R the corpus and train split
 hash to, in ascending order, zero-padded to a power of two. Every batch
@@ -24,7 +24,8 @@ draws from those two tables, so a row outside R (or a padding row) gets
 g = +0 at every step, keeps m = v = 0, and is a fixed point of dense
 Adam. The monotone slot map keeps each token row's nonzero order, so the
 sparse products sum the same doubles in the same order: the bits are the
-full table's, at Adam's cost for |R| rows.
+full table's, at Adam's cost for |R| rows. The remapped tables share the
+cached tables' read-only ``data`` and ``indptr``; nothing writes to them.
 
 Everything is a pure function of (config, data, seed): two runs with the
 same inputs produce bit-identical parameters, logs, and files.
@@ -258,8 +259,8 @@ def train(
 
     Before any other work, the fixed eval batches and the first training
     batch are drawn, so a split too small for (B, H) raises a
-    ``ValueError`` naming it. Each text is then hashed once: the corpus,
-    the train split and the eval split become positional token tables.
+    ``ValueError`` naming it. The corpus, the train split and the eval
+    split then give their cached positional token tables.
 
     Steps and Adam run on the sub-table of the module docstring. Every
     evaluation first writes it back into the full parameters, which
@@ -301,9 +302,9 @@ def train(
         return params, report
 
     hash_dim = encoder_config.hash_dim
-    corpus_tokens = enc.prepare_tokens(corpus.texts, hash_dim)
-    train_tokens = enc.prepare_tokens(train_queries.texts, hash_dim)
-    eval_tokens = enc.prepare_tokens(eval_queries.texts, hash_dim)
+    corpus_tokens = corpus.tokens(hash_dim)
+    train_tokens = train_queries.tokens(hash_dim)
+    eval_tokens = eval_queries.tokens(hash_dim)
     rows, sub, (sub_corpus, sub_train) = _sub_table(params, [corpus_tokens, train_tokens])
     state = OptimizerState.for_params(sub)
 
@@ -378,7 +379,7 @@ def ablation_sweep(
             for h in hard_negative_counts:
                 cfg = replace(base_config, base_lr=lr, B=b, H=h)
                 best, _ = train(cfg, train_queries, eval_queries, corpus, encoder_config)
-                scores = enc.make_scorer(best)(eval_queries.texts, corpus.texts)
+                scores = enc.make_scorer(best)(eval_queries, corpus)
                 _, metrics = evaluate(scores, eval_queries, corpus, top_k=base_config.eval_top_k)
                 rows.append({
                     "lr": lr,

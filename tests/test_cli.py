@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from mwlab import cli, encoder, experiments
+from mwlab import cli, data, encoder, experiments
 from mwlab.data import SplitSpec, load_corpus, load_queries, save_queries, split_queries
 from mwlab.experiments import synthetic_provider
 from mwlab.prng import derive_seed
@@ -154,7 +154,8 @@ def test_evaluate_hashes_queries_and_corpus_once(tmp_path, monkeypatch):
         calls.append(len(texts))
         return prepare(texts, hash_dim)
 
-    monkeypatch.setattr(encoder, "prepare_tokens", counting)
+    # collections hash their texts through the name data binds
+    monkeypatch.setattr(data, "prepare_tokens", counting)
     assert cli.main(["evaluate", "--corpus", corpus_path, "--queries", queries_path,
                      "--checkpoint", str(ckpt), "--out", str(tmp_path / "out"),
                      "--top-k", "10"]) == 0
@@ -360,6 +361,30 @@ def test_compare_on_files_writes_the_comparison(tmp_path):
     result = json.loads((out / "compare.json").read_text())
     assert [r["seed"] for r in result["per_seed"]] == [0]
     assert result["mean"]["auc_gain"] == result["per_seed"][0]["auc_gain"]
+
+
+def test_compare_hashes_the_corpus_once(tmp_path, monkeypatch):
+    # mining, both train runs and both test-split evaluations share the table
+    calls = []
+    prepare = encoder.prepare_tokens
+
+    def counting(texts, hash_dim):
+        calls.append(list(texts))
+        return prepare(texts, hash_dim)
+
+    monkeypatch.setattr(data, "prepare_tokens", counting)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "B": 4, "H": 2, "max_epochs": 1, "eval_every": 3, "warmup_steps": 2,
+        "eval_batches": 1, "hash_dim": 256, "embed_dim": 8, "proj_dim": 4,
+    }))
+    assert cli.main(["compare", "--synthetic", "--synth-queries", "60", "--synth-docs", "150",
+                     "--seeds", "0", "--mine-k", "5", "--top-k", "20", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 0
+    corpus, _ = synthetic_provider(SyntheticSpec(n_queries=60, n_docs=150))(0)
+    assert calls.count(corpus.texts) == 1
+    # the full query set (mined), then the train, eval and test splits
+    assert len(calls) == 5 and [len(c) for c in calls if c != corpus.texts] == [60, 48, 6, 6]
 
 
 @pytest.mark.parametrize("keep", ["--corpus", "--queries"])

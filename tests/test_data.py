@@ -1,7 +1,7 @@
 """Tests for corpus/query ingestion, mining, and batch sampling."""
 
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from mwlab.data import (
     split_queries,
     top_k_columns,
 )
-from mwlab.encoder import EncoderConfig, init_params, make_scorer
+from mwlab.encoder import EncoderConfig, init_params, make_scorer, prepare_tokens
 from mwlab.prng import Xoshiro256StarStar
 from mwlab.synthetic import SyntheticSpec, make_benchmark
 from util import naive_top_k
@@ -165,14 +165,72 @@ class TestLoadQueries:
         assert loaded[0].hard_negative_ids == ["d2", "d3"]
 
 
+TEXTS = ["alpha beta beta", "!!!", "gamma delta alpha", "Beta ALPHA epsilon"]
+
+
+def items(kind):
+    if kind == "corpus":
+        return [Document(f"d{i}", t) for i, t in enumerate(TEXTS)]
+    return [Query(f"q{i}", t, ["d0"]) for i, t in enumerate(TEXTS)]
+
+
+def collection(kind, n=len(TEXTS)):
+    return (Corpus if kind == "corpus" else QuerySet)(items(kind)[:n])
+
+
+def assert_same_table(a, b):
+    assert a.shape == b.shape
+    for attr in ("data", "indices", "indptr"):
+        x, y = getattr(a, attr), getattr(b, attr)
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("kind", ["corpus", "queries"])
+class TestTokenCache:
+    def test_equals_fresh_prepare_tokens(self, kind):
+        assert_same_table(collection(kind).tokens(64), prepare_tokens(TEXTS, 64))
+
+    def test_repeat_call_returns_the_same_table(self, kind):
+        c = collection(kind)
+        assert c.tokens(64) is c.tokens(64)
+
+    def test_each_hash_dim_has_its_own_table(self, kind):
+        c = collection(kind)
+        small, large = c.tokens(64), c.tokens(128)
+        assert small.shape == (4, 64) and large.shape == (4, 128)
+        assert c.tokens(64) is small
+        assert_same_table(large, prepare_tokens(TEXTS, 128))
+
+    def test_add_invalidates(self, kind):
+        c = collection(kind, 3)
+        before = c.tokens(64)
+        c.add(items(kind)[3])
+        after = c.tokens(64)
+        assert after is not before
+        assert_same_table(after, prepare_tokens(TEXTS, 64))
+
+    @pytest.mark.parametrize("attr", ["data", "indices", "indptr"])
+    def test_table_is_read_only(self, kind, attr):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(collection(kind).tokens(64), attr)[0] = 0
+
+
+def test_query_is_frozen():
+    q = Query("q", "old text", ["d0"])
+    with pytest.raises(FrozenInstanceError):
+        q.text = "new text"
+    assert replace(q, text="new text").text == "new text"
+
+
 class TestMining:
     def test_top_k_excludes_positives(self, small_corpus):
         # scores: d1=0.9 (positive), d2=0.8, d3=0.1, d4=0.5 -> top 2 are d2, d4
         table = {"d1": 0.9, "d2": 0.8, "d3": 0.1, "d4": 0.5}
 
-        def scorer(q_texts, d_texts):
-            row = [table[d.id] for d in small_corpus]
-            return np.array([row] * len(q_texts))
+        def scorer(queries, corpus):
+            row = [table[d.id] for d in corpus]
+            return np.array([row] * len(queries))
 
         queries = QuerySet([Query("q1", "x", ["d1"])])
         mined = mine_hard_negatives(queries, small_corpus, scorer, k=2)
@@ -183,12 +241,12 @@ class TestMining:
     def test_k_zero_rejected(self, small_corpus):
         queries = QuerySet([Query("q1", "x", ["d1"])])
         with pytest.raises(ValueError, match="k must be >= 1"):
-            mine_hard_negatives(queries, small_corpus, lambda q, d: np.zeros((1, 4)), k=0)
+            mine_hard_negatives(queries, small_corpus, lambda qs, c: np.zeros((1, 4)), k=0)
 
     def test_tie_broken_by_ascending_id(self):
         corpus = Corpus([Document("b", "t"), Document("a", "t"), Document("pos", "t")])
 
-        def scorer(q_texts, d_texts):
+        def scorer(queries, corpus):
             return np.array([[0.5, 0.5, 0.9]])
 
         queries = QuerySet([Query("q1", "x", ["pos"])])
@@ -196,8 +254,8 @@ class TestMining:
         assert mined[0].hard_negative_ids == ["a"]
 
     def test_short_corpus_returns_all_available(self, small_corpus, caplog):
-        def scorer(q_texts, d_texts):
-            return np.ones((1, len(small_corpus)))
+        def scorer(queries, corpus):
+            return np.ones((len(queries), len(corpus)))
 
         queries = QuerySet([Query("q1", "x", ["d1"])])
         with caplog.at_level("WARNING"):
@@ -211,7 +269,7 @@ class TestMining:
         queries = QuerySet([Query(f"q{j}", "x", [f"d{j:03d}"]) for j in range(10)])
         scores = rng.uniform(-1, 1, size=(10, 60)).round(2)  # rounding forces ties
 
-        def scorer(q_texts, d_texts):
+        def scorer(queries, corpus):
             return scores
 
         mined = mine_hard_negatives(queries, corpus, scorer, k=7)
@@ -227,7 +285,7 @@ class TestScoreMatrix:
     def test_wrong_shape_rejected(self, small_corpus):
         queries = QuerySet([Query("q1", "x", ["d1"])])
         with pytest.raises(ValueError, match="scorer returned shape"):
-            score_matrix(queries, small_corpus, lambda q, d: np.zeros((1, 3)))
+            score_matrix(queries, small_corpus, lambda qs, c: np.zeros((1, 3)))
 
 
 class TestTopKColumns:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mwlab.data import Corpus, Document, Query, QuerySet
 from mwlab.encoder import (
     NORM_FLOOR,
     EncoderConfig,
@@ -273,6 +274,8 @@ class TestCheckpoint:
     def test_scorer_from_params(self):
         params = init_params(SMALL)
         scorer = make_scorer(params)
-        scores = scorer(["hello world"], ["hello world", "other text"])
+        queries = QuerySet([Query("q", "hello world", ["a"])])
+        corpus = Corpus([Document("a", "hello world"), Document("b", "other text")])
+        scores = scorer(queries, corpus)
         assert scores.shape == (1, 2)
         assert scores[0, 0] == pytest.approx(1.0, abs=1e-9)

@@ -160,8 +160,8 @@ class TestRocCurve:
 
 class TestPooledProtocol:
     def scorer_from_table(self, table, corpus):
-        def scorer(q_texts, d_texts):
-            return np.array([[table[q][d.id] for d in corpus] for q in q_texts])
+        def scorer(queries, corpus):
+            return np.array([[table[q.id][d.id] for d in corpus] for q in queries])
         return scorer
 
     def test_single_query_top_k(self):
@@ -204,7 +204,7 @@ class TestPooledProtocol:
         corpus = Corpus([Document("d0", "t")])
         queries = QuerySet([Query("q", "q", ["d0"])])
         with pytest.raises(ValueError, match="non-positive"):
-            pooled_auc_protocol(queries, corpus, lambda q, d: np.ones((1, 1)), top_k=5)
+            pooled_auc_protocol(queries, corpus, lambda qs, c: np.ones((1, 1)), top_k=5)
 
 
 class TestEvaluate:
@@ -217,7 +217,7 @@ class TestEvaluate:
             for i in range(8)
         ])
         scores = rng.integers(0, 5, size=(8, 30)) / 4.0  # ties within and across rows
-        scorer = lambda q, d: scores  # noqa: E731
+        scorer = lambda qs, c: scores  # noqa: E731
         pool, metrics = evaluate(scores, queries, corpus, top_k=6)
 
         ref_pool, ref_auc = pooled_auc_protocol(queries, corpus, scorer, top_k=6)
@@ -271,7 +271,7 @@ class TestRankedMetrics:
         corpus = Corpus([Document(d, d) for d in ["b", "a", "c"]])
         queries = QuerySet([Query("q", "q", ["c"])])
 
-        def scorer(q_texts, d_texts):
+        def scorer(queries, corpus):
             return np.array([[0.5, 0.5, 0.1]])
 
         lists = ranked_lists(queries, corpus, scorer, depth=3)
