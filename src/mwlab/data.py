@@ -9,6 +9,7 @@ is optional before mining. Mining rewrites the query file with the
 A ``Corpus`` or ``QuerySet`` hashes its texts once per ``hash_dim``
 (``tokens``) and keeps that table until it grows, so mining, every
 training run and every evaluation of one collection share one table.
+Mined and split query sets inherit their parent's rows of those tables.
 A training batch is its rows: ``sample_batch`` returns positions in the
 query set and the corpus, which index those tables directly.
 """
@@ -94,6 +95,12 @@ class Query:
             )
 
 
+def _read_only(table: sp.csr_matrix) -> sp.csr_matrix:
+    for array in (table.data, table.indices, table.indptr):
+        array.flags.writeable = False
+    return table
+
+
 class _Collection:
     """An ordered, id-indexed list of items with an ``id`` and a ``text``.
 
@@ -132,11 +139,18 @@ class _Collection:
         """``prepare_tokens(self.texts, hash_dim)``, computed once."""
         table = self._tokens.get(hash_dim)
         if table is None:
-            table = prepare_tokens(self.texts, hash_dim)
-            for array in (table.data, table.indices, table.indptr):
-                array.flags.writeable = False
-            self._tokens[hash_dim] = table
+            table = self._tokens[hash_dim] = _read_only(prepare_tokens(self.texts, hash_dim))
         return table
+
+    def _take(self, rows: Sequence[int]):
+        """The items at ``rows`` as a new collection that inherits those rows
+        of each cached table, wrapped as ``prepare_tokens`` wraps its own."""
+        taken = type(self)([self._items[i] for i in rows])
+        for hash_dim, table in self._tokens.items():
+            sub = table[np.asarray(rows, dtype=np.intp)]
+            taken._tokens[hash_dim] = _read_only(sp.csr_matrix(
+                (sub.data, sub.indices.astype(np.int64), sub.indptr.astype(np.int64)), sub.shape))
+        return taken
 
 
 class Corpus(_Collection):
@@ -321,7 +335,9 @@ def mine_hard_negatives(
                 q.id, len(chosen), k,
             )
         mined.append(replace(q, hard_negative_ids=[doc_ids[j] for j in chosen]))
-    return QuerySet(mined)
+    result = QuerySet(mined)
+    result._tokens.update(queries._tokens)  # the same texts in the same order
+    return result
 
 
 def sample_batch(
@@ -374,7 +390,5 @@ def split_queries(
     n_eval = int(round(n * spec.eval_fraction))
     n_train = min(n_train, n)
     n_eval = min(n_eval, n - n_train)
-    train = QuerySet([queries[i] for i in order[:n_train]])
-    eval_ = QuerySet([queries[i] for i in order[n_train:n_train + n_eval]])
-    test = QuerySet([queries[i] for i in order[n_train + n_eval:]])
-    return train, eval_, test
+    return (queries._take(order[:n_train]), queries._take(order[n_train:n_train + n_eval]),
+            queries._take(order[n_train + n_eval:]))

@@ -46,11 +46,13 @@ _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 def check_field_types(config) -> None:
     """Raise ValueError naming the first field of a config dataclass whose
     value does not fit its annotation: an ``int`` field takes an int, a
-    ``float`` field an int or a float, a ``str`` field a str, none a bool."""
+    ``float`` field an int or a finite float, a ``str`` a str, none a bool."""
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
             raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ The central object is a ScorePool: the scores a model assigned to
 relevant (positive) and irrelevant (negative) passages, pooled across
 queries. The Mann-Whitney U statistic counts correctly ordered
 positive-negative pairs (ties at half weight), U / (n_pos * n_neg) is
-the area under the ROC curve, and 1 - AUC is the area over it.
+the area under the ROC curve, and 1 - AUC is the area over it. A pool
+sorts its sides once; U, strict AoC, the ROC curve and the histogram all
+read that one sort.
 
 Tie conventions: U and AUC give ties half weight, the standard
 Mann-Whitney treatment. ``strict_aoc`` counts only strict inversions
@@ -22,6 +24,7 @@ CLI all evaluate through it, so each scores a query set only once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -29,21 +32,26 @@ import numpy as np
 from .data import Corpus, QuerySet, Scorer, score_matrix, top_k_columns
 
 
-@dataclass
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+@dataclass(frozen=True)
 class ScorePool:
-    """Pooled positive and negative scores. Sides may be empty while a
-    pool is being accumulated; the rank statistics require both."""
+    """Pooled positive and negative scores. A side may be empty; the rank
+    statistics require both. The pool keeps a read-only copy of each side
+    and sorts both once, on first use (``sorted_sides``, also read-only)."""
 
     positives: np.ndarray
     negatives: np.ndarray
 
     def __post_init__(self):
-        self.positives = np.asarray(self.positives, dtype=np.float64).ravel()
-        self.negatives = np.asarray(self.negatives, dtype=np.float64).ravel()
-        if len(self.positives) and not np.isfinite(self.positives).all():
-            raise ValueError("positive scores must be finite")
-        if len(self.negatives) and not np.isfinite(self.negatives).all():
-            raise ValueError("negative scores must be finite")
+        for side in ("positives", "negatives"):
+            values = np.array(getattr(self, side), dtype=np.float64).ravel()
+            if len(values) and not np.isfinite(values).all():
+                raise ValueError(f"{side[:-1]} scores must be finite")
+            object.__setattr__(self, side, _read_only(values))
 
     @property
     def n_pos(self) -> int:
@@ -52,6 +60,10 @@ class ScorePool:
     @property
     def n_neg(self) -> int:
         return len(self.negatives)
+
+    @cached_property
+    def sorted_sides(self) -> tuple[np.ndarray, np.ndarray]:
+        return _read_only(np.sort(self.positives)), _read_only(np.sort(self.negatives))
 
 
 def _require_both_sides(pool: ScorePool, op: str) -> None:
@@ -65,17 +77,16 @@ def _require_both_sides(pool: ScorePool, op: str) -> None:
 def mann_whitney_u(pool: ScorePool) -> float:
     """U = #(s+ > s-) + 0.5 * #(s+ = s-) over all positive-negative pairs.
 
-    Computed in O((n_pos + n_neg) log(n_pos + n_neg)) from midranks:
-    U = sum of positive midranks - n_pos (n_pos + 1) / 2. Midrank sums
-    stay below 2^53, so the result is exact.
+    Computed from midranks: U = sum of positive midranks - n_pos (n_pos + 1)
+    / 2, each placed in the union by binary searches in the two sorted
+    sides. Midrank sums stay below 2^53, so the result is exact.
     """
     _require_both_sides(pool, "mann_whitney_u")
-    scores = np.concatenate([pool.positives, pool.negatives])
-    scores.sort()
-    # a positive's tie group fills sorted positions lo..hi-1, so its
+    pos, neg = pool.sorted_sides
+    # a positive's tie group fills union positions lo..hi-1, so its
     # midrank is the mean 1-based rank 0.5 * (lo + hi - 1) + 1
-    lo = np.searchsorted(scores, pool.positives, side="left")
-    hi = np.searchsorted(scores, pool.positives, side="right")
+    lo = np.searchsorted(pos, pos, side="left") + np.searchsorted(neg, pos, side="left")
+    hi = np.searchsorted(pos, pos, side="right") + np.searchsorted(neg, pos, side="right")
     n_pos = pool.n_pos
     rank_sum = float((0.5 * (lo + hi - 1) + 1.0).sum())
     return rank_sum - n_pos * (n_pos + 1) / 2.0
@@ -90,9 +101,8 @@ def auc(pool: ScorePool) -> float:
 def strict_aoc(pool: ScorePool) -> float:
     """Fraction of pairs strictly misordered (s+ < s-); ties count zero."""
     _require_both_sides(pool, "strict_aoc")
-    neg_sorted = np.sort(pool.negatives)
     # for each positive, number of negatives strictly above it
-    above = pool.n_neg - np.searchsorted(neg_sorted, pool.positives, side="right")
+    above = pool.n_neg - np.searchsorted(pool.sorted_sides[1], pool.positives, side="right")
     return float(above.sum()) / (pool.n_pos * pool.n_neg)
 
 
@@ -113,19 +123,24 @@ class ROCCurve:
 def roc_curve(pool: ScorePool) -> ROCCurve:
     """Sweep thresholds over the distinct scores, descending. Tied scores
     advance both rates jointly, producing a diagonal segment, so the
-    trapezoidal area equals ``auc`` including its half-weight ties."""
+    trapezoidal area equals ``auc`` including its half-weight ties. One
+    merge of the sorted sides gives every point (Fawcett 2006, Alg. 1): the
+    integer counts below the start of each tie group of the merged scores."""
     _require_both_sides(pool, "roc_curve")
-    thresholds = np.unique(np.concatenate([pool.positives, pool.negatives]))[::-1]
-    pos_sorted = np.sort(pool.positives)
-    neg_sorted = np.sort(pool.negatives)
+    pos, neg = pool.sorted_sides
     n_pos, n_neg = pool.n_pos, pool.n_neg
-    # counts of scores >= threshold
-    tp = n_pos - np.searchsorted(pos_sorted, thresholds, side="left")
-    fp = n_neg - np.searchsorted(neg_sorted, thresholds, side="left")
-    points = np.empty((len(thresholds) + 1, 2))
+    at = np.searchsorted(neg, pos) + np.arange(n_pos)  # the positives' places in the merge
+    is_pos = np.zeros(n_pos + n_neg, dtype=bool)
+    is_pos[at] = True
+    merged = np.empty(n_pos + n_neg)
+    merged[at], merged[~is_pos] = pos, neg
+    starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))[::-1]
+    pos_below = np.concatenate(([0], np.cumsum(is_pos)))[starts]
+    points = np.empty((len(starts) + 1, 2))
     points[0] = (0.0, 0.0)
-    points[1:, 0] = fp / n_neg
-    points[1:, 1] = tp / n_pos
+    # counts of scores >= each threshold
+    points[1:, 0] = (n_neg - (starts - pos_below)) / n_neg
+    points[1:, 1] = (n_pos - pos_below) / n_pos
     return ROCCurve(points=points)
 
 
@@ -159,8 +174,8 @@ def pooled_auc_protocol(
         neg_scores = np.delete(scores[i], pos_idx)
         k = min(top_k, len(neg_scores))
         if k < len(neg_scores):
-            neg_scores = np.partition(neg_scores, len(neg_scores) - k)[-k:]
-        neg_parts.append(neg_scores)
+            neg_scores.partition(len(neg_scores) - k)  # in place: np.delete made a copy
+        neg_parts.append(neg_scores[len(neg_scores) - k:])
     pool = ScorePool(np.concatenate(pos_parts), np.concatenate(neg_parts))
     return pool, auc(pool)
 
@@ -311,22 +326,14 @@ def histogram(pool: ScorePool, bins: int) -> Histogram:
         raise ValueError(f"bins must be >= 1, got {bins}")
     if pool.n_pos == 0 and pool.n_neg == 0:
         raise ValueError("histogram needs a non-empty pool")
-    union = np.concatenate([pool.positives, pool.negatives])
-    lo, hi = float(union.min()), float(union.max())
+    ends = [side[[0, -1]] for side in pool.sorted_sides if len(side)]
+    lo, hi = float(np.min(ends)), float(np.max(ends))
     edges = np.linspace(lo, hi, bins + 1)
     width = (hi - lo) / bins
 
     def side_counts(values: np.ndarray) -> np.ndarray:
-        counts = np.zeros(bins, dtype=np.int64)
-        if len(values) == 0:
-            return counts
-        if width == 0.0:
-            counts[0] = len(values)
-            return counts
-        idx = np.floor((values - lo) / width).astype(np.int64)
-        np.clip(idx, 0, bins - 1, out=idx)
-        np.add.at(counts, idx, 1)
-        return counts
+        idx = np.floor((values - lo) / width) if width else np.zeros(len(values))
+        return np.bincount(np.clip(idx.astype(np.int64), 0, bins - 1), minlength=bins)
 
     return Histogram(
         edges=edges,

@@ -220,10 +220,12 @@ def gaussian_degradation_demo(
     misordered fraction drifts to ~0.5 as sigma grows: cross-query pairs
     are then ordered by the offsets alone.
     """
+    if not np.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if not pools:
         raise ValueError("no per-query pools given")
     offsets = rng.normals(len(pools), sigma)
@@ -249,8 +251,8 @@ def mw_bound_check(pool: ScorePool, tau: float) -> tuple[float, float, bool]:
     The pairs go through ``mw_loss``'s blocked kernel, so memory stays
     O(MW_BLOCK_PAIRS) however large the pool.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if pool.n_pos == 0 or pool.n_neg == 0:
         raise ValueError("bound check needs scores on both sides")
     aoc = strict_aoc(pool)

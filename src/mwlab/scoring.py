@@ -29,8 +29,8 @@ class ScoreBatch:
     tau: float
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"temperature must be positive, got {self.tau}")
+        if not 0 < self.tau < np.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.tau}")
         b, m = self.sim.shape
         if m < b:
             raise ValueError(f"sim needs at least B={b} columns, got {m}")

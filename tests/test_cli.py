@@ -331,6 +331,27 @@ def test_lemma1_demo_with_a_negative_sigma_writes_no_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("extra, message", [
+    (["--sigma", "nan"], "sigma must be finite, got nan"),
+    (["--sigma", "1", "--tau", "inf"], "tau must be positive and finite, got inf"),
+])
+def test_lemma1_demo_with_a_non_finite_setting_exits_2(tmp_path, capsys, extra, message):
+    out = tmp_path / "demo.csv"
+    assert cli.main(["lemma1-demo", "--synthetic", "--n-queries", "20", *extra,
+                     "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_lemma2_check_with_a_non_finite_tau_exits_2(capsys, tau):
+    # a NaN tau used to report every trial as a bound violation, exit 1
+    assert cli.main(["lemma2-check", "--trials", "2", "--tau", tau]) == 2
+    captured = capsys.readouterr()
+    assert f"tau must be positive and finite, got {tau}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("extra, message", [
     (["--trials", "0"], "--trials must be >= 1, got 0"),
     (["--trials", "-3"], "--trials must be >= 1, got -3"),
     (["--max-side", "0"], "--max-side must be >= 1, got 0"),
@@ -364,7 +385,8 @@ def test_compare_on_files_writes_the_comparison(tmp_path):
 
 
 def test_compare_hashes_the_corpus_once(tmp_path, monkeypatch):
-    # mining, both train runs and both test-split evaluations share the table
+    # mining, both train runs and both test-split evaluations share the
+    # corpus table; the mined set and its splits inherit the queries' rows
     calls = []
     prepare = encoder.prepare_tokens
 
@@ -383,8 +405,7 @@ def test_compare_hashes_the_corpus_once(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "out")]) == 0
     corpus, _ = synthetic_provider(SyntheticSpec(n_queries=60, n_docs=150))(0)
     assert calls.count(corpus.texts) == 1
-    # the full query set (mined), then the train, eval and test splits
-    assert len(calls) == 5 and [len(c) for c in calls if c != corpus.texts] == [60, 48, 6, 6]
+    assert len(calls) == 2 and [len(c) for c in calls if c != corpus.texts] == [60]
 
 
 @pytest.mark.parametrize("keep", ["--corpus", "--queries"])
@@ -432,6 +453,19 @@ def test_compare_with_out_of_range_setting_exits_2(tmp_path, monkeypatch, capsys
     assert cli.main(["compare", *compare_inputs(tmp_path), "--seeds", "0", "--out", str(out),
                      *extra]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_compare_with_a_non_finite_config_value_exits_2(tmp_path, monkeypatch, capsys, value):
+    refuse_training(monkeypatch)
+    monkeypatch.setattr(cli, "run_comparison", lambda *args: pytest.fail("compare ran"))
+    args = compare_inputs(tmp_path)
+    config = tmp_path / "config.json"  # the one compare_inputs wrote
+    config.write_text(config.read_text()[:-1] + f', "tau": {value}}}')
+    out = tmp_path / "out"
+    assert cli.main(["compare", *args, "--seeds", "0", "--out", str(out)]) == 2
+    assert f"tau must be finite, got {float(value)!r}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,6 +6,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from mwlab import data
 from mwlab.data import (
     Corpus,
     Document,
@@ -214,6 +215,57 @@ class TestTokenCache:
     def test_table_is_read_only(self, kind, attr):
         with pytest.raises(ValueError, match="read-only"):
             getattr(collection(kind).tokens(64), attr)[0] = 0
+
+
+def children(how, queries):
+    """The query sets derived from ``queries``: its three splits, or its
+    mined set (a constant scorer, so mining itself hashes nothing)."""
+    if how == "split":
+        return list(split_queries(queries, SplitSpec(0.5, 0.25, seed=3)))
+    corpus = Corpus([Document(f"d{i}", f"doc {i}") for i in range(6)])
+    return [mine_hard_negatives(queries, corpus, lambda qs, c: np.zeros((len(qs), len(c))), k=2)]
+
+
+@pytest.fixture
+def hashed_texts(monkeypatch):
+    """Every text list collections hash, in call order."""
+    calls = []
+    prepare = data.prepare_tokens
+
+    def counting(texts, hash_dim):
+        calls.append(list(texts))
+        return prepare(texts, hash_dim)
+
+    monkeypatch.setattr(data, "prepare_tokens", counting)
+    return calls
+
+
+@pytest.mark.parametrize("how", ["split", "mine"])
+class TestDerivedTokenCache:
+    def test_child_inherits_its_parents_rows(self, how, hashed_texts):
+        parent = collection("queries")
+        parent.tokens(64)
+        for child in children(how, parent):
+            table = child.tokens(64)
+            assert_same_table(table, prepare_tokens(child.texts, 64))
+            for attr in ("data", "indices", "indptr"):
+                assert not getattr(table, attr).flags.writeable
+        assert hashed_texts == [TEXTS]
+
+    def test_child_of_an_unhashed_parent_hashes_lazily(self, how, hashed_texts):
+        parent = collection("queries")
+        parent.tokens(128)  # another hash_dim is no help at 64
+        kids = children(how, parent)
+        assert hashed_texts == [TEXTS]
+        for child in kids:
+            assert_same_table(child.tokens(64), prepare_tokens(child.texts, 64))
+        assert hashed_texts == [TEXTS] + [child.texts for child in kids]
+
+
+def test_mined_set_shares_its_parents_table():
+    parent = collection("queries")
+    table = parent.tokens(64)
+    assert children("mine", parent)[0].tokens(64) is table
 
 
 def test_query_is_frozen():

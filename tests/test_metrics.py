@@ -2,10 +2,14 @@
 
 Brute-force pair loops are the oracle for the U statistic and AUC; the
 ROC trapezoid and the midrank fast path must agree with them exactly.
+The statistics that read a pool's cached sort are checked against naive
+oracles that sort the pool themselves, on tie-heavy generated pools.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwlab.data import Corpus, Document, Query, QuerySet
 from mwlab.metrics import (
@@ -24,7 +28,66 @@ from mwlab.metrics import (
     roc_curve,
     strict_aoc,
 )
-from util import brute_force_strict_aoc, brute_force_u, naive_mann_whitney_u
+from util import (
+    brute_force_strict_aoc,
+    brute_force_u,
+    naive_histogram_counts,
+    naive_mann_whitney_u,
+    naive_roc_curve,
+)
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+@st.composite
+def tie_heavy_pools(draw):
+    """Pools drawn from a few score levels (one level makes every score
+    equal), sometimes mixed with free values; sides may hold one score."""
+    levels = st.sampled_from(draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4)))
+    score = st.one_of(levels, st.floats(-2.0, 2.0)) if draw(st.booleans()) else levels
+    side = st.lists(score, min_size=1, max_size=30)
+    return ScorePool(draw(side), draw(side))
+
+
+class TestCachedSort:
+    @PROPERTY
+    @given(tie_heavy_pools(), st.integers(1, 9))
+    def test_statistics_match_the_naive_oracles(self, pool, bins):
+        np.testing.assert_array_equal(roc_curve(pool).points, naive_roc_curve(pool))
+        assert mann_whitney_u(pool) == naive_mann_whitney_u(pool)
+        assert strict_aoc(pool) == brute_force_strict_aoc(pool.positives, pool.negatives)
+        union = np.concatenate([pool.positives, pool.negatives])
+        lo, hi = float(union.min()), float(union.max())
+        hist = histogram(pool, bins)
+        assert hist.pos_counts.tolist() == naive_histogram_counts(pool.positives, lo, hi, bins)
+        assert hist.neg_counts.tolist() == naive_histogram_counts(pool.negatives, lo, hi, bins)
+
+    def test_sides_and_their_sorts_are_read_only(self):
+        pool = ScorePool([0.3, 0.1], [0.2, 0.0, 0.4])
+        for side in (pool.positives, pool.negatives, *pool.sorted_sides):
+            with pytest.raises(ValueError, match="read-only"):
+                side[0] = 1.0
+
+    def test_sort_is_computed_once(self):
+        pool = ScorePool([0.3, 0.1], [0.2, 0.0, 0.4])
+        first = pool.sorted_sides
+        auc(pool), strict_aoc(pool), roc_curve(pool), histogram(pool, 3)
+        assert pool.sorted_sides is first
+        np.testing.assert_array_equal(first[0], [0.1, 0.3])
+        np.testing.assert_array_equal(first[1], [0.0, 0.2, 0.4])
+
+    def test_pool_keeps_its_own_copy(self):
+        negatives = np.array([0.2, 0.0, 0.4])
+        pool = ScorePool([0.3], negatives)
+        negatives[0] = 9.0
+        np.testing.assert_array_equal(pool.negatives, [0.2, 0.0, 0.4])
+        assert strict_aoc(pool) == 1 / 3
+
+    @pytest.mark.parametrize("positives, negatives", [([], [1.0, 0.0]), ([1.0, 0.0], [])])
+    def test_histogram_with_an_empty_side(self, positives, negatives):
+        hist = histogram(ScorePool(positives, negatives), bins=2)
+        np.testing.assert_array_equal(hist.edges, [0.0, 0.5, 1.0])
+        assert sorted([hist.pos_counts.tolist(), hist.neg_counts.tolist()]) == [[0, 0], [1, 1]]
 
 
 class TestMannWhitneyU:

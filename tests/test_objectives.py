@@ -308,6 +308,17 @@ class TestGaussianDegradation:
         assert afters[-1] > afters[1]
 
 
+    @pytest.mark.parametrize("sigma, tau, message", [
+        (np.nan, 1.0, "sigma must be finite, got nan"),
+        (np.inf, 1.0, "sigma must be finite, got inf"),
+        (1.0, np.nan, "tau must be positive and finite, got nan"),
+        (1.0, np.inf, "tau must be positive and finite, got inf"),
+    ])
+    def test_non_finite_setting_rejected(self, sigma, tau, message):
+        with pytest.raises(ValueError, match=message):
+            gaussian_degradation_demo(self.make_pools(3), sigma, Xoshiro256StarStar(1), tau=tau)
+
+
 class TestMwBound:
     def test_separated_pair(self):
         aoc, mw, holds = mw_bound_check(ScorePool([1.0], [0.0]), tau=1.0)
@@ -342,6 +353,11 @@ class TestMwBound:
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError):
             mw_bound_check(ScorePool([1.0], []), tau=1.0)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            mw_bound_check(ScorePool([1.0], [0.0]), tau)
 
     @pytest.mark.parametrize("n_pos, n_neg", [
         (3, objectives.MW_BLOCK_PAIRS + 7),  # each row longer than a block

@@ -56,6 +56,11 @@ class TestScoreBatch:
         with pytest.raises(ValueError, match="temperature"):
             score_batch(eye, eye, tau=0.0)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_non_finite_temperature_rejected(self, tau):
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            ScoreBatch(sim=np.eye(2), tau=tau)
+
     def test_column_count_must_fit_batch(self):
         with pytest.raises(ValueError, match="not B"):
             ScoreBatch(sim=np.zeros((2, 5)), tau=1.0)

@@ -359,3 +359,10 @@ class TestAdam:
         with pytest.raises(TrainingDiverged, match="optimizer step 2"):
             adam_step(params, grads, state, 1e-3)
         assert snapshot(params, state) == before
+
+
+@pytest.mark.parametrize("name", ["tau", "base_lr"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_rejects_a_non_finite_float(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value!r}"):
+        TrainConfig(**{name: float(value)})

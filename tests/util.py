@@ -7,6 +7,8 @@ library's fast paths.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from mwlab.scoring import ScoreBatch
@@ -41,6 +43,28 @@ def naive_mann_whitney_u(pool) -> float:
         i = j + 1
     n_pos = pool.n_pos
     return float(ranks[:n_pos].sum()) - n_pos * (n_pos + 1) / 2.0
+
+
+def naive_roc_curve(pool) -> np.ndarray:
+    """ROC points from the distinct scores of the union, descending, with
+    each side's count at or above every threshold found by binary search."""
+    thresholds = np.unique(np.concatenate([pool.positives, pool.negatives]))[::-1]
+    tp = pool.n_pos - np.searchsorted(np.sort(pool.positives), thresholds, side="left")
+    fp = pool.n_neg - np.searchsorted(np.sort(pool.negatives), thresholds, side="left")
+    points = np.zeros((len(thresholds) + 1, 2))
+    points[1:, 0] = fp / pool.n_neg
+    points[1:, 1] = tp / pool.n_pos
+    return points
+
+
+def naive_histogram_counts(values, lo, hi, bins) -> list[int]:
+    """Per-bin counts of equal-width bins over [lo, hi], one value at a
+    time; the last bin is closed, and a zero width uses the first bin."""
+    counts = [0] * bins
+    width = (hi - lo) / bins
+    for v in values:
+        counts[min(math.floor((v - lo) / width), bins - 1) if width else 0] += 1
+    return counts
 
 
 def brute_force_strict_aoc(positives, negatives) -> float:
