@@ -50,8 +50,6 @@ from .metrics import (
 )
 from .objectives import (
     LossOutput,
-    OffsetAssignment,
-    apply_offsets,
     cl_loss,
     gaussian_degradation_demo,
     mw_bound_check,
@@ -71,7 +69,7 @@ __all__ = [
     "encode_backward", "init_params", "make_scorer", "save_checkpoint",
     "load_checkpoint", "tokenize_hash",
     "ScoreBatch", "score_batch", "comparison_counts", "backprop_scores",
-    "LossOutput", "OffsetAssignment", "cl_loss", "mw_loss", "apply_offsets",
+    "LossOutput", "cl_loss", "mw_loss",
     "gaussian_degradation_demo", "mw_bound_check",
     "ScorePool", "ROCCurve", "RankedList", "Histogram", "mann_whitney_u",
     "auc", "strict_aoc", "roc_curve", "pooled_auc_protocol", "mrr_at_k",

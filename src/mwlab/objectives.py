@@ -17,14 +17,16 @@ Both losses divide scores by the temperature tau and are computed with
 max-subtracted log-sum-exp / stable softplus, which matters at the
 default tau = 0.01 where raw exponentials overflow.
 
-``mw_loss`` never holds the B x B(HB+B-1) pair matrix. It streams over
-blocks of whole positive rows, about ``MW_BLOCK_PAIRS`` pairs each (one
-row when a row is longer), so its working memory is O(max(block, row)).
-Each pair costs one exp. The gradient is bit-identical to the unfused
-formula (full-matrix sigmoid, row sums, then column sums added row by
-row). The value is the sum of the B per-row softplus sums, so it matches
-the unfused full-matrix sum to rounding and no bit of it depends on the
-block size.
+``mw_loss`` never holds the B x B(HB+B-1) pair matrix. It streams column
+tiles at most ``MW_TILE_COLS`` wide, in blocks of about ``MW_BLOCK_PAIRS``
+pairs, through four scratch buffers that stay in L2: memory is
+O(MW_BLOCK_PAIRS + B + |S^-|) however wide a row is, and each pair costs
+one exp. numpy sums a run of m > 128 as its first m//2 - (m//2) % 8
+elements plus the rest; each tile is a node of that tree and a wider
+node's row sums are its children's added, so every row sum has the bits
+of a full-row ``sum``. Column sums add rows in row order. So ``d_sim`` is
+bit-identical to the unfused formula, the value (the sum of the per-row
+softplus sums) matches it to rounding, and no bit depends on the tiling.
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ from .prng import Xoshiro256StarStar
 from .scoring import ScoreBatch
 
 LOG2 = float(np.log(2.0))
-# pairs per mw_loss block: 2^16 float64s, 512 KB per temporary
-MW_BLOCK_PAIRS = 1 << 16
+# pairs per mw_loss block: 2^15 float64s, 256 KB per scratch buffer
+MW_BLOCK_PAIRS = 1 << 15
+# widest column tile of mw_loss's pair pass
+MW_TILE_COLS = 4096
 
 
 @dataclass
@@ -95,16 +99,34 @@ def _mw_pair_sums(
     Both use e = exp(-|x|): softplus = max(x, 0) + log1p(e), sigmoid =
     (1 if x >= 0 else e) / (1 + e), the stable forms' exact operations.
     """
-    b, n = len(pos), len(neg)
-    rows = max(1, MW_BLOCK_PAIRS // n)
-    x, e, t, u = (np.empty((min(rows, b), n)) for _ in range(4))
-    softplus_rows = np.empty(b)
-    sigmoid_rows = np.empty(b)
-    sigmoid_cols = np.zeros(n)
+    width = min(len(neg), max(MW_TILE_COLS, 128))
+    size = min(len(pos) * width, max(MW_BLOCK_PAIRS, width))
+    buffers = [np.empty(size) for _ in range(4)]
+    sigmoid_cols = np.zeros(len(neg))
+    return (*_mw_node(pos, neg, tau, 0, len(neg), buffers, sigmoid_cols), sigmoid_cols)
+
+
+def _mw_node(pos, neg, tau, lo, hi, buffers, sigmoid_cols):
+    """Row sums over columns [lo, hi), a node of numpy's pairwise-sum tree."""
+    m = hi - lo
+    if m <= max(MW_TILE_COLS, 128):  # numpy never splits a run of <= 128
+        return _mw_tile(pos, neg, tau, lo, hi, buffers, sigmoid_cols)
+    mid = lo + m // 2 - (m // 2) % 8
+    left = _mw_node(pos, neg, tau, lo, mid, buffers, sigmoid_cols)
+    right = _mw_node(pos, neg, tau, mid, hi, buffers, sigmoid_cols)
+    return left[0] + right[0], left[1] + right[1]
+
+
+def _mw_tile(pos, neg, tau, lo, hi, buffers, sigmoid_cols):
+    """Row sums over tile [lo, hi); adds its sigmoid rows into the columns."""
+    b, w = len(pos), hi - lo
+    rows = min(b, max(1, MW_BLOCK_PAIRS // w))
+    cols = sigmoid_cols[lo:hi]
+    softplus_rows, sigmoid_rows = np.empty(b), np.empty(b)
     for start in range(0, b, rows):
         r = min(rows, b - start)
-        xb, eb, tb, ub = x[:r], e[:r], t[:r], u[:r]
-        np.subtract(neg[None, :], pos[start:start + r, None], out=xb)
+        xb, eb, tb, ub = (buf[:r * w].reshape(r, w) for buf in buffers)
+        np.subtract(neg[None, lo:hi], pos[start:start + r, None], out=xb)
         xb /= tau
         np.abs(xb, out=eb)
         np.negative(eb, out=eb)
@@ -120,8 +142,8 @@ def _mw_pair_sums(
         eb /= tb
         sigmoid_rows[start:start + r] = eb.sum(axis=1)
         for row in eb:
-            sigmoid_cols += row
-    return softplus_rows, sigmoid_rows, sigmoid_cols
+            cols += row
+    return softplus_rows, sigmoid_rows
 
 
 def mw_loss(scores: ScoreBatch) -> LossOutput:
@@ -133,10 +155,9 @@ def mw_loss(scores: ScoreBatch) -> LossOutput:
     contributes sigmoid(-(s+_i - s-_k)/tau) / (B*tau) of gradient, pushing
     the positive up and the negative down.
 
-    The pairs are streamed in blocks of whole rows (see the module
-    docstring), so memory stays O(max(MW_BLOCK_PAIRS, B(HB+B-1))) rather
-    than O(B^2 (HB+B-1)). ``d_sim`` is bit-identical to the unfused
-    full-matrix formula; ``value`` sums the per-row sums.
+    The pairs stream in column tiles (see the module docstring), so memory
+    is O(MW_BLOCK_PAIRS + B(HB+B-1)), not O(B^2 (HB+B-1)). ``d_sim`` is
+    bit-identical to the unfused formula; ``value`` sums the row sums.
     """
     b, m = scores.sim.shape
     if m < 2:
@@ -152,29 +173,6 @@ def mw_loss(scores: ScoreBatch) -> LossOutput:
     d_sim[mask] += sigmoid_cols / (b * scores.tau)
     # every positive against every pooled negative: b^2 * (m - 1) pairs
     return LossOutput(value=value, d_sim=d_sim, term_count=b * len(neg))
-
-
-@dataclass
-class OffsetAssignment:
-    """One additive score offset per batch query."""
-
-    offsets: np.ndarray
-
-    def __post_init__(self):
-        self.offsets = np.asarray(self.offsets, dtype=np.float64).ravel()
-        if not np.isfinite(self.offsets).all():
-            raise ValueError("offsets must be finite")
-
-
-def apply_offsets(scores: ScoreBatch, offsets: OffsetAssignment) -> ScoreBatch:
-    """Shift every score of query i by offsets[i]: row i of the matrix
-    moves uniformly, the partition is unchanged. cl_loss is invariant to
-    this; mw_loss is not."""
-    if len(offsets.offsets) != scores.B:
-        raise ValueError(
-            f"need {scores.B} offsets, got {len(offsets.offsets)}"
-        )
-    return ScoreBatch(sim=scores.sim + offsets.offsets[:, None], tau=scores.tau)
 
 
 def _pool_cl_loss(pools: Sequence[ScorePool], tau: float) -> float:
@@ -248,8 +246,8 @@ def mw_bound_check(pool: ScorePool, tau: float) -> tuple[float, float, bool]:
     positive-negative pairs of softplus(-(s+ - s-)/tau), and holds is
     aoc <= mw_population / log 2. The pointwise inequality
     1{z <= 0} <= softplus(-z/tau) / log 2 makes this true for every pool.
-    The pairs go through ``mw_loss``'s blocked kernel, so memory stays
-    O(MW_BLOCK_PAIRS) however large the pool.
+    The pairs go through ``mw_loss``'s tiled kernel, so memory stays
+    O(MW_BLOCK_PAIRS + n_pos + n_neg) however large the pool.
     """
     if not 0 < tau < np.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")

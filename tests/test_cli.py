@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +232,18 @@ def test_lemma2_check_passes(capsys):
     argv = ["lemma2-check", "--trials", "12", "--max-side", "30"]
     assert cli.main(argv) == 0
     assert "trials=12 violations=0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["lemma2-check", "--trials", "2", "--max-side", "5"], 0),
+    (["compare", "--seed", "3"], 2),
+])
+def test_python_dash_m_mwlab_exits_with_the_cli_code(argv, code):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "mwlab", *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert run.returncode == code, run.stderr
 
 
 def test_lemma2_check_exits_1_when_the_bound_fails(monkeypatch, capsys):

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mwlab.metrics import ScorePool
-from mwlab.objectives import OffsetAssignment, apply_offsets, cl_loss, mw_bound_check
+from mwlab.objectives import cl_loss, mw_bound_check
 from mwlab.scoring import ScoreBatch
 
-from util import brute_force_strict_aoc
+from util import OffsetAssignment, apply_offsets, brute_force_strict_aoc
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 

@@ -5,14 +5,14 @@ defining formulas (computed inline with plain exp/log); gradients are
 checked against central finite differences.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mwlab.metrics import ScorePool
 from mwlab.objectives import (
     LOG2,
-    OffsetAssignment,
-    apply_offsets,
     cl_loss,
     gaussian_degradation_demo,
     mw_bound_check,
@@ -21,7 +21,17 @@ from mwlab.objectives import (
 from mwlab import objectives
 from mwlab.prng import Xoshiro256StarStar
 from mwlab.scoring import ScoreBatch, comparison_counts
-from util import brute_force_strict_aoc, naive_mw_loss, random_score_batch, sigmoid, softplus
+from util import (
+    OffsetAssignment,
+    apply_offsets,
+    brute_force_strict_aoc,
+    mw_value_by_rows,
+    naive_mw_loss,
+    naive_mw_pair_sums,
+    random_score_batch,
+    sigmoid,
+    softplus,
+)
 
 
 def fd_gradient_check(loss_fn, sb, h=1e-5, rtol=1e-3, n_entries=None):
@@ -150,12 +160,26 @@ def assert_matches_unfused(sb):
     value, d_sim = naive_mw_loss(sb)
     np.testing.assert_array_equal(out.d_sim, d_sim)
     assert abs(out.value - value) <= 1e-14 * abs(value)
+    assert out.value == mw_value_by_rows(sb)
     return out
 
 
+def tile_widths(n):
+    """Widths of the column tiles mw_loss cuts a row of n into: nodes of
+    numpy's pairwise-sum tree, split while wider than a tile and 128."""
+    if n <= max(objectives.MW_TILE_COLS, 128):
+        return [n]
+    h = n // 2 - (n // 2) % 8
+    return tile_widths(h) + tile_widths(n - h)
+
+
+TILE = objectives.MW_TILE_COLS
+
+
 class TestMwLossMatchesUnfused:
-    """The blocked, fused mw_loss against the full-matrix formula: the
-    gradient must agree bit for bit, the value to summation rounding."""
+    """The tiled, fused mw_loss against the full-matrix formula: the
+    gradient must agree bit for bit, the value to summation rounding, and
+    the value bit for bit with the sum of the per-row softplus sums."""
 
     def test_single_block(self):
         rng = np.random.default_rng(15)
@@ -164,16 +188,24 @@ class TestMwLossMatchesUnfused:
             assert b * b * (b + h * b - 1) <= objectives.MW_BLOCK_PAIRS
             assert_matches_unfused(sb)
 
-    def test_row_longer_than_block(self):
-        # B=40, H=40: 65560 pooled negatives, so each block is one row
+    def test_row_longer_than_block(self, monkeypatch):
+        # B=40, H=40: a row of 65560 pooled negatives is cut into 19 tiles
+        # of 2048 to 4096 columns (the pairwise tree splits unevenly)
         sb = random_score_batch(np.random.default_rng(16), b=40, h=40, tau=0.01)
-        assert sb.B * (sb.M - 1) > objectives.MW_BLOCK_PAIRS
+        widths = tile_widths(sb.B * (sb.M - 1))
+        assert len(widths) == 19 and min(widths) == 2048 and max(widths) == TILE
+        assert_matches_unfused(sb)
+        # a block narrower than a tile row holds one tile row
+        monkeypatch.setattr(objectives, "MW_BLOCK_PAIRS", 1000)
         assert_matches_unfused(sb)
 
     def test_partial_last_block(self):
-        # B=32, H=5: 6112 negatives, 10 rows per block, last block 2 rows
+        # B=32, H=5: 6112 negatives, two tiles of 3056; 10 tile rows per
+        # block, so each tile's last block has 2 rows
         sb = random_score_batch(np.random.default_rng(17), b=32, h=5, tau=0.01)
-        rows = objectives.MW_BLOCK_PAIRS // (sb.B * (sb.M - 1))
+        widths = tile_widths(sb.B * (sb.M - 1))
+        assert widths == [3056, 3056]
+        rows = objectives.MW_BLOCK_PAIRS // widths[0]
         assert 1 < rows < sb.B and sb.B % rows != 0
         assert_matches_unfused(sb)
 
@@ -185,14 +217,33 @@ class TestMwLossMatchesUnfused:
         assert np.isfinite(out.value) and out.value > 1000.0
         assert np.isfinite(out.d_sim).all()
 
+    @pytest.mark.parametrize("n", [1, 7, 128, 129, 130, TILE, TILE + 1, 8200, 130944])
+    def test_tree_edge_widths(self, n):
+        # one query against n pooled negatives: the row is n wide
+        rng = np.random.default_rng(n)
+        sim = rng.uniform(-1, 1, (1, n + 1))
+        sim[0, 1::9] = sim[0, 0]  # ties: x = 0 exactly
+        assert_matches_unfused(ScoreBatch(sim=sim, tau=0.05))
+        # three rows against the same negatives, output by output
+        pos, neg = rng.uniform(-1, 1, 3), sim[0, 1:]
+        for got, want in zip(objectives._mw_pair_sums(pos, neg, 0.05),
+                             naive_mw_pair_sums(pos, neg, 0.05)):
+            np.testing.assert_array_equal(got, want)
+
     def test_no_bit_depends_on_block_size(self, monkeypatch):
-        sb = random_score_batch(np.random.default_rng(19), b=9, h=2, tau=0.05)
-        ref = mw_loss(sb)
-        for block in (1, 7, 200, 10**6):
-            monkeypatch.setattr(objectives, "MW_BLOCK_PAIRS", block)
-            out = mw_loss(sb)
-            assert out.value == ref.value
-            np.testing.assert_array_equal(out.d_sim, ref.d_sim)
+        rng = np.random.default_rng(19)
+        # rows of 234 and 2190 pooled negatives: one pairwise-tree split,
+        # then several levels
+        for sb in (random_score_batch(rng, b=9, h=2, tau=0.05),
+                   random_score_batch(rng, b=6, h=60, tau=0.05)):
+            ref = mw_loss(sb)
+            for tile in (1, 7, 100, 128, 200, 1000, 10**6):
+                monkeypatch.setattr(objectives, "MW_TILE_COLS", tile)
+                for block in (1, 7, 200, 10**6):
+                    monkeypatch.setattr(objectives, "MW_BLOCK_PAIRS", block)
+                    out = mw_loss(sb)
+                    assert out.value == ref.value
+                    np.testing.assert_array_equal(out.d_sim, ref.d_sim)
 
 
 class TestDegenerateOrdering:
@@ -359,8 +410,21 @@ class TestMwBound:
         with pytest.raises(ValueError, match="tau must be positive and finite"):
             mw_bound_check(ScorePool([1.0], [0.0]), tau)
 
+    def test_memory_stays_below_three_pools_of_negatives(self):
+        # four row-wide scratch buffers would take 4x the negatives' bytes;
+        # the tiled kernel keeps only the column sums at that size
+        rng = np.random.default_rng(31)
+        pool = ScorePool(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 1_000_000))
+        tracemalloc.start()
+        try:
+            mw_bound_check(pool, tau=0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * pool.negatives.nbytes
+
     @pytest.mark.parametrize("n_pos, n_neg", [
-        (3, objectives.MW_BLOCK_PAIRS + 7),  # each row longer than a block
+        (3, 65543),  # each row wider than a block, cut into several tiles
         (50, 4000),  # several blocks of whole rows
     ])
     def test_blocked_mean_equals_full_matrix_formula(self, n_pos, n_neg):

@@ -8,6 +8,7 @@ library's fast paths.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,6 +128,45 @@ def naive_mw_loss(scores: ScoreBatch) -> tuple[float, np.ndarray]:
     d_sim[np.arange(b), np.arange(b)] = -sig.sum(axis=1) / (b * scores.tau)
     d_sim[mask] += sig.sum(axis=0) / (b * scores.tau)
     return value, d_sim
+
+
+def naive_mw_pair_sums(pos, neg, tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Over the full pair matrix x = (neg_k - pos_i)/tau: row sums of
+    softplus(x) and sigmoid(x), and column sums of sigmoid(x)."""
+    x = (np.asarray(neg)[None, :] - np.asarray(pos)[:, None]) / tau
+    sig = sigmoid(x)
+    return softplus(x).sum(axis=1), sig.sum(axis=1), sig.sum(axis=0)
+
+
+def mw_value_by_rows(scores: ScoreBatch) -> float:
+    """The MW loss value summed as per-row sums: one softplus sum per
+    positive over all pooled negatives, then the sum of those over B."""
+    neg = scores.sim[scores.offdiag_mask()]
+    rows = [softplus((neg - p) / scores.tau).sum() for p in scores.positives]
+    return float(np.sum(rows) / scores.B)
+
+
+@dataclass
+class OffsetAssignment:
+    """One additive score offset per batch query."""
+
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        self.offsets = np.asarray(self.offsets, dtype=np.float64).ravel()
+        if not np.isfinite(self.offsets).all():
+            raise ValueError("offsets must be finite")
+
+
+def apply_offsets(scores: ScoreBatch, offsets: OffsetAssignment) -> ScoreBatch:
+    """Shift every score of query i by offsets[i]: row i of the matrix
+    moves uniformly, the partition is unchanged. cl_loss is invariant to
+    this; mw_loss is not."""
+    if len(offsets.offsets) != scores.B:
+        raise ValueError(
+            f"need {scores.B} offsets, got {len(offsets.offsets)}"
+        )
+    return ScoreBatch(sim=scores.sim + offsets.offsets[:, None], tau=scores.tau)
 
 
 def naive_adam_step(params, grads, state, lr) -> None:
