@@ -54,6 +54,7 @@ from .objectives import (
     gaussian_degradation_demo,
     mw_bound_check,
     mw_loss,
+    mw_value,
 )
 from .prng import Xoshiro256StarStar, derive_seed
 from .scoring import ScoreBatch, backprop_scores, comparison_counts, score_batch
@@ -69,7 +70,7 @@ __all__ = [
     "encode_backward", "init_params", "make_scorer", "save_checkpoint",
     "load_checkpoint", "tokenize_hash",
     "ScoreBatch", "score_batch", "comparison_counts", "backprop_scores",
-    "LossOutput", "cl_loss", "mw_loss",
+    "LossOutput", "cl_loss", "mw_loss", "mw_value",
     "gaussian_degradation_demo", "mw_bound_check",
     "ScorePool", "ROCCurve", "RankedList", "Histogram", "mann_whitney_u",
     "auc", "strict_aoc", "roc_curve", "pooled_auc_protocol", "mrr_at_k",

@@ -27,10 +27,29 @@ node's row sums are its children's added, so every row sum has the bits
 of a full-row ``sum``. Column sums add rows in row order. So ``d_sim`` is
 bit-identical to the unfused formula, the value (the sum of the per-row
 softplus sums) matches it to rounding, and no bit depends on the tiling.
+
+A call of at least ``MW_SPLIT_PAIRS`` pairs whose row is wider than one
+tile runs on two cores when the process may use two: the calling thread
+walks the root node's left subtree while the one worker of a lazily made
+``ThreadPoolExecutor(1)`` walks the right one, each with its own scratch
+buffers, and the two halves' row sums are added as any node's children's
+are. numpy's ufuncs release the GIL, so the halves overlap. The split is
+at the root because that is one hand-off per call: every row sum is
+still the same node sums added in the same order, each column of the
+sigmoid sums is written by one thread in row order, and memory grows by
+one buffer set, not by a row-sum array per tile. Smaller calls stay on
+one thread, where the hand-off would cost more than it saves. So no bit
+depends on the core count either.
+
+``mw_value`` is ``mw_loss``'s value alone: the same softplus passes
+without the sigmoid ones and without the column sums.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,6 +64,33 @@ LOG2 = float(np.log(2.0))
 MW_BLOCK_PAIRS = 1 << 15
 # widest column tile of mw_loss's pair pass
 MW_TILE_COLS = 4096
+# fewest pairs for which one mw_loss call uses a second core. Measured on
+# 2 cores: the split costs 2% at 195,584 pairs (B=32, H=5) and saves 6% at
+# 261,120, 15-30% from 510,400 on and 24% at 16.8M (B=128, H=7)
+MW_SPLIT_PAIRS = 1 << 19
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_worker_pool: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
+
+
+def _worker() -> ThreadPoolExecutor:
+    """The one thread that walks the right half of split kernel calls."""
+    global _worker_pool
+    with _worker_lock:
+        if _worker_pool is None:
+            _worker_pool = ThreadPoolExecutor(1, thread_name_prefix="mwlab-mw")
+        return _worker_pool
+
+
+def _forget_worker() -> None:
+    # a forked child has the executor but not its thread
+    global _worker_pool, _worker_lock
+    _worker_pool, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 @dataclass
@@ -57,10 +103,15 @@ class LossOutput:
     term_count: int
 
     def __post_init__(self):
-        if not np.isfinite(self.value) or self.value < 0:
-            raise ValueError(f"loss value must be finite and >= 0, got {self.value}")
+        _check_value(self.value)
         if not np.isfinite(self.d_sim).all():
             raise ValueError("loss gradient must be finite")
+
+
+def _check_value(value: float) -> float:
+    if not np.isfinite(value) or value < 0:
+        raise ValueError(f"loss value must be finite and >= 0, got {value}")
+    return value
 
 
 def cl_loss(scores: ScoreBatch) -> LossOutput:
@@ -90,38 +141,58 @@ def cl_loss(scores: ScoreBatch) -> LossOutput:
 
 
 def _mw_pair_sums(
-    pos: np.ndarray, neg: np.ndarray, tau: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    pos: np.ndarray, neg: np.ndarray, tau: float, sigmoid: bool = True
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Fused pass over x = (s-_k - s+_i)/tau for every (i, k) pair.
 
     Returns per-row sums of softplus(x), per-row sums of sigmoid(x), and
     per-column sums of sigmoid(x) accumulated row by row in row order.
     Both use e = exp(-|x|): softplus = max(x, 0) + log1p(e), sigmoid =
     (1 if x >= 0 else e) / (1 + e), the stable forms' exact operations.
+    With ``sigmoid=False`` only the softplus sums are made; the other two
+    are None. A call of at least ``MW_SPLIT_PAIRS`` pairs, with a row
+    wider than one tile, walks the root node's halves on two threads.
     """
-    width = min(len(neg), max(MW_TILE_COLS, 128))
+    n = len(neg)
+    width = min(n, max(MW_TILE_COLS, 128))
     size = min(len(pos) * width, max(MW_BLOCK_PAIRS, width))
     buffers = [np.empty(size) for _ in range(4)]
-    sigmoid_cols = np.zeros(len(neg))
-    return (*_mw_node(pos, neg, tau, 0, len(neg), buffers, sigmoid_cols), sigmoid_cols)
+    spare = None
+    if len(pos) * n >= MW_SPLIT_PAIRS and n > width and _CPUS >= 2:
+        spare = [np.empty(size) for _ in range(4)]
+    sigmoid_cols = np.zeros(n) if sigmoid else None
+    sums = _mw_node(pos, neg, tau, 0, n, buffers, sigmoid_cols, spare)
+    if not sigmoid:
+        return sums[0], None, None
+    return (*sums, sigmoid_cols)
 
 
-def _mw_node(pos, neg, tau, lo, hi, buffers, sigmoid_cols):
-    """Row sums over columns [lo, hi), a node of numpy's pairwise-sum tree."""
+def _mw_node(pos, neg, tau, lo, hi, buffers, sigmoid_cols, spare=None):
+    """Row sums over columns [lo, hi), a node of numpy's pairwise-sum tree.
+    With ``spare`` buffers the right child runs on the worker thread."""
     m = hi - lo
     if m <= max(MW_TILE_COLS, 128):  # numpy never splits a run of <= 128
         return _mw_tile(pos, neg, tau, lo, hi, buffers, sigmoid_cols)
     mid = lo + m // 2 - (m // 2) % 8
-    left = _mw_node(pos, neg, tau, lo, mid, buffers, sigmoid_cols)
-    right = _mw_node(pos, neg, tau, mid, hi, buffers, sigmoid_cols)
-    return left[0] + right[0], left[1] + right[1]
+    if spare is None:
+        left = _mw_node(pos, neg, tau, lo, mid, buffers, sigmoid_cols)
+        right = _mw_node(pos, neg, tau, mid, hi, buffers, sigmoid_cols)
+    else:
+        future = _worker().submit(_mw_node, pos, neg, tau, mid, hi, spare, sigmoid_cols)
+        try:
+            left = _mw_node(pos, neg, tau, lo, mid, buffers, sigmoid_cols)
+        finally:
+            wait([future])  # the worker writes into this call's arrays
+        right = future.result()
+    return tuple(a + b for a, b in zip(left, right))
 
 
 def _mw_tile(pos, neg, tau, lo, hi, buffers, sigmoid_cols):
-    """Row sums over tile [lo, hi); adds its sigmoid rows into the columns."""
+    """Row sums over tile [lo, hi); adds its sigmoid rows into the columns
+    unless ``sigmoid_cols`` is None, when it makes the softplus sums only."""
     b, w = len(pos), hi - lo
     rows = min(b, max(1, MW_BLOCK_PAIRS // w))
-    cols = sigmoid_cols[lo:hi]
+    cols = None if sigmoid_cols is None else sigmoid_cols[lo:hi]
     softplus_rows, sigmoid_rows = np.empty(b), np.empty(b)
     for start in range(0, b, rows):
         r = min(rows, b - start)
@@ -135,6 +206,8 @@ def _mw_tile(pos, neg, tau, lo, hi, buffers, sigmoid_cols):
         np.maximum(xb, 0.0, out=ub)
         ub += tb
         softplus_rows[start:start + r] = ub.sum(axis=1)
+        if cols is None:
+            continue
         np.add(eb, 1.0, out=tb)
         # numerator: 1 where x >= 0, else e; e <= 1, so max(e, [x >= 0])
         np.greater_equal(xb, 0.0, out=ub)
@@ -143,7 +216,7 @@ def _mw_tile(pos, neg, tau, lo, hi, buffers, sigmoid_cols):
         sigmoid_rows[start:start + r] = eb.sum(axis=1)
         for row in eb:
             cols += row
-    return softplus_rows, sigmoid_rows
+    return (softplus_rows,) if cols is None else (softplus_rows, sigmoid_rows)
 
 
 def mw_loss(scores: ScoreBatch) -> LossOutput:
@@ -156,14 +229,18 @@ def mw_loss(scores: ScoreBatch) -> LossOutput:
     the positive up and the negative down.
 
     The pairs stream in column tiles (see the module docstring), so memory
-    is O(MW_BLOCK_PAIRS + B(HB+B-1)), not O(B^2 (HB+B-1)). ``d_sim`` is
-    bit-identical to the unfused formula; ``value`` sums the row sums.
+    is O(MW_BLOCK_PAIRS + B(HB+B-1)), not O(B^2 (HB+B-1)). From
+    ``MW_SPLIT_PAIRS`` pairs on (16.8M at B=128, H=7; not 195,584 at B=32,
+    H=5), with two usable CPUs, the calling thread and one worker thread
+    each walk half of numpy's pairwise-sum tree, split at its root so
+    that a call hands off once, through their own scratch buffers (one
+    more buffer set, still O(MW_BLOCK_PAIRS)). numpy's ufuncs release the
+    GIL, so the halves run at once. ``d_sim`` is bit-identical to the
+    unfused formula; ``value`` sums the row sums; neither depends on the
+    tiling or the split.
     """
-    b, m = scores.sim.shape
-    if m < 2:
-        raise ValueError("the pooled negative set is empty")
-    mask = scores.offdiag_mask()
-    neg = scores.sim[mask]  # row-major multiset of all negative cells
+    mask, neg = _pooled_negatives(scores)
+    b = scores.sim.shape[0]
     softplus_rows, sigmoid_rows, sigmoid_cols = _mw_pair_sums(
         scores.positives, neg, scores.tau
     )
@@ -173,6 +250,23 @@ def mw_loss(scores: ScoreBatch) -> LossOutput:
     d_sim[mask] += sigmoid_cols / (b * scores.tau)
     # every positive against every pooled negative: b^2 * (m - 1) pairs
     return LossOutput(value=value, d_sim=d_sim, term_count=b * len(neg))
+
+
+def mw_value(scores: ScoreBatch) -> float:
+    """``mw_loss(scores).value``, bit for bit, without the gradient: the
+    kernel makes only the softplus sums, skipping the sigmoid passes and
+    the column sums, for callers that keep the value alone."""
+    _, neg = _pooled_negatives(scores)
+    softplus_rows, _, _ = _mw_pair_sums(scores.positives, neg, scores.tau, sigmoid=False)
+    return _check_value(float(softplus_rows.sum() / scores.sim.shape[0]))
+
+
+def _pooled_negatives(scores: ScoreBatch) -> tuple[np.ndarray, np.ndarray]:
+    """(off-diagonal mask, the row-major multiset of all negative cells)."""
+    if scores.sim.shape[1] < 2:
+        raise ValueError("the pooled negative set is empty")
+    mask = scores.offdiag_mask()
+    return mask, scores.sim[mask]
 
 
 def _pool_cl_loss(pools: Sequence[ScorePool], tau: float) -> float:
@@ -246,14 +340,15 @@ def mw_bound_check(pool: ScorePool, tau: float) -> tuple[float, float, bool]:
     positive-negative pairs of softplus(-(s+ - s-)/tau), and holds is
     aoc <= mw_population / log 2. The pointwise inequality
     1{z <= 0} <= softplus(-z/tau) / log 2 makes this true for every pool.
-    The pairs go through ``mw_loss``'s tiled kernel, so memory stays
-    O(MW_BLOCK_PAIRS + n_pos + n_neg) however large the pool.
+    The pairs go through the MW kernel's softplus-only pass, as in
+    ``mw_value``, so memory stays O(MW_BLOCK_PAIRS + n_pos + n_neg)
+    however large the pool.
     """
     if not 0 < tau < np.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
     if pool.n_pos == 0 or pool.n_neg == 0:
         raise ValueError("bound check needs scores on both sides")
     aoc = strict_aoc(pool)
-    softplus_rows, _, _ = _mw_pair_sums(pool.positives, pool.negatives, tau)
+    softplus_rows, _, _ = _mw_pair_sums(pool.positives, pool.negatives, tau, sigmoid=False)
     mw_population = float(softplus_rows.sum() / (pool.n_pos * pool.n_neg))
     return aoc, mw_population, aoc <= mw_population / LOG2

@@ -44,7 +44,7 @@ import scipy.sparse as sp
 from . import encoder as enc
 from .data import Corpus, QuerySet, sample_batch
 from .metrics import evaluate
-from .objectives import cl_loss, mw_loss
+from .objectives import cl_loss, mw_loss, mw_value
 from .prng import Xoshiro256StarStar, derive_seed
 from .scoring import backprop_scores, score_batch
 
@@ -212,8 +212,11 @@ class RunReport:
                 )
 
 
-def _loss_fn(kind: str):
-    return cl_loss if kind == "cl" else mw_loss
+def _loss_fns(kind: str):
+    """(training loss, evaluation value): MW's evaluation skips the gradient."""
+    if kind == "cl":
+        return cl_loss, lambda scores: cl_loss(scores).value
+    return mw_loss, mw_value
 
 
 def _sub_table(
@@ -294,7 +297,7 @@ def train(
 
     params = enc.init_params(encoder_config)
     report = RunReport(loss_kind=config.loss_kind)
-    loss = _loss_fn(config.loss_kind)
+    loss, eval_value = _loss_fns(config.loss_kind)
     out_path = Path(out_dir) if out_dir is not None else None
     if max_steps == 0:
         if out_path is not None:
@@ -312,7 +315,7 @@ def train(
         params.embedding[rows] = sub.embedding[:len(rows)]
         q_vecs = enc.encode_tokens(params, eval_tokens).vectors
         d_vecs = enc.encode_tokens(params, corpus_tokens).vectors
-        losses = [loss(score_batch(q_vecs[q], d_vecs[p], config.tau)).value
+        losses = [eval_value(score_batch(q_vecs[q], d_vecs[p], config.tau))
                   for q, p in eval_rows]
         _, metrics = evaluate(q_vecs @ d_vecs.T, eval_queries, corpus, top_k=config.eval_top_k)
         return EvalRecord(

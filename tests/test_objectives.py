@@ -5,7 +5,14 @@ defining formulas (computed inline with plain exp/log); gradients are
 checked against central finite differences.
 """
 
+import itertools
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +24,7 @@ from mwlab.objectives import (
     gaussian_degradation_demo,
     mw_bound_check,
     mw_loss,
+    mw_value,
 )
 from mwlab import objectives
 from mwlab.prng import Xoshiro256StarStar
@@ -148,6 +156,17 @@ class TestMwLoss:
         )
         assert mw_loss(sb).value == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("fn", [mw_loss, mw_value])
+    def test_needs_a_negative(self, fn):
+        with pytest.raises(ValueError, match="pooled negative set is empty"):
+            fn(ScoreBatch(sim=np.ones((1, 1)), tau=1.0))
+
+    @pytest.mark.parametrize("fn", [mw_loss, mw_value])
+    def test_overflowing_value_rejected(self, fn):
+        sb = ScoreBatch(sim=np.array([[-1e300, 1e300]]), tau=1e-10)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+            fn(sb)
+
     def test_stable_at_low_temperature(self):
         sb = ScoreBatch(sim=np.array([[1.0, -1.0], [-1.0, 1.0]]), tau=0.01)
         out = mw_loss(sb)
@@ -160,8 +179,17 @@ def assert_matches_unfused(sb):
     value, d_sim = naive_mw_loss(sb)
     np.testing.assert_array_equal(out.d_sim, d_sim)
     assert abs(out.value - value) <= 1e-14 * abs(value)
-    assert out.value == mw_value_by_rows(sb)
+    assert out.value == mw_value_by_rows(sb) == mw_value(sb)
     return out
+
+
+# (MW_SPLIT_PAIRS, usable CPUs): always split, never split, one CPU
+SPLIT_SETTINGS = [(0, 2), (10**12, 2), (0, 1), (10**12, 1)]
+
+
+def tile_starts(n):
+    """First column of each tile of a row of n, in column order."""
+    return list(np.cumsum([0] + tile_widths(n))[:-1])
 
 
 def tile_widths(n):
@@ -218,17 +246,25 @@ class TestMwLossMatchesUnfused:
         assert np.isfinite(out.d_sim).all()
 
     @pytest.mark.parametrize("n", [1, 7, 128, 129, 130, TILE, TILE + 1, 8200, 130944])
-    def test_tree_edge_widths(self, n):
+    def test_tree_edge_widths(self, n, monkeypatch):
         # one query against n pooled negatives: the row is n wide
         rng = np.random.default_rng(n)
         sim = rng.uniform(-1, 1, (1, n + 1))
         sim[0, 1::9] = sim[0, 0]  # ties: x = 0 exactly
-        assert_matches_unfused(ScoreBatch(sim=sim, tau=0.05))
         # three rows against the same negatives, output by output
         pos, neg = rng.uniform(-1, 1, 3), sim[0, 1:]
-        for got, want in zip(objectives._mw_pair_sums(pos, neg, 0.05),
-                             naive_mw_pair_sums(pos, neg, 0.05)):
-            np.testing.assert_array_equal(got, want)
+        pos[1] = sim[0, 0]
+        want = naive_mw_pair_sums(pos, neg, 0.05)
+        for split, cpus in SPLIT_SETTINGS:
+            monkeypatch.setattr(objectives, "MW_SPLIT_PAIRS", split)
+            monkeypatch.setattr(objectives, "_CPUS", cpus)
+            assert_matches_unfused(ScoreBatch(sim=sim, tau=0.05))
+            got = objectives._mw_pair_sums(pos, neg, 0.05)
+            for out, ref in zip(got, want):
+                np.testing.assert_array_equal(out, ref)
+            softplus_rows, *rest = objectives._mw_pair_sums(pos, neg, 0.05, sigmoid=False)
+            np.testing.assert_array_equal(softplus_rows, want[0])
+            assert rest == [None, None]
 
     def test_no_bit_depends_on_block_size(self, monkeypatch):
         rng = np.random.default_rng(19)
@@ -236,14 +272,149 @@ class TestMwLossMatchesUnfused:
         # then several levels
         for sb in (random_score_batch(rng, b=9, h=2, tau=0.05),
                    random_score_batch(rng, b=6, h=60, tau=0.05)):
+            sb.sim[1, ::5] = sb.sim[1, 1]  # ties: x = 0 exactly
             ref = mw_loss(sb)
-            for tile in (1, 7, 100, 128, 200, 1000, 10**6):
+            neg = sb.sim[sb.offdiag_mask()]
+            want = naive_mw_pair_sums(sb.positives, neg, sb.tau)
+            for (split, cpus), tile, block in itertools.product(
+                    SPLIT_SETTINGS, (1, 7, 100, 128, 200, 1000, 10**6), (1, 7, 200, 10**6)):
+                monkeypatch.setattr(objectives, "MW_SPLIT_PAIRS", split)
+                monkeypatch.setattr(objectives, "_CPUS", cpus)
                 monkeypatch.setattr(objectives, "MW_TILE_COLS", tile)
-                for block in (1, 7, 200, 10**6):
-                    monkeypatch.setattr(objectives, "MW_BLOCK_PAIRS", block)
-                    out = mw_loss(sb)
-                    assert out.value == ref.value
-                    np.testing.assert_array_equal(out.d_sim, ref.d_sim)
+                monkeypatch.setattr(objectives, "MW_BLOCK_PAIRS", block)
+                out = mw_loss(sb)
+                assert out.value == ref.value == mw_value(sb)
+                np.testing.assert_array_equal(out.d_sim, ref.d_sim)
+                got = objectives._mw_pair_sums(sb.positives, neg, sb.tau)
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b)
+
+
+def root_mid(n):
+    """Where numpy's pairwise sum first splits a run of n > 128."""
+    return n // 2 - (n // 2) % 8
+
+
+@pytest.fixture
+def split_always(monkeypatch):
+    """Every call with a row wider than a tile splits, on a fresh worker."""
+    monkeypatch.setattr(objectives, "MW_SPLIT_PAIRS", 0)
+    monkeypatch.setattr(objectives, "_CPUS", 2)
+    monkeypatch.setattr(objectives, "_worker_pool", None)
+    yield
+    if objectives._worker_pool is not None:
+        objectives._worker_pool.shutdown()
+
+
+class TestMwSplit:
+    """The root split's threading: errors, waiting, threads and the pool."""
+
+    def pair(self, n=3 * TILE):
+        rng = np.random.default_rng(n)
+        return rng.uniform(-1, 1, 4), rng.uniform(-1, 1, n)
+
+    def test_worker_error_reaches_caller(self, split_always, monkeypatch):
+        pos, neg = self.pair()
+        mid, tile, threads = root_mid(len(neg)), objectives._mw_tile, set()
+
+        def failing_right_half(pos, neg, tau, lo, hi, *rest):
+            threads.add(threading.current_thread())
+            if lo >= mid:
+                raise RuntimeError("right half failed")
+            return tile(pos, neg, tau, lo, hi, *rest)
+
+        monkeypatch.setattr(objectives, "_mw_tile", failing_right_half)
+        with pytest.raises(RuntimeError, match="right half failed"):
+            objectives._mw_pair_sums(pos, neg, 0.05)
+        assert len(threads) == 2
+
+    def test_caller_error_waits_for_worker(self, split_always, monkeypatch):
+        pos, neg = self.pair()
+        mid, tile, right_done = root_mid(len(neg)), objectives._mw_tile, []
+
+        def failing_left_half(pos, neg, tau, lo, hi, *rest):
+            if lo < mid:
+                raise RuntimeError("left half failed")
+            time.sleep(0.05)
+            right_done.append(lo)
+            return tile(pos, neg, tau, lo, hi, *rest)
+
+        monkeypatch.setattr(objectives, "_mw_tile", failing_left_half)
+        with pytest.raises(RuntimeError, match="left half failed"):
+            objectives._mw_pair_sums(pos, neg, 0.05)
+        # every right-half tile finished before the error came out
+        assert right_done == [lo for lo in tile_starts(len(neg)) if lo >= mid]
+
+    def test_repeated_splits_start_no_threads(self, split_always):
+        pos, neg = self.pair()
+        objectives._mw_pair_sums(pos, neg, 0.05)
+        assert objectives._worker_pool is not None
+        after_first = threading.active_count()
+        for _ in range(50):
+            objectives._mw_pair_sums(pos, neg, 0.05)
+        assert threading.active_count() <= after_first
+
+    def test_concurrent_callers_share_the_worker(self, split_always):
+        # more calling threads than cores, switching often, all splitting
+        # onto the one worker: each must get its own call's bits
+        rng = np.random.default_rng(21)
+        calls = [(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 2 * TILE + 8 * k)) for k in range(4)]
+        want = [naive_mw_pair_sums(pos, neg, 0.05) for pos, neg in calls]
+        errors = []
+
+        def caller(k):
+            try:
+                for _ in range(5):
+                    got = objectives._mw_pair_sums(*calls[k], 0.05)
+                    for a, b in zip(got, want[k]):
+                        np.testing.assert_array_equal(a, b)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_one_cpu_never_makes_the_pool(self, split_always, monkeypatch):
+        monkeypatch.setattr(objectives, "_CPUS", 1)
+        pos, neg = self.pair()
+        got = objectives._mw_pair_sums(pos, neg, 0.05)
+        assert objectives._worker_pool is None
+        for a, b in zip(got, naive_mw_pair_sums(pos, neg, 0.05)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_below_threshold_stays_serial(self, monkeypatch):
+        monkeypatch.setattr(objectives, "_CPUS", 2)
+        monkeypatch.setattr(objectives, "_worker_pool", None)
+        # B=32, H=5 is the default TrainConfig's batch: 195,584 pairs
+        sb = random_score_batch(np.random.default_rng(20), b=32, h=5, tau=0.05)
+        assert 32 * 32 * (6 * 32 - 1) < objectives.MW_SPLIT_PAIRS
+        mw_loss(sb)
+        assert objectives._worker_pool is None
+
+    def test_forked_child_splits_on_its_own_worker(self, split_always):
+        pos, neg = self.pair()
+        want = objectives._mw_pair_sums(pos, neg, 0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+            pid = os.fork()
+        if pid == 0:  # child: the parent's worker thread does not exist here
+            signal.alarm(30)  # a hang becomes a failure
+            ok = objectives._worker_pool is None
+            got = objectives._mw_pair_sums(pos, neg, 0.05)
+            ok = ok and all(np.array_equal(a, b) for a, b in zip(got, want))
+            os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestDegenerateOrdering:
@@ -410,9 +581,10 @@ class TestMwBound:
         with pytest.raises(ValueError, match="tau must be positive and finite"):
             mw_bound_check(ScorePool([1.0], [0.0]), tau)
 
-    def test_memory_stays_below_three_pools_of_negatives(self):
-        # four row-wide scratch buffers would take 4x the negatives' bytes;
-        # the tiled kernel keeps only the column sums at that size
+    def test_memory_stays_below_two_pools_of_negatives(self):
+        # four row-wide scratch buffers would take 4x the negatives' bytes,
+        # and the gradient's column sums 1x; the softplus-only pass keeps
+        # neither, so the pool's sorted copy is the one array that size
         rng = np.random.default_rng(31)
         pool = ScorePool(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 1_000_000))
         tracemalloc.start()
@@ -421,7 +593,7 @@ class TestMwBound:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * pool.negatives.nbytes
+        assert peak < 2 * pool.negatives.nbytes
 
     @pytest.mark.parametrize("n_pos, n_neg", [
         (3, 65543),  # each row wider than a block, cut into several tiles
