@@ -31,7 +31,7 @@ from .experiments import (
     write_comparison,
 )
 from .metrics import ScorePool, evaluate, histogram, roc_curve
-from .objectives import gaussian_degradation_demo, mw_bound_check
+from .objectives import check_tau, gaussian_degradation_demo, mw_bound_check
 from .prng import Xoshiro256StarStar, derive_seed
 from .scoring import comparison_counts
 from .synthetic import SyntheticSpec, make_benchmark, make_offset_demo_pools
@@ -105,13 +105,21 @@ def cmd_mine(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def _load_split_inputs(args):
+    """(train config, encoder config, train split, eval split, corpus) of
+    the --corpus, --queries, --config and fraction flags of train and
+    ablate."""
     corpus = load_corpus(args.corpus)
     queries = load_queries(args.queries, corpus)
     train_cfg, encoder_cfg = _build_configs(args, _load_config(args.config))
     split = SplitSpec(args.train_fraction, args.eval_fraction,
                       seed=derive_seed(train_cfg.seed, 12))
     train_qs, eval_qs, _ = split_queries(queries, split)
+    return train_cfg, encoder_cfg, train_qs, eval_qs, corpus
+
+
+def cmd_train(args) -> int:
+    train_cfg, encoder_cfg, train_qs, eval_qs, corpus = _load_split_inputs(args)
     best, report = train(train_cfg, train_qs, eval_qs, corpus, encoder_cfg, out_dir=args.out)
     best_ckpt = Path(args.out) / f"ckpt_{report.best_checkpoint_step}"
     if not best_ckpt.exists():
@@ -238,6 +246,8 @@ def cmd_lemma2_check(args) -> int:
     for flag, value in (("--trials", args.trials), ("--max-side", args.max_side)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
+    for tau in args.tau:  # every one, also those the trials never reach
+        check_tau(tau)
     rng = Xoshiro256StarStar(derive_seed(args.seed, 30))
     violations = 0
     for trial in range(args.trials):
@@ -268,12 +278,7 @@ def cmd_counts(args) -> int:
 def cmd_ablate(args) -> int:
     from .trainer import ablation_sweep, write_sweep_csv
 
-    corpus = load_corpus(args.corpus)
-    queries = load_queries(args.queries, corpus)
-    train_cfg, encoder_cfg = _build_configs(args, _load_config(args.config))
-    split = SplitSpec(args.train_fraction, args.eval_fraction,
-                      seed=derive_seed(train_cfg.seed, 12))
-    train_qs, eval_qs, _ = split_queries(queries, split)
+    train_cfg, encoder_cfg, train_qs, eval_qs, corpus = _load_split_inputs(args)
     rows = ablation_sweep(
         args.lrs, args.batch_sizes, args.hard_negatives,
         train_cfg, train_qs, eval_qs, corpus, encoder_cfg,

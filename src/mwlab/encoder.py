@@ -184,10 +184,6 @@ class EmbeddingBatch:
     active: np.ndarray        # bool per row; False rows are fallback
     tokens: sp.csr_matrix     # the token table encoded
 
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
 
 def encode_tokens(params: EncoderParams, tokens: sp.csr_matrix) -> EmbeddingBatch:
     """Forward pass from a token table. A token-free row pools to exact

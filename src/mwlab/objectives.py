@@ -29,17 +29,19 @@ bit-identical to the unfused formula, the value (the sum of the per-row
 softplus sums) matches it to rounding, and no bit depends on the tiling.
 
 A call of at least ``MW_SPLIT_PAIRS`` pairs whose row is wider than one
-tile runs on two cores when the process may use two: the calling thread
-walks the root node's left subtree while the one worker of a lazily made
-``ThreadPoolExecutor(1)`` walks the right one, each with its own scratch
-buffers, and the two halves' row sums are added as any node's children's
-are. numpy's ufuncs release the GIL, so the halves overlap. The split is
-at the root because that is one hand-off per call: every row sum is
-still the same node sums added in the same order, each column of the
-sigmoid sums is written by one thread in row order, and memory grows by
-one buffer set, not by a row-sum array per tile. Smaller calls stay on
-one thread, where the hand-off would cost more than it saves. So no bit
-depends on the core count either.
+tile runs on two cores when the process may use two: it starts a
+one-thread executor of its own, whose worker walks the root node's right
+subtree while the calling thread walks the left one, each with its own
+scratch buffers, and the two halves' row sums are added as any node's
+children's are. The call waits for its worker before it returns or
+raises, so no thread, lock or executor outlives it. numpy's ufuncs
+release the GIL, so the halves overlap. The split is at the root because
+that is one hand-off per call: every row sum is still the same node sums
+added in the same order, each column of the sigmoid sums is written by
+one thread in row order, and memory grows by one buffer set, not by a
+row-sum array per tile. Smaller calls stay on one thread, where the
+hand-off would cost more than it saves. So no bit depends on the core
+count either.
 
 ``mw_value`` is ``mw_loss``'s value alone: the same softplus passes
 without the sigmoid ones and without the column sums.
@@ -48,8 +50,7 @@ without the sigmoid ones and without the column sums.
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,27 +71,6 @@ MW_TILE_COLS = 4096
 MW_SPLIT_PAIRS = 1 << 19
 
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-_worker_pool: ThreadPoolExecutor | None = None
-_worker_lock = threading.Lock()
-
-
-def _worker() -> ThreadPoolExecutor:
-    """The one thread that walks the right half of split kernel calls."""
-    global _worker_pool
-    with _worker_lock:
-        if _worker_pool is None:
-            _worker_pool = ThreadPoolExecutor(1, thread_name_prefix="mwlab-mw")
-        return _worker_pool
-
-
-def _forget_worker() -> None:
-    # a forked child has the executor but not its thread
-    global _worker_pool, _worker_lock
-    _worker_pool, _worker_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
 
 
 @dataclass
@@ -151,39 +131,43 @@ def _mw_pair_sums(
     (1 if x >= 0 else e) / (1 + e), the stable forms' exact operations.
     With ``sigmoid=False`` only the softplus sums are made; the other two
     are None. A call of at least ``MW_SPLIT_PAIRS`` pairs, with a row
-    wider than one tile, walks the root node's halves on two threads.
+    wider than one tile, walks the root node's right half on a worker
+    thread of its own while the calling thread walks the left half.
     """
     n = len(neg)
     width = min(n, max(MW_TILE_COLS, 128))
     size = min(len(pos) * width, max(MW_BLOCK_PAIRS, width))
     buffers = [np.empty(size) for _ in range(4)]
-    spare = None
-    if len(pos) * n >= MW_SPLIT_PAIRS and n > width and _CPUS >= 2:
-        spare = [np.empty(size) for _ in range(4)]
     sigmoid_cols = np.zeros(n) if sigmoid else None
-    sums = _mw_node(pos, neg, tau, 0, n, buffers, sigmoid_cols, spare)
+    if len(pos) * n >= MW_SPLIT_PAIRS and n > width and _CPUS >= 2:
+        mid = _tree_mid(0, n)
+        # leaving the block waits for the worker, which writes into
+        # sigmoid_cols, also when the left half raises
+        with ThreadPoolExecutor(1) as pool:
+            right = pool.submit(_mw_node, pos, neg, tau, mid, n,
+                                [np.empty(size) for _ in range(4)], sigmoid_cols)
+            left = _mw_node(pos, neg, tau, 0, mid, buffers, sigmoid_cols)
+        sums = tuple(a + b for a, b in zip(left, right.result()))
+    else:
+        sums = _mw_node(pos, neg, tau, 0, n, buffers, sigmoid_cols)
     if not sigmoid:
         return sums[0], None, None
     return (*sums, sigmoid_cols)
 
 
-def _mw_node(pos, neg, tau, lo, hi, buffers, sigmoid_cols, spare=None):
-    """Row sums over columns [lo, hi), a node of numpy's pairwise-sum tree.
-    With ``spare`` buffers the right child runs on the worker thread."""
+def _tree_mid(lo: int, hi: int) -> int:
+    """Where numpy's pairwise sum splits the run [lo, hi) of more than 128."""
     m = hi - lo
-    if m <= max(MW_TILE_COLS, 128):  # numpy never splits a run of <= 128
+    return lo + m // 2 - (m // 2) % 8
+
+
+def _mw_node(pos, neg, tau, lo, hi, buffers, sigmoid_cols):
+    """Row sums over columns [lo, hi), a node of numpy's pairwise-sum tree."""
+    if hi - lo <= max(MW_TILE_COLS, 128):  # numpy never splits a run of <= 128
         return _mw_tile(pos, neg, tau, lo, hi, buffers, sigmoid_cols)
-    mid = lo + m // 2 - (m // 2) % 8
-    if spare is None:
-        left = _mw_node(pos, neg, tau, lo, mid, buffers, sigmoid_cols)
-        right = _mw_node(pos, neg, tau, mid, hi, buffers, sigmoid_cols)
-    else:
-        future = _worker().submit(_mw_node, pos, neg, tau, mid, hi, spare, sigmoid_cols)
-        try:
-            left = _mw_node(pos, neg, tau, lo, mid, buffers, sigmoid_cols)
-        finally:
-            wait([future])  # the worker writes into this call's arrays
-        right = future.result()
+    mid = _tree_mid(lo, hi)
+    left = _mw_node(pos, neg, tau, lo, mid, buffers, sigmoid_cols)
+    right = _mw_node(pos, neg, tau, mid, hi, buffers, sigmoid_cols)
     return tuple(a + b for a, b in zip(left, right))
 
 
@@ -231,12 +215,13 @@ def mw_loss(scores: ScoreBatch) -> LossOutput:
     The pairs stream in column tiles (see the module docstring), so memory
     is O(MW_BLOCK_PAIRS + B(HB+B-1)), not O(B^2 (HB+B-1)). From
     ``MW_SPLIT_PAIRS`` pairs on (16.8M at B=128, H=7; not 195,584 at B=32,
-    H=5), with two usable CPUs, the calling thread and one worker thread
-    each walk half of numpy's pairwise-sum tree, split at its root so
-    that a call hands off once, through their own scratch buffers (one
-    more buffer set, still O(MW_BLOCK_PAIRS)). numpy's ufuncs release the
-    GIL, so the halves run at once. ``d_sim`` is bit-identical to the
-    unfused formula; ``value`` sums the row sums; neither depends on the
+    H=5), with two usable CPUs, the calling thread and a worker thread
+    started for this call each walk half of numpy's pairwise-sum tree,
+    split at its root so that a call hands off once, through their own
+    scratch buffers (one more buffer set, still O(MW_BLOCK_PAIRS)). numpy's
+    ufuncs release the GIL, so the halves run at once; the worker ends
+    before the call returns. ``d_sim`` is bit-identical to the unfused
+    formula; ``value`` sums the row sums; neither depends on the
     tiling or the split.
     """
     mask, neg = _pooled_negatives(scores)
@@ -267,6 +252,12 @@ def _pooled_negatives(scores: ScoreBatch) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("the pooled negative set is empty")
     mask = scores.offdiag_mask()
     return mask, scores.sim[mask]
+
+
+def check_tau(tau: float) -> None:
+    """Raise ValueError unless tau is a usable temperature: positive and finite."""
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
 
 
 def _pool_cl_loss(pools: Sequence[ScorePool], tau: float) -> float:
@@ -316,8 +307,7 @@ def gaussian_degradation_demo(
         raise ValueError(f"sigma must be finite, got {sigma}")
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if not 0 < tau < np.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    check_tau(tau)
     if not pools:
         raise ValueError("no per-query pools given")
     offsets = rng.normals(len(pools), sigma)
@@ -344,8 +334,7 @@ def mw_bound_check(pool: ScorePool, tau: float) -> tuple[float, float, bool]:
     ``mw_value``, so memory stays O(MW_BLOCK_PAIRS + n_pos + n_neg)
     however large the pool.
     """
-    if not 0 < tau < np.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    check_tau(tau)
     if pool.n_pos == 0 or pool.n_neg == 0:
         raise ValueError("bound check needs scores on both sides")
     aoc = strict_aoc(pool)

@@ -69,14 +69,22 @@ def test_split_mw_kernel_keeps_the_trace(bench, tmp_path, monkeypatch):
     serial = traced_spans(instrument, job, tmp_path / "serial")
     monkeypatch.setattr(objectives, "MW_SPLIT_PAIRS", 0)
     threads, tile = set(), objectives._mw_tile
+    calls, pair_sums = [], objectives._mw_pair_sums
 
     def recording_tile(*args):
         threads.add(threading.current_thread())
         return tile(*args)
 
+    def counting_pair_sums(*args, **kwargs):
+        calls.append(len(args[1]))
+        return pair_sums(*args, **kwargs)
+
     monkeypatch.setattr(objectives, "_mw_tile", recording_tile)
+    monkeypatch.setattr(objectives, "_mw_pair_sums", counting_pair_sums)
     split = traced_spans(instrument, job, tmp_path / "split")
-    assert len(threads) == 2
+    # every call splits, on a worker thread of its own
+    assert calls and all(n > 128 for n in calls)
+    assert len(threads) == 1 + len(calls)
     assert split.names == serial.names and split.parents == serial.parents
     counts = {name: calls for name, (calls, _, _) in split.self_times().items()}
     assert counts == {name: calls for name, (calls, _, _) in serial.self_times().items()}

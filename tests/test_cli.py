@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mwlab import cli, data, encoder, experiments
+from mwlab import cli, data, encoder, experiments, trainer
 from mwlab.data import SplitSpec, load_corpus, load_queries, save_queries, split_queries
 from mwlab.experiments import synthetic_provider
 from mwlab.prng import derive_seed
@@ -328,8 +328,14 @@ def test_evaluating_command_with_bad_argument_exits_2(tmp_path, command, extra):
     ["--lrs", "0.05", "--batch-sizes", "1", "--hard-negatives", "0"],
     ["--lrs", "0.05", "--batch-sizes", "4", "--hard-negatives", "-1"],
     ["--lrs", "0.05", "--batch-sizes", "4"],
+    # a bad cell after a good one: no cell trains
+    ["--lrs", "0.05", "-1", "--batch-sizes", "4", "--hard-negatives", "0"],
 ])
-def test_ablate_with_bad_argument_exits_2(tmp_path, extra):
+def test_ablate_with_bad_argument_exits_2(tmp_path, monkeypatch, extra):
+    def refused(*args, **kwargs):
+        raise AssertionError("a cell trained before the grid was checked")
+
+    monkeypatch.setattr(trainer, "train", refused)
     corpus, queries = synthetic_provider(SyntheticSpec(n_queries=30, n_docs=60))(0)
     corpus_path, queries_path = write_inputs(tmp_path, corpus, queries)
     out = tmp_path / "out"
@@ -358,12 +364,17 @@ def test_lemma1_demo_with_a_non_finite_setting_exits_2(tmp_path, capsys, extra, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tau", ["nan", "inf"])
-def test_lemma2_check_with_a_non_finite_tau_exits_2(capsys, tau):
+@pytest.mark.parametrize("extra, shown", [
+    pytest.param(["--trials", "2", "--tau", "nan"], "nan", id="nan"),
+    pytest.param(["--trials", "2", "--tau", "inf"], "inf", id="inf"),
+    # the trial never reaches the second tau, which is checked all the same
+    pytest.param(["--trials", "1", "--tau", "0.5", "-1"], "-1.0", id="unused-negative"),
+])
+def test_lemma2_check_with_a_non_finite_tau_exits_2(capsys, extra, shown):
     # a NaN tau used to report every trial as a bound violation, exit 1
-    assert cli.main(["lemma2-check", "--trials", "2", "--tau", tau]) == 2
+    assert cli.main(["lemma2-check", *extra]) == 2
     captured = capsys.readouterr()
-    assert f"tau must be positive and finite, got {tau}" in captured.err
+    assert f"tau must be positive and finite, got {shown}\n" in captured.err
     assert captured.out == ""
 
 

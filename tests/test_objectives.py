@@ -297,17 +297,26 @@ def root_mid(n):
 
 @pytest.fixture
 def split_always(monkeypatch):
-    """Every call with a row wider than a tile splits, on a fresh worker."""
+    """Every call with a row wider than a tile splits."""
     monkeypatch.setattr(objectives, "MW_SPLIT_PAIRS", 0)
     monkeypatch.setattr(objectives, "_CPUS", 2)
-    monkeypatch.setattr(objectives, "_worker_pool", None)
-    yield
-    if objectives._worker_pool is not None:
-        objectives._worker_pool.shutdown()
+
+
+@pytest.fixture
+def tile_threads(monkeypatch):
+    """The thread of every _mw_tile call, in call order."""
+    threads, tile = [], objectives._mw_tile
+
+    def recording_tile(*args):
+        threads.append(threading.current_thread())
+        return tile(*args)
+
+    monkeypatch.setattr(objectives, "_mw_tile", recording_tile)
+    return threads
 
 
 class TestMwSplit:
-    """The root split's threading: errors, waiting, threads and the pool."""
+    """The root split's threading: errors, waiting and threads."""
 
     def pair(self, n=3 * TILE):
         rng = np.random.default_rng(n)
@@ -345,18 +354,19 @@ class TestMwSplit:
         # every right-half tile finished before the error came out
         assert right_done == [lo for lo in tile_starts(len(neg)) if lo >= mid]
 
-    def test_repeated_splits_start_no_threads(self, split_always):
+    def test_repeated_splits_leave_no_threads(self, split_always, tile_threads):
         pos, neg = self.pair()
-        objectives._mw_pair_sums(pos, neg, 0.05)
-        assert objectives._worker_pool is not None
-        after_first = threading.active_count()
+        before = threading.active_count()
         for _ in range(50):
+            tile_threads.clear()
             objectives._mw_pair_sums(pos, neg, 0.05)
-        assert threading.active_count() <= after_first
+            # the caller and this call's worker, which has ended
+            assert len(set(tile_threads)) == 2
+        assert threading.active_count() == before
 
-    def test_concurrent_callers_share_the_worker(self, split_always):
+    def test_concurrent_callers_get_their_own_bits(self, split_always):
         # more calling threads than cores, switching often, all splitting
-        # onto the one worker: each must get its own call's bits
+        # onto workers of their own: each must get its own call's bits
         rng = np.random.default_rng(21)
         calls = [(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 2 * TILE + 8 * k)) for k in range(4)]
         want = [naive_mw_pair_sums(pos, neg, 0.05) for pos, neg in calls]
@@ -384,22 +394,23 @@ class TestMwSplit:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
 
-    def test_one_cpu_never_makes_the_pool(self, split_always, monkeypatch):
+    def test_one_cpu_never_makes_the_pool(self, split_always, tile_threads, monkeypatch):
         monkeypatch.setattr(objectives, "_CPUS", 1)
         pos, neg = self.pair()
         got = objectives._mw_pair_sums(pos, neg, 0.05)
-        assert objectives._worker_pool is None
+        assert len(tile_threads) > 1
+        assert set(tile_threads) == {threading.current_thread()}
         for a, b in zip(got, naive_mw_pair_sums(pos, neg, 0.05)):
             np.testing.assert_array_equal(a, b)
 
-    def test_below_threshold_stays_serial(self, monkeypatch):
+    def test_below_threshold_stays_serial(self, tile_threads, monkeypatch):
         monkeypatch.setattr(objectives, "_CPUS", 2)
-        monkeypatch.setattr(objectives, "_worker_pool", None)
         # B=32, H=5 is the default TrainConfig's batch: 195,584 pairs
         sb = random_score_batch(np.random.default_rng(20), b=32, h=5, tau=0.05)
         assert 32 * 32 * (6 * 32 - 1) < objectives.MW_SPLIT_PAIRS
         mw_loss(sb)
-        assert objectives._worker_pool is None
+        assert len(tile_threads) > 1
+        assert set(tile_threads) == {threading.current_thread()}
 
     def test_forked_child_splits_on_its_own_worker(self, split_always):
         pos, neg = self.pair()
@@ -407,11 +418,10 @@ class TestMwSplit:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
             pid = os.fork()
-        if pid == 0:  # child: the parent's worker thread does not exist here
+        if pid == 0:
             signal.alarm(30)  # a hang becomes a failure
-            ok = objectives._worker_pool is None
             got = objectives._mw_pair_sums(pos, neg, 0.05)
-            ok = ok and all(np.array_equal(a, b) for a, b in zip(got, want))
+            ok = all(np.array_equal(a, b) for a, b in zip(got, want))
             os._exit(0 if ok else 1)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
