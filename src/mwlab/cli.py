@@ -299,6 +299,17 @@ def _add_eval_args(p: argparse.ArgumentParser) -> None:
                    help="negatives pooled per query (default 500)")
 
 
+def _add_split_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--queries", required=True, help="query JSONL (mined if H > 0)")
+    p.add_argument("--config", help="JSON training config")
+    p.add_argument("--out", required=True)
+    p.add_argument("--loss", choices=["cl", "mw"])
+    p.add_argument("--seed", type=int)
+    p.add_argument("--train-fraction", type=float, default=TRAIN_FRACTION, dest="train_fraction")
+    p.add_argument("--eval-fraction", type=float, default=EVAL_FRACTION, dest="eval_fraction")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mwlab",
@@ -320,14 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("train", help="train one model and write reports/checkpoints")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--queries", required=True, help="query JSONL (mined if H > 0)")
-    p.add_argument("--config", help="JSON training config")
-    p.add_argument("--out", required=True)
-    p.add_argument("--loss", choices=["cl", "mw"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--train-fraction", type=float, default=TRAIN_FRACTION, dest="train_fraction")
-    p.add_argument("--eval-fraction", type=float, default=EVAL_FRACTION, dest="eval_fraction")
+    _add_split_args(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="pooled AUC protocol -> metrics.json")
@@ -379,17 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lemma2_check)
 
     p = sub.add_parser("ablate", help="grid sweep over lr/B/H -> ablation.csv")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.add_argument("--loss", choices=["cl", "mw"])
-    p.add_argument("--seed", type=int)
+    _add_split_args(p)
     p.add_argument("--lrs", type=float, nargs="+", required=True)
     p.add_argument("--batch-sizes", type=int, nargs="+", required=True, dest="batch_sizes")
     p.add_argument("--hard-negatives", type=int, nargs="+", required=True, dest="hard_negatives")
-    p.add_argument("--train-fraction", type=float, default=TRAIN_FRACTION, dest="train_fraction")
-    p.add_argument("--eval-fraction", type=float, default=EVAL_FRACTION, dest="eval_fraction")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("counts", help="comparison-term counts for a (B, H) batch")

@@ -340,20 +340,9 @@ def mine_hard_negatives(
     return result
 
 
-def sample_batch(
-    queries: QuerySet, corpus: Corpus, B: int, H: int, rng: Xoshiro256StarStar
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw a training batch as rows: ``(q_rows, p_rows)``, two ``np.intp``
-    arrays. ``q_rows`` are B distinct positions in ``queries``; ``p_rows``
-    are positions in ``corpus`` in scoring-column order: one positive per
-    query first, then each query's H hard negatives, query-major.
-
-    Only queries with at least H mined hard negatives are eligible. Batches
-    whose sampled positives collide (two queries sharing a positive
-    document) are redrawn, so in-batch negatives never silently contain
-    another query's positive. ``Query``'s invariant keeps a positive out of
-    its own query's hard negatives.
-    """
+def eligible_queries(queries: QuerySet, B: int, H: int) -> list[int]:
+    """Positions of the queries a (B, H) batch can draw: those with at
+    least H mined hard negatives. Raises ValueError when fewer than B are."""
     if B < 2:
         raise ValueError(f"B must be >= 2, got {B}")
     if H < 0:
@@ -364,6 +353,24 @@ def sample_batch(
             f"need {B} eligible queries (>= {H} hard negatives each), "
             f"have {len(eligible)}"
         )
+    return eligible
+
+
+def sample_batch(
+    queries: QuerySet, corpus: Corpus, B: int, H: int, rng: Xoshiro256StarStar
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a training batch as rows: ``(q_rows, p_rows)``, two ``np.intp``
+    arrays. ``q_rows`` are B distinct positions in ``queries``; ``p_rows``
+    are positions in ``corpus`` in scoring-column order: one positive per
+    query first, then each query's H hard negatives, query-major.
+
+    Only ``eligible_queries`` are drawn. Batches whose sampled positives
+    collide (two queries sharing a positive document) are redrawn, so
+    in-batch negatives never silently contain another query's positive.
+    ``Query``'s invariant keeps a positive out of its own query's hard
+    negatives.
+    """
+    eligible = eligible_queries(queries, B, H)
     for _ in range(100):
         picked = [eligible[i] for i in rng.sample_indices(len(eligible), B)]
         chosen = [queries[i] for i in picked]

@@ -1,9 +1,10 @@
 """A deterministic toy dual encoder with an exact analytic backward pass.
 
-Texts are lowercased, split into alphanumeric runs, and feature-hashed
-(FNV-1a 64-bit) into ``hash_dim`` buckets. Encoding is a count-weighted
-mean of embedding rows, a linear projection, and L2 normalization, so
-the similarity of two encodings is their cosine. Query and passage sides
+Texts are lowercased, split into alphanumeric runs, and feature-hashed:
+a token's bucket is its FNV-1a 64-bit hash mod ``hash_dim`` (for a power
+of two, the hash's low bits). Encoding is a count-weighted mean of
+embedding rows, a linear projection, and L2 normalization, so the
+similarity of two encodings is their cosine. Query and passage sides
 share the same weights.
 
 A batch of texts is hashed once into its token table, a plain
@@ -66,8 +67,6 @@ class EncoderConfig:
         check_field_types(self)
         if min(self.hash_dim, self.embed_dim, self.proj_dim) < 1:
             raise ValueError("all dimensions must be >= 1")
-        if self.hash_dim & (self.hash_dim - 1) != 0:
-            raise ValueError(f"hash_dim must be a power of two, got {self.hash_dim}")
 
 
 @dataclass
@@ -122,16 +121,17 @@ def fnv1a64(token: str) -> int:
 
 
 class _Buckets(dict):
-    """token -> bucket for one ``hash_dim``, each token hashed on first
-    sight. One map serves one ``prepare_tokens`` call and is then dropped."""
+    """token -> ``fnv1a64(token) % hash_dim`` (for a power of two, the mask
+    ``& (hash_dim - 1)``), each token hashed on first sight. One map
+    serves one ``prepare_tokens`` call and is then dropped."""
 
     def __init__(self, hash_dim: int):
-        if hash_dim & (hash_dim - 1) != 0 or hash_dim < 1:
-            raise ValueError(f"hash_dim must be a power of two, got {hash_dim}")
-        self.mask = hash_dim - 1
+        if hash_dim < 1:
+            raise ValueError(f"hash_dim must be >= 1, got {hash_dim}")
+        self.hash_dim = hash_dim
 
     def __missing__(self, token: str) -> int:
-        bucket = self[token] = fnv1a64(token) & self.mask
+        bucket = self[token] = fnv1a64(token) % self.hash_dim
         return bucket
 
 
@@ -151,11 +151,11 @@ def tokenize_hash(text: str, hash_dim: int) -> dict[int, int]:
 
 def prepare_tokens(texts: Sequence[str], hash_dim: int) -> sp.csr_matrix:
     """Tokenize and hash a batch once into its token table: the
-    n_texts x hash_dim CSR matrix of count / total per row, buckets
-    ascending. A text without tokens is a row with no stored entry. Row
-    ``i`` of the table, or of any row gather ``table[rows]``, is what
-    hashing text ``i`` alone gives. Each distinct token is hashed once
-    per call; the collections' ``tokens`` cache the table."""
+    n_texts x hash_dim CSR matrix of count / total per row, buckets (FNV-1a
+    mod ``hash_dim``) ascending. A text without tokens is a row with no
+    stored entry. Row ``i`` of the table, or of any row gather
+    ``table[rows]``, is what hashing text ``i`` alone gives. Each distinct
+    token is hashed once per call; the collections' ``tokens`` cache it."""
     buckets = _Buckets(hash_dim)
     indptr = [0]
     indices: list[int] = []

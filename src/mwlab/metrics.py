@@ -192,13 +192,17 @@ class RankedList:
             raise ValueError("ranked_ids contains duplicates")
 
 
-def mrr_at_k(lists: Sequence[RankedList], k: int = 10) -> float:
-    """Mean reciprocal rank of the first relevant hit within the top k;
-    queries with no hit contribute 0."""
+def _check_lists(lists: Sequence[RankedList], k: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not lists:
         raise ValueError("no ranked lists given")
+
+
+def mrr_at_k(lists: Sequence[RankedList], k: int = 10) -> float:
+    """Mean reciprocal rank of the first relevant hit within the top k;
+    queries with no hit contribute 0."""
+    _check_lists(lists, k)
     total = 0.0
     for rl in lists:
         for rank, doc_id in enumerate(rl.ranked_ids[:k], start=1):
@@ -215,10 +219,7 @@ def ndcg_at_k(lists: Sequence[RankedList], k: int = 10) -> float:
     places all relevant documents first. Queries without relevant
     documents contribute 0 and still count in the mean.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not lists:
-        raise ValueError("no ranked lists given")
+    _check_lists(lists, k)
     discounts = 1.0 / np.log2(np.arange(2, k + 2))
     total = 0.0
     for rl in lists:
@@ -234,10 +235,7 @@ def ndcg_at_k(lists: Sequence[RankedList], k: int = 10) -> float:
 
 def precision_at_k(lists: Sequence[RankedList], k: int = 10) -> float:
     """Mean fraction of the top k that is relevant."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not lists:
-        raise ValueError("no ranked lists given")
+    _check_lists(lists, k)
     total = sum(
         sum(1 for d in rl.ranked_ids[:k] if d in rl.relevant_ids) / k for rl in lists
     )
@@ -247,10 +245,7 @@ def precision_at_k(lists: Sequence[RankedList], k: int = 10) -> float:
 def recall_at_k(lists: Sequence[RankedList], k: int = 10) -> float:
     """Mean fraction of each query's relevant documents found in the top k;
     queries with no relevant documents contribute 0."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not lists:
-        raise ValueError("no ranked lists given")
+    _check_lists(lists, k)
     total = 0.0
     for rl in lists:
         if not rl.relevant_ids:

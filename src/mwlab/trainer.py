@@ -18,14 +18,14 @@ batch takes its rows of those vectors, and their score matrix goes to
 ``metrics.evaluate``. Adam updates in place through scratch buffers and
 is bit-identical to its textbook formula.
 
-Steps and Adam run on a sub-table: the rows R the corpus and train split
-hash to, in ascending order, zero-padded to a power of two. Every batch
-draws from those two tables, so a row outside R (or a padding row) gets
-g = +0 at every step, keeps m = v = 0, and is a fixed point of dense
-Adam. The monotone slot map keeps each token row's nonzero order, so the
-sparse products sum the same doubles in the same order: the bits are the
-full table's, at Adam's cost for |R| rows. The remapped tables share the
-cached tables' read-only ``data`` and ``indptr``; nothing writes to them.
+Steps and Adam run on a sub-table of exactly max(1, |R|) rows, no padding:
+the rows R the corpus and train split hash to, ascending. Every batch
+draws from those two tables, so a row outside R gets g = +0 at every
+step, keeps m = v = 0, and is a fixed point of dense Adam. The monotone
+slot map keeps each token row's nonzero order, so the sparse products
+sum the same doubles in the same order: the bits are the full table's,
+at Adam's cost for |R| rows. The remapped tables share the cached
+tables' read-only ``data`` and ``indptr``; nothing writes to them.
 
 Everything is a pure function of (config, data, seed): two runs with the
 same inputs produce bit-identical parameters, logs, and files.
@@ -34,6 +34,7 @@ same inputs produce bit-identical parameters, logs, and files.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -43,7 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import encoder as enc
-from .data import Corpus, QuerySet, sample_batch
+from .data import Corpus, QuerySet, eligible_queries, sample_batch
 from .metrics import evaluate
 from .objectives import cl_loss, mw_loss, mw_value
 from .prng import Xoshiro256StarStar, derive_seed
@@ -75,23 +76,14 @@ class TrainConfig:
         enc.check_field_types(self)
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if self.B < 2:
-            raise ValueError(f"B must be >= 2, got {self.B}")
-        if self.H < 0:
-            raise ValueError(f"H must be >= 0, got {self.H}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.base_lr <= 0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
-        if self.warmup_steps < 0:
-            raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
-        if self.max_epochs < 0:
-            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        for name in ("eval_every", "eval_batches", "eval_top_k"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in (("B", 2), ("H", 0), ("warmup_steps", 0), ("max_epochs", 0),
+                          ("patience", 1), ("eval_every", 1), ("eval_batches", 1),
+                          ("eval_top_k", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("tau", "base_lr"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass
@@ -224,16 +216,25 @@ def _sub_table(
     params: enc.EncoderParams, tables: Sequence[sp.csr_matrix]
 ) -> tuple[np.ndarray, enc.EncoderParams, list[sp.csr_matrix]]:
     """(R, sub-table, tables remapped onto it). R is the sorted set of
-    buckets the tables use; the sub-table holds ``embedding[R]`` and zero
-    padding up to a power of two, and shares the projection array."""
+    buckets the tables use; the sub-table holds exactly ``embedding[R]``
+    (one zero row when R is empty) and shares the projection array."""
     rows = np.unique(np.concatenate([t.indices for t in tables]))
-    size = 1 << max(0, len(rows) - 1).bit_length()
+    size = max(1, len(rows))
     embedding = np.zeros((size, params.config.embed_dim))
     embedding[:len(rows)] = params.embedding[rows]
     sub = enc.EncoderParams(replace(params.config, hash_dim=size), embedding, params.projection)
     remapped = [sp.csr_matrix((t.data, np.searchsorted(rows, t.indices), t.indptr),
                               shape=(t.shape[0], size)) for t in tables]
     return rows, sub, remapped
+
+
+@contextmanager
+def _naming_split(name: str, queries: QuerySet):
+    """Prefix a ValueError raised inside with the split and its size."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{name} split ({len(queries)} queries): {exc}") from exc
 
 
 def _train_step(params, q_tokens, p_tokens, tau, loss):
@@ -275,26 +276,18 @@ def train(
         encoder_config = enc.EncoderConfig(seed=derive_seed(config.seed, 1))
     steps_per_epoch = max(1, -(-len(train_queries) // config.B))
     max_steps = config.max_epochs * steps_per_epoch
-    eval_rows = []
-    batch = None
     if max_steps > 0:
         # fixed held-out batches: the evaluation loss is comparable across
         # steps. Drawn first, so an eval split too small for B fails early.
         eval_rng = Xoshiro256StarStar(derive_seed(config.seed, 3))
-        try:
-            eval_rows = [
-                sample_batch(eval_queries, corpus, config.B, config.H, eval_rng)
-                for _ in range(config.eval_batches)
-            ]
-        except ValueError as exc:
-            raise ValueError(f"eval split ({len(eval_queries)} queries): {exc}") from exc
+        with _naming_split("eval", eval_queries):
+            eval_rows = [sample_batch(eval_queries, corpus, config.B, config.H, eval_rng)
+                         for _ in range(config.eval_batches)]
         # the batch stream is independent of the initialization, so
         # drawing the first batch before it changes no bits
         batch_rng = Xoshiro256StarStar(derive_seed(config.seed, 2))
-        try:
+        with _naming_split("train", train_queries):
             batch = sample_batch(train_queries, corpus, config.B, config.H, batch_rng)
-        except ValueError as exc:
-            raise ValueError(f"train split ({len(train_queries)} queries): {exc}") from exc
 
     params = enc.init_params(encoder_config)
     report = RunReport(loss_kind=config.loss_kind)
@@ -375,9 +368,14 @@ def ablation_sweep(
     """
     if not lrs or not batch_sizes or not hard_negative_counts:
         raise ValueError("ablation grid must be non-empty in every dimension")
-    # every cell's config first, so a bad value fails before any training
+    # every cell's config, then (when cells train) its (B, H) against both
+    # splits first, so a bad value or a short split fails before any training
     cells = [replace(base_config, base_lr=lr, B=b, H=h)
              for lr, b, h in product(lrs, batch_sizes, hard_negative_counts)]
+    splits = (("eval", eval_queries), ("train", train_queries)) if base_config.max_epochs else ()
+    for cfg, (name, queries) in product(cells, splits):
+        with _naming_split(name, queries):
+            eligible_queries(queries, cfg.B, cfg.H)
     rows = []
     for cfg in cells:
         best, _ = train(cfg, train_queries, eval_queries, corpus, encoder_config)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mwlab import cli, data, encoder, experiments, trainer
@@ -167,7 +168,7 @@ def test_evaluate_hashes_queries_and_corpus_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("edit, expected", [
-    ({"hash_dim": 12}, "hash_dim must be a power of two, got 12"),
+    ({"hash_dim": 0}, "all dimensions must be >= 1"),
     ({"step": "x"}, "invalid literal for int()"),
 ])
 def test_evaluate_with_bad_checkpoint_header_exits_2(tmp_path, capsys, edit, expected):
@@ -182,6 +183,38 @@ def test_evaluate_with_bad_checkpoint_header_exits_2(tmp_path, capsys, edit, exp
                      "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err and expected in err
+
+
+def test_train_and_evaluate_with_a_hash_dim_that_is_not_a_power_of_two(tmp_path, monkeypatch):
+    corpus, queries = synthetic_provider(SyntheticSpec(n_queries=60, n_docs=120))(0)
+    corpus_path, queries_path = write_inputs(tmp_path, corpus, queries)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "B": 4, "H": 0, "base_lr": 0.05, "warmup_steps": 2, "max_epochs": 2,
+        "eval_every": 4, "eval_top_k": 20, "hash_dim": 300, "embed_dim": 8, "proj_dim": 4,
+    }))
+    trained = []
+
+    def capturing(*args, **kwargs):
+        trained.append(trainer.train(*args, **kwargs))
+        return trained[-1]
+
+    monkeypatch.setattr(cli, "train", capturing)
+    run = tmp_path / "run"
+    assert cli.main(["train", "--corpus", corpus_path, "--queries", queries_path,
+                     "--config", str(config), "--out", str(run)]) == 0
+    (best, report), = trained
+    assert best.config.hash_dim == 300
+    assert not np.array_equal(best.embedding, encoder.init_params(best.config).embedding)
+    ckpt = run / f"ckpt_{report.best_checkpoint_step}"
+    saved, step = encoder.load_checkpoint(ckpt)
+    assert step == report.best_checkpoint_step and saved.config == best.config
+    np.testing.assert_array_equal(saved.embedding, best.embedding)
+    np.testing.assert_array_equal(saved.projection, best.projection)
+    out = tmp_path / "eval_out"
+    assert cli.main(["evaluate", "--corpus", corpus_path, "--queries", queries_path,
+                     "--checkpoint", str(ckpt), "--out", str(out), "--top-k", "20"]) == 0
+    assert json.loads((out / "metrics.json").read_text())["n_pos"] > 0
 
 
 def exit_code(argv) -> int:
@@ -341,6 +374,22 @@ def test_ablate_with_bad_argument_exits_2(tmp_path, monkeypatch, extra):
     out = tmp_path / "out"
     assert exit_code(["ablate", "--corpus", corpus_path, "--queries", queries_path,
                       "--out", str(out), *extra]) == 2
+    assert not out.exists()
+
+
+def test_ablate_with_a_cell_a_split_cannot_draw_trains_no_cell(tmp_path, monkeypatch, capsys):
+    def refused(*args, **kwargs):
+        raise AssertionError("a cell trained before the splits were checked")
+
+    monkeypatch.setattr(trainer, "train", refused)
+    corpus, queries = synthetic_provider(SyntheticSpec(n_queries=60, n_docs=120))(0)
+    corpus_path, queries_path = write_inputs(tmp_path, corpus, queries)
+    out = tmp_path / "out"
+    # B=4 draws from both splits; B=64 from neither, and it comes second
+    assert exit_code(["ablate", "--corpus", corpus_path, "--queries", queries_path,
+                      "--out", str(out), "--lrs", "0.01", "--batch-sizes", "4", "64",
+                      "--hard-negatives", "0"]) == 2
+    assert "error: eval split (6 queries): need 64 eligible" in capsys.readouterr().err
     assert not out.exists()
 
 

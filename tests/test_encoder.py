@@ -43,9 +43,22 @@ class TestTokenizeHash:
         counts = tokenize_hash("lorem ipsum dolor sit amet", 64)
         assert all(0 <= b < 64 for b in counts)
 
-    def test_hash_dim_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            tokenize_hash("x", 100)
+    def test_mod_equals_the_mask_for_powers_of_two(self):
+        # every power-of-two table keeps the buckets the mask gave it
+        rng = np.random.default_rng(0)
+        alphabet = list("abcdefghijklmnopqrstuvwxyz0123456789é")
+        tokens = ["".join(rng.choice(alphabet, rng.integers(1, 12))) for _ in range(1000)]
+        hashes = [fnv1a64(t) for t in tokens]
+        for d in (1 << e for e in range(17)):
+            assert [h % d for h in hashes] == [h & (d - 1) for h in hashes]
+
+    def test_bucket_is_the_hash_mod_hash_dim(self):
+        assert tokenize_hash("x", 100) == {fnv1a64("x") % 100: 1}
+
+    @pytest.mark.parametrize("hash_dim", [0, -4])
+    def test_hash_dim_must_be_positive(self, hash_dim):
+        with pytest.raises(ValueError, match=f"hash_dim must be >= 1, got {hash_dim}"):
+            tokenize_hash("x", hash_dim)
 
     def test_fnv1a_reference_value(self):
         # FNV-1a 64 of empty input is the offset basis
@@ -202,8 +215,7 @@ class TestInit:
         assert abs(params.embedding.mean()) < 3 * a / np.sqrt(3 * n)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="power of two"):
-            EncoderConfig(hash_dim=100)
+        assert EncoderConfig(hash_dim=100).hash_dim == 100
         with pytest.raises(ValueError, match=">= 1"):
             EncoderConfig(hash_dim=16, embed_dim=0)
 

@@ -298,11 +298,11 @@ class TestSubTable:
         params = init_params(WIDE)
         rows, sub, remapped = trainer._sub_table(params, tables)
         np.testing.assert_array_equal(rows, touchable_rows(corpus, train_qs))
+        # exactly |R| rows: no padding
         size = sub.config.hash_dim
-        assert size == 256 and size // 2 < len(rows) <= size
+        assert size == len(rows) == sub.embedding.shape[0]
         assert sub.projection is params.projection
-        np.testing.assert_array_equal(sub.embedding[:len(rows)], params.embedding[rows])
-        assert not sub.embedding[len(rows):].any()
+        np.testing.assert_array_equal(sub.embedding, params.embedding[rows])
         for full, small in zip(tables, remapped):
             assert small.shape == (full.shape[0], size)
             np.testing.assert_array_equal(small.indptr, full.indptr)
@@ -312,6 +312,22 @@ class TestSubTable:
             for i in range(small.shape[0]):
                 slots = small.indices[small.indptr[i]:small.indptr[i + 1]]
                 assert (np.diff(slots) > 0).all()
+
+    @pytest.mark.parametrize("data", ["wide", "token-free"])
+    def test_adam_runs_on_exactly_the_touchable_rows(self, sub_table_data, monkeypatch, data):
+        corpus, train_qs, eval_qs = sub_table_data[data]
+        seen = []
+        adam = trainer.adam_step
+
+        def counting(params, grads, state, lr):
+            seen.append((params.embedding.shape[0], grads.embedding.shape[0],
+                         state.m.embedding.shape[0], state.v.embedding.shape[0]))
+            return adam(params, grads, state, lr)
+
+        monkeypatch.setattr(trainer, "adam_step", counting)
+        train(MW_CONFIG, train_qs, eval_qs, corpus, WIDE)
+        n = max(1, len(touchable_rows(corpus, train_qs)))
+        assert n < WIDE.hash_dim and seen == [(n,) * 4] * 12
 
     def test_token_free_tables_train_nothing(self, toy_data):
         corpus, train_qs, eval_qs = toy_data
