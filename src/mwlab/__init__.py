@@ -14,6 +14,7 @@ from .data import (
     Query,
     QuerySet,
     SplitSpec,
+    batch_rows,
     load_corpus,
     load_queries,
     mine_hard_negatives,
@@ -65,7 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Corpus", "Document", "Query", "QuerySet", "SplitSpec",
     "load_corpus", "load_queries", "save_queries", "mine_hard_negatives",
-    "sample_batch", "split_queries",
+    "batch_rows", "sample_batch", "split_queries",
     "EncoderConfig", "EncoderParams", "EncoderGrads", "encode_forward",
     "encode_backward", "init_params", "make_scorer", "save_checkpoint",
     "load_checkpoint", "tokenize_hash",

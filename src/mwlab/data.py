@@ -10,8 +10,10 @@ A ``Corpus`` or ``QuerySet`` hashes its texts once per ``hash_dim``
 (``tokens``) and keeps that table until it grows, so mining, every
 training run and every evaluation of one collection share one table.
 Mined and split query sets inherit their parent's rows of those tables.
-A training batch is its rows: ``sample_batch`` returns positions in the
-query set and the corpus, which index those tables directly.
+A training batch is its rows: ``batch_rows`` turns a split's eligible
+queries and their document ids into corpus positions once, and
+``sample_batch`` draws from those, returning positions in the query set
+and the corpus that index the token tables directly.
 """
 
 from __future__ import annotations
@@ -356,30 +358,50 @@ def eligible_queries(queries: QuerySet, B: int, H: int) -> list[int]:
     return eligible
 
 
-def sample_batch(
-    queries: QuerySet, corpus: Corpus, B: int, H: int, rng: Xoshiro256StarStar
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw a training batch as rows: ``(q_rows, p_rows)``, two ``np.intp``
-    arrays. ``q_rows`` are B distinct positions in ``queries``; ``p_rows``
-    are positions in ``corpus`` in scoring-column order: one positive per
-    query first, then each query's H hard negatives, query-major.
+@dataclass(frozen=True)
+class BatchRows:
+    """What (B, H) batches draw from: the eligible queries' positions and,
+    per eligible query, the corpus rows of its positives and negatives."""
 
-    Only ``eligible_queries`` are drawn. Batches whose sampled positives
-    collide (two queries sharing a positive document) are redrawn, so
-    in-batch negatives never silently contain another query's positive.
-    ``Query``'s invariant keeps a positive out of its own query's hard
-    negatives.
-    """
+    B: int
+    H: int
+    eligible: list[int]
+    positives: list[list[int]]
+    negatives: list[list[int]]
+
+
+def batch_rows(queries: QuerySet, corpus: Corpus, B: int, H: int) -> BatchRows:
+    """The rows a split's (B, H) batches draw from, built once per split.
+    Raises ``eligible_queries``' ValueError when fewer than B can draw."""
     eligible = eligible_queries(queries, B, H)
+    chosen = [queries[i] for i in eligible]
+    row = corpus.index_of
+    return BatchRows(B, H, eligible, [[row(d) for d in q.positive_ids] for q in chosen],
+                     [[row(d) for d in q.hard_negative_ids] for q in chosen])
+
+
+def sample_batch(rows: BatchRows, rng: Xoshiro256StarStar) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a training batch as rows: ``(q_rows, p_rows)``, two ``np.intp``
+    arrays. ``q_rows`` are B distinct positions of eligible queries;
+    ``p_rows`` are corpus positions in scoring-column order: one positive
+    per query first, then each query's H hard negatives, query-major, each
+    drawn in that order.
+
+    Batches whose sampled positives collide (two queries sharing a positive
+    document) are redrawn, so in-batch negatives never silently contain
+    another query's positive. ``Query``'s invariant keeps a positive out
+    of its own query's hard negatives.
+    """
+    B, H, positives, negatives = rows.B, rows.H, rows.positives, rows.negatives
     for _ in range(100):
-        picked = [eligible[i] for i in rng.sample_indices(len(eligible), B)]
-        chosen = [queries[i] for i in picked]
-        positives = [q.positive_ids[rng.below(len(q.positive_ids))] for q in chosen]
-        if len(set(positives)) == B:
-            negatives = [q.hard_negative_ids[j] for q in chosen
-                         for j in rng.sample_indices(len(q.hard_negative_ids), H)]
-            p_rows = [corpus.index_of(d) for d in positives + negatives]
-            return np.array(picked, dtype=np.intp), np.array(p_rows, dtype=np.intp)
+        picked = rng.sample_indices(len(rows.eligible), B)
+        p_rows = [positives[i][rng.below(len(positives[i]))] for i in picked]
+        if len(set(p_rows)) == B:
+            for i in picked:
+                negs = negatives[i]
+                p_rows += [negs[j] for j in rng.sample_indices(len(negs), H)]
+            return (np.array([rows.eligible[i] for i in picked], dtype=np.intp),
+                    np.array(p_rows, dtype=np.intp))
     raise ValueError(
         f"could not draw {B} queries with distinct positives after 100 attempts"
     )

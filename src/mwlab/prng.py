@@ -6,22 +6,25 @@ here bit-for-bit so that identical seeds produce identical streams on
 every platform and in every implementation of this pipeline, independent
 of numpy's generator internals.
 
-Bulk draws run over many lanes at once. ``doubles(n)`` splits its n draws
-into contiguous blocks of m = ceil(n / 512) draws, one block per lane,
-and lane l starts at the state l*m steps ahead. The xoshiro256** state
-update is linear over GF(2), so one step is a 256x256 bit matrix T, and
-the lanes are placed by jump-ahead: each start is T^m applied to the one
-before it, with T^m built by repeated squaring (Blackman & Vigna,
-"Scrambled linear pseudorandom number generators", TOMS 2021). The lanes
-then step together as numpy ``uint64`` arrays. Below a few thousand draws
-the matrix set-up costs more than it saves, so such calls step one state
-in Python; the choice depends on n alone. Either way ``doubles(n)``
-returns exactly the values of n scalar draws and leaves the generator in
-exactly the state after them.
+The xoshiro256** state update is linear over GF(2): one step is a
+256x256 bit matrix T, and T^k jumps a state k steps ahead (Blackman &
+Vigna, "Scrambled linear pseudorandom number generators", TOMS 2021).
+Every draw reads one stream. Scalar draws read a buffered block of
+_BLOCK_LANES x _BLOCK_STEPS = 128 x 32 raw values: lane l starts 32*l
+steps into the block, the lanes step together as numpy ``uint64`` arrays,
+and the block is laid out lane-major. After a block every lane start
+moves on by T^4096, and a fresh generator places its first starts by
+doubling, both through BLAS-free 4-bit lookup tables built once per
+process. From _LANE_CUTOFF (one block) draws on, ``doubles`` takes the
+block's unread rest, then splits the remaining draws over _LANES lanes
+placed by a float32 BLAS jump. The state words always hold the state
+after the buffered block, so every call leaves the generator exactly
+where the same draws taken one at a time would.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -52,14 +55,14 @@ def derive_seed(seed: int, salt: int) -> int:
     return out
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
-# Bulk draws: below _LANE_CUTOFF draws the scalar loop is faster than
-# the jump-ahead set-up; above it the draws are split over _LANES lanes.
+# A buffered block: _BLOCK_LANES lanes of _BLOCK_STEPS draws each. It is
+# also the bulk cutoff: from _LANE_CUTOFF draws on, ``doubles`` splits its
+# draws over _LANES lanes placed by a BLAS jump.
+_BLOCK_LANES = 128
+_BLOCK_STEPS = 32
+_LANE_CUTOFF = _BLOCK_LANES * _BLOCK_STEPS
 _LANES = 512
-_LANE_CUTOFF = 4096
+_NO_BLOCK = memoryview(np.empty(0, dtype=np.uint64))
 
 
 def _advance_lanes(s: np.ndarray, tmp: np.ndarray) -> None:
@@ -75,6 +78,15 @@ def _advance_lanes(s: np.ndarray, tmp: np.ndarray) -> None:
     np.left_shift(s3, 45, out=tmp)
     np.right_shift(s3, 19, out=s3)
     s3 |= tmp
+
+
+def _scramble(s1: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = rotl(s1 * 5, 7) * 9: the xoshiro256** output of every lane."""
+    np.multiply(s1, 5, out=out)
+    np.left_shift(out, 7, out=tmp)
+    np.right_shift(out, 57, out=out)
+    out |= tmp
+    out *= 9
 
 
 def _to_bits(words: np.ndarray) -> np.ndarray:
@@ -97,20 +109,22 @@ def _gf2(x: np.ndarray) -> np.ndarray:
     return (x.astype(np.uint16) & 1).astype(np.float32)
 
 
-def _transition() -> np.ndarray:
-    """T, the 256x256 GF(2) matrix of one state update: column j is
-    the update of the unit state with only bit j set."""
+def _stepped_units(steps: int) -> np.ndarray:
+    """(256, 4) uint64: row j is the unit state with only bit j set,
+    advanced ``steps`` updates; that is, column j of T^steps."""
     lanes = np.zeros((4, 256), dtype=np.uint64)
     bit = np.arange(256)
     lanes[bit // 64, bit] = np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64))
-    _advance_lanes(lanes, np.empty(256, dtype=np.uint64))
-    return np.ascontiguousarray(_to_bits(lanes.T).T)
+    tmp = np.empty(256, dtype=np.uint64)
+    for _ in range(steps):
+        _advance_lanes(lanes, tmp)
+    return lanes.T
 
 
 def _jump(m: int) -> np.ndarray:
-    """T^m over GF(2), by repeated squaring."""
+    """T^m over GF(2) as float32 bits, by repeated squaring of T."""
     result = None
-    base = _transition()
+    base = np.ascontiguousarray(_to_bits(_stepped_units(1)).T)
     while True:
         if m & 1:
             result = base if result is None else _gf2(result @ base)
@@ -120,14 +134,53 @@ def _jump(m: int) -> np.ndarray:
         base = _gf2(base @ base)
 
 
+def _nibble_table(columns: np.ndarray) -> np.ndarray:
+    """Lookup table of a GF(2) matrix M from its (256, 4) uint64 columns:
+    a (1024, 4) uint64 array whose row 16*p + c is M applied to the state
+    holding the 4-bit value c at bits 4p..4p+3 and zeros elsewhere."""
+    table = np.zeros((64, 16, 4), dtype=np.uint64)
+    columns = columns.reshape(64, 4, 4)
+    for b in range(4):
+        table[:, 1 << b:2 << b] = table[:, :1 << b] ^ columns[:, b, None]
+    return table.reshape(1024, 4)
+
+
+def _apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """M applied to each (k, 4) uint64 state row: the XOR of one table
+    row per 4-bit nibble of the state."""
+    raw = np.ascontiguousarray(states, dtype="<u8").view(np.uint8).T
+    rows = np.empty((64, len(states)), dtype=np.intp)
+    rows[0::2] = raw & 15
+    rows[1::2] = raw >> 4
+    rows += 16 * np.arange(64)[:, None]  # nibble p's entries start at row 16p
+    return np.bitwise_xor.reduce(np.take(table, rows, axis=0), axis=0)
+
+
+@functools.cache
+def _jump_tables() -> tuple[np.ndarray, ...]:
+    """Lookup tables of T^(32 * 2^k) for k = 0..7, the last one T^4096.
+    T^32 steps the unit states; each later one squares the one before
+    it through its table."""
+    columns = _stepped_units(_BLOCK_STEPS)
+    tables = [_nibble_table(columns)]
+    while len(tables) < _BLOCK_LANES.bit_length():
+        columns = _apply(tables[-1], columns)
+        tables.append(_nibble_table(columns))
+    for table in tables:
+        table.flags.writeable = False
+    return tuple(tables)
+
+
 class Xoshiro256StarStar:
     """xoshiro256** with splitmix64 seeding.
 
     The four state words are the first four splitmix64 outputs of the
-    seed, guaranteeing a non-zero state for every seed.
+    seed, guaranteeing a non-zero state for every seed. ``_state`` is the
+    state after the block ``_block``, read up to ``_pos``; ``_starts`` are
+    the block's lane starts, None when they must be placed afresh.
     """
 
-    __slots__ = ("_s0", "_s1", "_s2", "_s3", "_spare_normal")
+    __slots__ = ("_state", "_starts", "_block", "_pos", "_spare_normal")
 
     def __init__(self, seed: int):
         state = seed & _MASK64
@@ -135,21 +188,52 @@ class Xoshiro256StarStar:
         for _ in range(4):
             state, out = _splitmix64(state)
             words.append(out)
-        self._s0, self._s1, self._s2, self._s3 = words
+        self._state = np.array(words, dtype=np.uint64)
+        self._starts: np.ndarray | None = None
+        self._block = _NO_BLOCK
+        self._pos = _LANE_CUTOFF
         self._spare_normal: float | None = None
 
+    def _refill(self) -> None:
+        """Buffer the next block and move the state words past it. The
+        block and its lane starts are rewritten in place, so a generator
+        leaves no new long-lived allocation behind in the heap."""
+        tables = _jump_tables()
+        if self._starts is None:
+            self._starts = np.empty((_BLOCK_LANES, 4), dtype=np.uint64)
+            self._starts[0] = self._state
+            for k, table in enumerate(tables[:-1]):
+                # lanes [2^k, 2^(k+1)) are lanes [0, 2^k) 32 * 2^k steps on
+                self._starts[1 << k:2 << k] = _apply(table, self._starts[:1 << k])
+        else:
+            self._starts[:] = _apply(tables[-1], self._starts)
+        s = np.ascontiguousarray(self._starts.T)
+        s1 = np.empty((_BLOCK_STEPS, _BLOCK_LANES), dtype=np.uint64)
+        tmp = np.empty(_BLOCK_LANES, dtype=np.uint64)
+        for t in range(_BLOCK_STEPS):
+            s1[t] = s[1]
+            _advance_lanes(s, tmp)
+        self._state = s[:, -1].copy()
+        if not len(self._block):
+            self._block = np.empty(_LANE_CUTOFF, dtype=np.uint64).data
+        block = np.asarray(self._block).reshape(_BLOCK_LANES, _BLOCK_STEPS)
+        _scramble(s1.T, block, s1.T)  # s1 is spent once read, so it is the scratch
+        self._pos = 0
+
+    def _take(self, n: int) -> np.ndarray:
+        """Up to n unread values of the block, marked read: a view, valid
+        until the next refill."""
+        out = np.asarray(self._block[self._pos:self._pos + n])
+        self._pos += len(out)
+        return out
+
     def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return result
+        pos = self._pos
+        if pos == _LANE_CUTOFF:
+            self._refill()
+            pos = 0
+        self._pos = pos + 1
+        return self._block[pos]
 
     def random(self) -> float:
         """Double in [0, 1) from the top 53 bits."""
@@ -159,50 +243,50 @@ class Xoshiro256StarStar:
         """n doubles in [0, 1), each ``random()`` of the next draw.
 
         The result and the state left behind are bit-identical to n calls
-        of ``random()``. From ``_LANE_CUTOFF`` draws on, the n draws are
-        split into blocks of m = ceil(n / _LANES); lane l starts at the
-        state after l*m steps (T^m jump-ahead from lane l-1) and writes
-        draw t of its block straight into ``out[l*m + t]``. The last lane
-        may hold fewer than m draws; the state after its last draw is the
-        state after n draws, and the generator continues from it.
+        of ``random()``. From ``_LANE_CUTOFF`` draws on, the r draws after
+        the block's unread rest are split into blocks of m = ceil(r /
+        _LANES); lane l starts at the state after l*m of them (T^m
+        jump-ahead from lane l-1) and writes draw t of its block straight
+        into the result. The last lane may hold fewer than m draws; the
+        state after its last draw is the state after all n.
         """
-        out = np.empty(n, dtype=np.float64)
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        head = (self._take(n) >> 11) * _INV_2_53  # read before a refill overwrites it
+        if len(head) == n:
+            return head
         if n < _LANE_CUTOFF:
-            nxt = self.next_u64
-            for i in range(n):
-                out[i] = (nxt() >> 11) * _INV_2_53
-            return out
-        m = -(-n // _LANES)
-        lanes = -(-n // m)
-        tail = n - (lanes - 1) * m
+            self._refill()
+            return np.concatenate([head, (self._take(n - len(head)) >> 11) * _INV_2_53])
+        out = np.empty(n, dtype=np.float64)
+        out[:len(head)] = head
+        self._starts = None
+        rest = out[len(head):]
+        m = -(-len(rest) // _LANES)
+        lanes = -(-len(rest) // m)
+        tail = len(rest) - (lanes - 1) * m
         s = self._lane_starts(m, lanes)
-        head = out[:(lanes - 1) * m].reshape(lanes - 1, m)
-        last = out[(lanes - 1) * m:]
+        body = rest[:(lanes - 1) * m].reshape(lanes - 1, m)
+        last = rest[(lanes - 1) * m:]
         draw = np.empty(lanes, dtype=np.uint64)
         tmp = np.empty(lanes, dtype=np.uint64)
         for t in range(m):
-            # result = rotl(s1 * 5, 7) * 9, then its top 53 bits
-            np.multiply(s[1], 5, out=draw)
-            np.left_shift(draw, 7, out=tmp)
-            np.right_shift(draw, 57, out=draw)
-            draw |= tmp
-            draw *= 9
+            _scramble(s[1], draw, tmp)
             draw >>= 11
-            np.multiply(draw[:-1], _INV_2_53, out=head[:, t])
+            np.multiply(draw[:-1], _INV_2_53, out=body[:, t])
             if t < tail:
                 np.multiply(draw[-1:], _INV_2_53, out=last[t:t + 1])
             _advance_lanes(s, tmp)
             if t == tail - 1:
-                self._s0, self._s1, self._s2, self._s3 = (int(w) for w in s[:, -1])
+                self._state = s[:, -1].copy()
         return out
 
     def _lane_starts(self, m: int, lanes: int) -> np.ndarray:
-        """(4, lanes) uint64 states: lane l is the current state advanced
+        """(4, lanes) uint64 states: lane l is the state words advanced
         l*m steps."""
         jump = _jump(m)
         bits = np.empty((lanes, 256), dtype=np.uint8)
-        v = _to_bits(np.array([[self._s0, self._s1, self._s2, self._s3]],
-                              dtype=np.uint64))[0]
+        v = _to_bits(self._state[None, :])[0]
         bits[0] = v
         for lane in range(1, lanes):
             v = _gf2(jump @ v)
@@ -214,8 +298,8 @@ class Xoshiro256StarStar:
 
     def below(self, n: int) -> int:
         """Unbiased integer in [0, n) via rejection sampling."""
-        if n <= 0:
-            raise ValueError("below() requires n >= 1")
+        if not 0 < n <= 1 << 64:
+            raise ValueError(f"below() requires 1 <= n <= 2**64, got {n}")
         limit = (1 << 64) - ((1 << 64) % n)
         v = self.next_u64()
         while v >= limit:
@@ -230,6 +314,9 @@ class Xoshiro256StarStar:
 
     def sample_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), partial Fisher-Yates order."""
+        if n < 0 or k < 0:
+            name, value = ("n", n) if n < 0 else ("k", k)
+            raise ValueError(f"{name} must be >= 0, got {value}")
         if k > n:
             raise ValueError(f"cannot sample {k} distinct items from {n}")
         pool = list(range(n))
@@ -253,4 +340,6 @@ class Xoshiro256StarStar:
         return r * math.cos(theta)
 
     def normals(self, n: int, sigma: float = 1.0) -> np.ndarray:
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
         return np.array([self.normal() for _ in range(n)]) * sigma

@@ -11,8 +11,10 @@ improvement or when the epoch budget runs out.
 The corpus, train split and eval split each give their positional token
 table: the read-only CSR matrix ``tokens(hash_dim)`` caches on the
 collection, so a run hashes only what no earlier run or mining hashed.
-``data.sample_batch`` draws a batch as query-split and corpus positions,
-so a batch is a row gather of those tables, not a fresh tokenization. An
+Each split's ``data.batch_rows`` (its eligible queries and their corpus
+rows) is built once per run, before the first draw; ``data.sample_batch``
+draws a batch from it as query-split and corpus positions, so a batch is
+a row gather of those tables, not a fresh tokenization or id lookup. An
 evaluation encodes the eval split and the corpus once: each fixed eval
 batch takes its rows of those vectors, and their score matrix goes to
 ``metrics.evaluate``. Adam updates in place through scratch buffers and
@@ -44,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import encoder as enc
-from .data import Corpus, QuerySet, eligible_queries, sample_batch
+from .data import Corpus, QuerySet, batch_rows, eligible_queries, sample_batch
 from .metrics import evaluate
 from .objectives import cl_loss, mw_loss, mw_value
 from .prng import Xoshiro256StarStar, derive_seed
@@ -262,10 +264,11 @@ def train(
     evaluation-loss improvement and the report files at the end.
     ``max_epochs = 0`` returns the initial parameters untouched.
 
-    Before any other work, the fixed eval batches and the first training
-    batch are drawn, so a split too small for (B, H) raises a
-    ``ValueError`` naming it. The corpus, the train split and the eval
-    split then give their cached positional token tables.
+    Before any other work, each split's batch rows are built once and the
+    fixed eval batches and the first training batch are drawn from them,
+    so a split too small for (B, H) raises a ``ValueError`` naming it.
+    The corpus, the train split and the eval split then give their cached
+    positional token tables.
 
     Steps and Adam run on the sub-table of the module docstring. Every
     evaluation first writes it back into the full parameters, which
@@ -281,13 +284,14 @@ def train(
         # steps. Drawn first, so an eval split too small for B fails early.
         eval_rng = Xoshiro256StarStar(derive_seed(config.seed, 3))
         with _naming_split("eval", eval_queries):
-            eval_rows = [sample_batch(eval_queries, corpus, config.B, config.H, eval_rng)
-                         for _ in range(config.eval_batches)]
+            eval_split = batch_rows(eval_queries, corpus, config.B, config.H)
+            eval_rows = [sample_batch(eval_split, eval_rng) for _ in range(config.eval_batches)]
         # the batch stream is independent of the initialization, so
         # drawing the first batch before it changes no bits
         batch_rng = Xoshiro256StarStar(derive_seed(config.seed, 2))
         with _naming_split("train", train_queries):
-            batch = sample_batch(train_queries, corpus, config.B, config.H, batch_rng)
+            train_split = batch_rows(train_queries, corpus, config.B, config.H)
+            batch = sample_batch(train_split, batch_rng)
 
     params = enc.init_params(encoder_config)
     report = RunReport(loss_kind=config.loss_kind)
@@ -324,7 +328,7 @@ def train(
     bad_evals = 0
     for step in range(1, max_steps + 1):
         if step > 1:
-            batch = sample_batch(train_queries, corpus, config.B, config.H, batch_rng)
+            batch = sample_batch(train_split, batch_rng)
         q, p = batch
         value, grads = _train_step(sub, sub_train[q], sub_corpus[p], config.tau, loss)
         lr = lr_at(step, config)

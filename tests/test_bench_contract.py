@@ -3,6 +3,7 @@ that removes or renames one must fail here, not at benchmark time. Its
 toy jobs also guard the hash budget: each text is hashed once, so the
 traced reuse ratio is 1."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -24,6 +25,18 @@ def bench(monkeypatch):
 def test_bench_finds_every_probed_function(bench):
     instrument, _ = bench
     instrument.Instrument()  # raises if a probed or counted function is gone
+
+
+def test_every_per_layer_function_metric_is_traced(bench):
+    # a metric <layer>.<function>.<stat> (or <layer>.<Class>.<method>.<stat>)
+    # reads the spans of a wrapped function; a rename leaves it unmeasured
+    instrument, _ = bench
+    inst = instrument.Instrument()
+    spec = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
+    quals = [name.rsplit(".", 1)[0] for name in (m["name"] for m in spec["per_layer"])
+             if name.count(".") >= 2 and name.split(".")[0] in instrument.LAYERS]
+    assert "data.sample_batch" in quals
+    assert [q for q in quals if q not in inst.functions and q not in inst.methods] == []
 
 
 @pytest.mark.parametrize("name", ["compare-synth", "train-wide-mw", "eval-large"])

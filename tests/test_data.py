@@ -1,5 +1,6 @@
 """Tests for corpus/query ingestion, mining, and batch sampling."""
 
+import hashlib
 import json
 from dataclasses import FrozenInstanceError, replace
 
@@ -13,6 +14,7 @@ from mwlab.data import (
     Query,
     QuerySet,
     SplitSpec,
+    batch_rows,
     load_corpus,
     load_queries,
     mine_hard_negatives,
@@ -23,7 +25,7 @@ from mwlab.data import (
     top_k_columns,
 )
 from mwlab.encoder import EncoderConfig, init_params, make_scorer, prepare_tokens
-from mwlab.prng import Xoshiro256StarStar
+from mwlab.prng import Xoshiro256StarStar, derive_seed
 from mwlab.synthetic import SyntheticSpec, make_benchmark
 from util import naive_top_k
 
@@ -415,14 +417,14 @@ class TestSampleBatch:
 
     def test_exhaustive_two_queries(self):
         queries, corpus = self.make_data(2, n_negs=0)
-        q_rows, p_rows = sample_batch(queries, corpus, B=2, H=0, rng=Xoshiro256StarStar(0))
+        q_rows, p_rows = sample_batch(batch_rows(queries, corpus, 2, 0), Xoshiro256StarStar(0))
         assert sorted(q_rows.tolist()) == [0, 1]
         assert [corpus.ids[j] for j in p_rows] == [f"d{4 + i}" for i in q_rows]
 
     def test_deterministic_under_seed(self):
         queries, corpus = self.make_data(20)
-        b1 = sample_batch(queries, corpus, B=5, H=2, rng=Xoshiro256StarStar(123))
-        b2 = sample_batch(queries, corpus, B=5, H=2, rng=Xoshiro256StarStar(123))
+        b1 = sample_batch(batch_rows(queries, corpus, 5, 2), Xoshiro256StarStar(123))
+        b2 = sample_batch(batch_rows(queries, corpus, 5, 2), Xoshiro256StarStar(123))
         for rows1, rows2 in zip(b1, b2):
             assert rows1.dtype == np.intp
             np.testing.assert_array_equal(rows1, rows2)
@@ -430,17 +432,17 @@ class TestSampleBatch:
     def test_single_query_batch_rejected(self):
         queries, corpus = self.make_data(4)
         with pytest.raises(ValueError, match="B must be >= 2, got 1"):
-            sample_batch(queries, corpus, B=1, H=0, rng=Xoshiro256StarStar(0))
+            batch_rows(queries, corpus, B=1, H=0)
 
     def test_insufficient_queries(self):
         queries, corpus = self.make_data(2)
         with pytest.raises(ValueError, match="eligible"):
-            sample_batch(queries, corpus, B=3, H=0, rng=Xoshiro256StarStar(0))
+            batch_rows(queries, corpus, B=3, H=0)
 
     def test_too_few_hard_negatives_excludes_query(self):
         queries, corpus = self.make_data(4, n_negs=1)
         with pytest.raises(ValueError, match="eligible"):
-            sample_batch(queries, corpus, B=3, H=2, rng=Xoshiro256StarStar(0))
+            batch_rows(queries, corpus, B=3, H=2)
 
     def test_shared_positive_batches_redrawn(self):
         # two queries share the only positive; a batch with both is impossible
@@ -451,7 +453,7 @@ class TestSampleBatch:
             Query("q2", "c", ["other"]),
         ])
         for seed in range(10):
-            q_rows, p_rows = sample_batch(queries, corpus, B=2, H=0, rng=Xoshiro256StarStar(seed))
+            q_rows, p_rows = sample_batch(batch_rows(queries, corpus, 2, 0), Xoshiro256StarStar(seed))
             assert 2 in q_rows
             assert sorted(p_rows.tolist()) == [0, 1]
 
@@ -460,7 +462,7 @@ class TestSampleBatch:
         ids = corpus.ids
         for seed in range(50):
             B, H = 2 + seed % 7, seed % 4
-            q_rows, p_rows = sample_batch(queries, corpus, B, H, Xoshiro256StarStar(seed))
+            q_rows, p_rows = sample_batch(batch_rows(queries, corpus, B, H), Xoshiro256StarStar(seed))
             assert len(set(q_rows.tolist())) == len(q_rows) == B
             assert len(p_rows) == B * (1 + H)
             assert len(set(p_rows[:B].tolist())) == B
@@ -471,6 +473,65 @@ class TestSampleBatch:
                 assert len(set(negatives)) == H
                 assert set(negatives) <= set(q.hard_negative_ids)
                 assert not set(negatives) & set(q.positive_ids)
+
+
+def batch_stream_digest(rows, rng, n=300) -> str:
+    """sha256 of n successive (q_rows, p_rows) draws, as little-endian int64."""
+    h = hashlib.sha256()
+    for _ in range(n):
+        for part in sample_batch(rows, rng):
+            h.update(part.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+def collision_fixture():
+    """Ten queries over four positives, so most (3, 2) draws collide and
+    are redrawn. q0 has three positives, q3 exactly two hard negatives,
+    and q5 one, which leaves it ineligible."""
+    corpus = Corpus([Document(f"p{i}", f"pos {i}") for i in range(4)]
+                    + [Document(f"n{i}", f"neg {i}") for i in range(12)])
+    queries = []
+    for i in range(10):
+        positives = ["p0", "p1", "p2"] if i == 0 else [f"p{i % 4}"]
+        n_negs = {3: 2, 5: 1}.get(i, 4 + i % 5)
+        queries.append(Query(f"q{i}", f"query {i}", positives,
+                             [f"n{(i + j) % 12}" for j in range(n_negs)]))
+    return corpus, QuerySet(queries)
+
+
+class TestBatchStream:
+    # Both digests were recorded from scalar xoshiro steps and per-draw id
+    # lookups, an implementation independent of the buffered stream.
+    def test_compare_synth_stream_is_pinned(self):
+        # the compare-synth shape: 400q/1000d, top-50 mined by the seed-0
+        # init, train split, B=32, H=5, the seed-0 batch stream
+        corpus, queries = make_benchmark(SyntheticSpec(400, 1000, seed=derive_seed(0, 10)))
+        encoder = EncoderConfig(hash_dim=8192, embed_dim=32, proj_dim=16, seed=derive_seed(0, 1))
+        queries = mine_hard_negatives(queries, corpus, make_scorer(init_params(encoder)), k=50)
+        train, _, _ = split_queries(queries, SplitSpec(0.8, 0.1, seed=derive_seed(0, 12)))
+        rows = batch_rows(train, corpus, 32, 5)
+        assert batch_stream_digest(rows, Xoshiro256StarStar(derive_seed(0, 2))) == (
+            "0557291e33efde599e907ae63718920c0582bb2964a20b9f51626159bb9b4558")
+
+    def test_redrawn_stream_is_pinned(self):
+        corpus, queries = collision_fixture()
+        rows = batch_rows(queries, corpus, 3, 2)
+        assert 5 not in rows.eligible
+        assert batch_stream_digest(rows, Xoshiro256StarStar(7)) == (
+            "8746a19f631de1b59e39727fd81547e0ca129e6f148e2f4a2e7a2b132d68dc5b")
+
+    def test_gives_up_after_100_attempts(self):
+        corpus = Corpus([Document("p", "x")])
+        queries = QuerySet([Query(f"q{i}", "a", ["p"]) for i in range(3)])
+        rng = Xoshiro256StarStar(0)
+        with pytest.raises(ValueError, match="distinct positives after 100 attempts"):
+            sample_batch(batch_rows(queries, corpus, 2, 0), rng)
+        oracle = Xoshiro256StarStar(0)
+        for _ in range(100):
+            oracle.sample_indices(3, 2)
+            oracle.below(1)
+            oracle.below(1)
+        assert rng.next_u64() == oracle.next_u64()
 
 
 class TestSplit:

@@ -1,51 +1,23 @@
 """Tests for the deterministic generator.
 
 Reference values for xoshiro256** and splitmix64 are produced by a
-direct transcription of the published reference algorithms, evaluated
-here step by step, so the generator of the library under test cannot
-drift without this file noticing.
+direct transcription of the published reference algorithms, stepped one
+draw at a time (``util.ReferenceXoshiro``), so the generator of the
+library under test cannot drift without this file noticing.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwlab.encoder import EncoderConfig, init_params
 from mwlab.prng import _LANE_CUTOFF, _LANES, Xoshiro256StarStar, _splitmix64, derive_seed
+from util import ReferenceXoshiro, reference_splitmix64_sequence, reference_xoshiro_sequence
 
 MASK = (1 << 64) - 1
-
-
-def reference_splitmix64_sequence(seed: int, n: int) -> list[int]:
-    out = []
-    state = seed & MASK
-    for _ in range(n):
-        state = (state + 0x9E3779B97F4A7C15) & MASK
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
-        out.append(z ^ (z >> 31))
-    return out
-
-
-def reference_xoshiro_sequence(seed: int, n: int) -> list[int]:
-    s = reference_splitmix64_sequence(seed, 4)
-
-    def rotl(x, k):
-        return ((x << k) | (x >> (64 - k))) & MASK
-
-    out = []
-    for _ in range(n):
-        out.append((rotl((s[1] * 5) & MASK, 7) * 9) & MASK)
-        t = (s[1] << 17) & MASK
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = rotl(s[3], 45)
-    return out
 
 
 class TestStreams:
@@ -155,3 +127,89 @@ class TestBulkDraws:
         digest = hashlib.sha256(params.embedding.tobytes() + params.projection.tobytes())
         assert digest.hexdigest() == (
             "2dd6cf134e34994199ffd1830ad63bab17814b5ba421519bceef4042351f3c46")
+
+
+# One call of each draw method: (name, arguments). ``below(2**63 + 1)``
+# rejects about half of the raw values; the doubles sizes straddle the
+# bulk cutoff, which is also one buffered block.
+CALLS = st.one_of(
+    st.tuples(st.sampled_from(["next_u64", "random", "normal"])),
+    st.tuples(st.just("below"), st.sampled_from([1, 2, 7, 300, 2**32 + 1, 2**63 + 1, 2**64])),
+    st.tuples(st.just("normals"), st.integers(0, 9), st.sampled_from([1.0, 0.5])),
+    st.tuples(st.just("doubles"), st.one_of(
+        st.sampled_from([0, 1, _LANE_CUTOFF - 1, _LANE_CUTOFF, _LANE_CUTOFF + 1,
+                         2 * _LANE_CUTOFF + 17]),
+        st.integers(0, 40))),
+    st.tuples(st.just("uniform"), st.just(-2.0), st.just(3.0), st.integers(0, 40)),
+    st.tuples(st.just("shuffle"), st.integers(0, 30)),
+    st.integers(0, 60).flatmap(lambda n: st.tuples(st.just("sample_indices"), st.just(n),
+                                                  st.integers(0, n))),
+)
+
+
+def call(gen, name, *args):
+    """The call's result; a shuffle returns the shuffled list."""
+    if name == "shuffle":
+        items = list(range(args[0]))
+        gen.shuffle(items)
+        return items
+    return getattr(gen, name)(*args)
+
+
+def assert_same_calls(seed, calls):
+    gen, oracle = Xoshiro256StarStar(seed), ReferenceXoshiro(seed)
+    for c in calls:
+        got, want = call(gen, *c), call(oracle, *c)
+        if isinstance(want, np.ndarray):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+        else:
+            assert got == want and type(got) is type(want), c
+    # the same position in the stream: the next raw values agree
+    assert [gen.next_u64() for _ in range(3)] == [oracle.next_u64() for _ in range(3)]
+
+
+class TestOneStream:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, MASK), calls=st.lists(CALLS, max_size=8))
+    def test_call_sequences_match_the_oracle(self, seed, calls):
+        assert_same_calls(seed, calls)
+
+    @pytest.mark.parametrize("first", [
+        ("next_u64",), ("random",), ("below", 300), ("normal",), ("normals", 3, 2.0),
+        ("doubles", 5), ("doubles", _LANE_CUTOFF + 1), ("uniform", -1.0, 1.0, 6),
+        ("shuffle", 9), ("sample_indices", 50, 5),
+    ])
+    def test_fresh_generator_first_call(self, first):
+        assert_same_calls(11, [first, ("random",)])
+
+    def test_rejection_path(self):
+        # limit 2**63 + 1: every raw value >= it is rejected and redrawn
+        gen, oracle = Xoshiro256StarStar(5), ReferenceXoshiro(5)
+        draws = [gen.below(2**63 + 1) for _ in range(2 * _LANE_CUTOFF)]
+        assert draws == [oracle.below(2**63 + 1) for _ in range(2 * _LANE_CUTOFF)]
+        assert oracle.draws > 3 * _LANE_CUTOFF  # about half rejected
+        assert gen.next_u64() == oracle.next_u64()
+
+    @pytest.mark.parametrize("n", [10, _LANE_CUTOFF - 100, _LANE_CUTOFF, 3 * _LANE_CUTOFF + 5])
+    def test_doubles_after_a_partly_read_block(self, n):
+        # 100 values read: the block's unread rest comes first
+        assert_same_calls(3, [("below", 7)] * 100 + [("doubles", n), ("doubles", n)])
+
+
+class TestCounts:
+    @pytest.mark.parametrize("args, name", [((10, -1), "k"), ((-3, -5), "n"), ((-1, 0), "n")])
+    def test_sample_indices_rejects_a_negative_count(self, args, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0, got -"):
+            Xoshiro256StarStar(0).sample_indices(*args)
+
+    @pytest.mark.parametrize("method, args", [
+        ("doubles", (-1,)), ("uniform", (0.0, 1.0, -1)), ("normals", (-2,))])
+    def test_bulk_methods_reject_a_negative_count(self, method, args):
+        with pytest.raises(ValueError, match="n must be >= 0, got -"):
+            getattr(Xoshiro256StarStar(0), method)(*args)
+
+    @pytest.mark.parametrize("n", [0, -1, 2**64 + 1])
+    def test_below_rejects_a_range_it_cannot_draw(self, n):
+        with pytest.raises(ValueError, match=f"got {n}"):
+            Xoshiro256StarStar(0).below(n)

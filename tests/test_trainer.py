@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from mwlab import trainer
-from mwlab.data import Corpus, QuerySet, SplitSpec, mine_hard_negatives, sample_batch, split_queries
+from mwlab.data import (Corpus, QuerySet, SplitSpec, batch_rows, mine_hard_negatives, sample_batch,
+                        split_queries)
 from mwlab.encoder import (
     EncoderConfig,
     EncoderGrads,
@@ -50,7 +51,8 @@ def toy_data():
 def gathered_batch(toy_data, seed: int = 3):
     """A training batch's rows and its tokens gathered from the run's tables."""
     corpus, train_qs, _ = toy_data
-    rows = sample_batch(train_qs, corpus, MW_CONFIG.B, MW_CONFIG.H, Xoshiro256StarStar(seed))
+    rows = sample_batch(batch_rows(train_qs, corpus, MW_CONFIG.B, MW_CONFIG.H),
+                        Xoshiro256StarStar(seed))
     q_tokens = prepare_tokens(train_qs.texts, ENCODER.hash_dim)[rows[0]]
     p_tokens = prepare_tokens(corpus.texts, ENCODER.hash_dim)[rows[1]]
     return rows, q_tokens, p_tokens
@@ -153,6 +155,36 @@ class TestTrainSplitValidation:
         )
         np.testing.assert_array_equal(params.embedding, init_params(ENCODER).embedding)
         assert report.steps == []
+
+
+def test_train_builds_batch_rows_once_per_split(toy_data, monkeypatch):
+    corpus, train_qs, eval_qs = toy_data
+    built, drawn_from, lookups = [], [], []
+    index_of = Corpus.index_of
+
+    def counting_index_of(self, doc_id):
+        lookups.append(doc_id)
+        return index_of(self, doc_id)
+
+    def counting_batch_rows(queries, *args):
+        built.append(queries)
+        return batch_rows(queries, *args)
+
+    def recording_sample_batch(rows, rng):
+        before = len(lookups)
+        drawn_from.append(rows)
+        batch = sample_batch(rows, rng)
+        assert len(lookups) == before, "a draw looked up a document id"
+        return batch
+
+    monkeypatch.setattr(Corpus, "index_of", counting_index_of)
+    monkeypatch.setattr(trainer, "batch_rows", counting_batch_rows)
+    monkeypatch.setattr(trainer, "sample_batch", recording_sample_batch)
+    _, report = train(MW_CONFIG, train_qs, eval_qs, corpus, ENCODER)
+    assert built == [eval_qs, train_qs]
+    # the eval batches, then one draw per step, all from the two row sets
+    assert len(drawn_from) == MW_CONFIG.eval_batches + len(report.steps)
+    assert len({id(rows) for rows in drawn_from}) == 2
 
 
 class TestTrainStep:

@@ -1,8 +1,8 @@
 """Shared helpers for the test suite: oracles and random fixtures.
 
 The oracles here are intentionally naive (brute-force pair loops, direct
-formula evaluation, central finite differences) and independent of the
-library's fast paths.
+formula evaluation, central finite differences, a generator stepped one
+draw at a time) and independent of the library's fast paths.
 """
 
 from __future__ import annotations
@@ -13,6 +13,100 @@ from dataclasses import dataclass
 import numpy as np
 
 from mwlab.scoring import ScoreBatch
+
+
+MASK64 = (1 << 64) - 1
+
+
+def reference_splitmix64_sequence(seed: int, n: int) -> list[int]:
+    """The first n splitmix64 outputs, transcribed from the published
+    reference algorithm."""
+    out = []
+    state = seed & MASK64
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+class ReferenceXoshiro:
+    """xoshiro256** stepped one draw at a time from a transcription of the
+    published reference algorithm, seeded by four splitmix64 outputs. Every
+    draw method is a plain loop over ``next_u64``, as the library's methods
+    were before they read buffered blocks; ``draws`` counts the raw values
+    read."""
+
+    def __init__(self, seed: int):
+        self.s = reference_splitmix64_sequence(seed, 4)
+        self.spare = None
+        self.draws = 0
+
+    def next_u64(self) -> int:
+        def rotl(x, k):
+            return ((x << k) | (x >> (64 - k))) & MASK64
+
+        s = self.s
+        result = (rotl((s[1] * 5) & MASK64, 7) * 9) & MASK64
+        t = (s[1] << 17) & MASK64
+        s[2] ^= s[0]
+        s[3] ^= s[1]
+        s[1] ^= s[2]
+        s[0] ^= s[3]
+        s[2] ^= t
+        s[3] = rotl(s[3], 45)
+        self.draws += 1
+        return result
+
+    def random(self) -> float:
+        return (self.next_u64() >> 11) * 2.0 ** -53
+
+    def doubles(self, n: int) -> np.ndarray:
+        return np.array([self.random() for _ in range(n)], dtype=np.float64)
+
+    def uniform(self, low: float, high: float, n: int) -> np.ndarray:
+        return low + (high - low) * self.doubles(n)
+
+    def below(self, n: int) -> int:
+        limit = (1 << 64) - ((1 << 64) % n)
+        v = self.next_u64()
+        while v >= limit:
+            v = self.next_u64()
+        return v % n
+
+    def shuffle(self, items: list) -> None:
+        for i in range(len(items) - 1, 0, -1):
+            j = self.below(i + 1)
+            items[i], items[j] = items[j], items[i]
+
+    def sample_indices(self, n: int, k: int) -> list[int]:
+        pool = list(range(n))
+        for i in range(k):
+            j = i + self.below(n - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:k]
+
+    def normal(self) -> float:
+        if self.spare is not None:
+            z, self.spare = self.spare, None
+            return z
+        u1 = 1.0 - self.random()
+        u2 = self.random()
+        r = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        self.spare = r * math.sin(theta)
+        return r * math.cos(theta)
+
+    def normals(self, n: int, sigma: float = 1.0) -> np.ndarray:
+        return np.array([self.normal() for _ in range(n)]) * sigma
+
+
+def reference_xoshiro_sequence(seed: int, n: int) -> list[int]:
+    """The first n xoshiro256** outputs of ``seed``."""
+    gen = ReferenceXoshiro(seed)
+    return [gen.next_u64() for _ in range(n)]
 
 
 def brute_force_u(positives, negatives) -> float:
