@@ -9,17 +9,16 @@ of numpy's generator internals.
 The xoshiro256** state update is linear over GF(2): one step is a
 256x256 bit matrix T, and T^k jumps a state k steps ahead (Blackman &
 Vigna, "Scrambled linear pseudorandom number generators", TOMS 2021).
-Every draw reads one stream. Scalar draws read a buffered block of
-_BLOCK_LANES x _BLOCK_STEPS = 128 x 32 raw values: lane l starts 32*l
-steps into the block, the lanes step together as numpy ``uint64`` arrays,
-and the block is laid out lane-major. After a block every lane start
-moves on by T^4096, and a fresh generator places its first starts by
-doubling, both through BLAS-free 4-bit lookup tables built once per
-process. From _LANE_CUTOFF (one block) draws on, ``doubles`` takes the
-block's unread rest, then splits the remaining draws over _LANES lanes
-placed by a float32 BLAS jump. The state words always hold the state
-after the buffered block, so every call leaves the generator exactly
-where the same draws taken one at a time would.
+Every draw reads one stream of buffered blocks of _BLOCK_LANES x
+_BLOCK_STEPS = 512 x 32 raw values: lane l starts 32*l steps into the
+block, the lanes step together as numpy ``uint64`` arrays, and the block
+is laid out lane-major. After a block every lane start moves on by
+T^16384, and a fresh generator places its first starts by doubling, both
+through 4-bit lookup tables of T^(32 * 2^k) built once per process.
+``doubles`` reads whole blocks the way scalar draws read single values.
+The state words always hold the state after the buffered block, so every
+call leaves the generator exactly where the same draws taken one at a
+time would.
 """
 
 from __future__ import annotations
@@ -55,13 +54,10 @@ def derive_seed(seed: int, salt: int) -> int:
     return out
 
 
-# A buffered block: _BLOCK_LANES lanes of _BLOCK_STEPS draws each. It is
-# also the bulk cutoff: from _LANE_CUTOFF draws on, ``doubles`` splits its
-# draws over _LANES lanes placed by a BLAS jump.
-_BLOCK_LANES = 128
+# A buffered block: _BLOCK_LANES lanes of _BLOCK_STEPS draws each.
+_BLOCK_LANES = 512
 _BLOCK_STEPS = 32
-_LANE_CUTOFF = _BLOCK_LANES * _BLOCK_STEPS
-_LANES = 512
+_BLOCK_SIZE = _BLOCK_LANES * _BLOCK_STEPS
 _NO_BLOCK = memoryview(np.empty(0, dtype=np.uint64))
 
 
@@ -89,26 +85,6 @@ def _scramble(s1: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
     out *= 9
 
 
-def _to_bits(words: np.ndarray) -> np.ndarray:
-    """(k, 4) uint64 states -> (k, 256) float32 bit vectors; bit b of
-    word w goes to column 64*w + b."""
-    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    return np.unpackbits(raw, axis=1, bitorder="little").astype(np.float32)
-
-
-def _from_bits(bits: np.ndarray) -> np.ndarray:
-    """Inverse of ``_to_bits``: (k, 256) uint8 bits -> (k, 4) uint64
-    states."""
-    raw = np.packbits(bits, axis=1, bitorder="little")
-    return raw.view("<u8").astype(np.uint64)
-
-
-def _gf2(x: np.ndarray) -> np.ndarray:
-    """Reduce a float32 product of bit arrays mod 2. The sums are
-    integers of at most 256, so float32 holds them exactly."""
-    return (x.astype(np.uint16) & 1).astype(np.float32)
-
-
 def _stepped_units(steps: int) -> np.ndarray:
     """(256, 4) uint64: row j is the unit state with only bit j set,
     advanced ``steps`` updates; that is, column j of T^steps."""
@@ -119,19 +95,6 @@ def _stepped_units(steps: int) -> np.ndarray:
     for _ in range(steps):
         _advance_lanes(lanes, tmp)
     return lanes.T
-
-
-def _jump(m: int) -> np.ndarray:
-    """T^m over GF(2) as float32 bits, by repeated squaring of T."""
-    result = None
-    base = np.ascontiguousarray(_to_bits(_stepped_units(1)).T)
-    while True:
-        if m & 1:
-            result = base if result is None else _gf2(result @ base)
-        m >>= 1
-        if not m:
-            return result
-        base = _gf2(base @ base)
 
 
 def _nibble_table(columns: np.ndarray) -> np.ndarray:
@@ -158,9 +121,9 @@ def _apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _jump_tables() -> tuple[np.ndarray, ...]:
-    """Lookup tables of T^(32 * 2^k) for k = 0..7, the last one T^4096.
-    T^32 steps the unit states; each later one squares the one before
-    it through its table."""
+    """Lookup tables of T^(32 * 2^k) for 2^k <= _BLOCK_LANES, the last
+    one T^_BLOCK_SIZE. T^32 steps the unit states; each later one
+    squares the one before it through its table."""
     columns = _stepped_units(_BLOCK_STEPS)
     tables = [_nibble_table(columns)]
     while len(tables) < _BLOCK_LANES.bit_length():
@@ -177,7 +140,7 @@ class Xoshiro256StarStar:
     The four state words are the first four splitmix64 outputs of the
     seed, guaranteeing a non-zero state for every seed. ``_state`` is the
     state after the block ``_block``, read up to ``_pos``; ``_starts`` are
-    the block's lane starts, None when they must be placed afresh.
+    the block's lane starts, None for a fresh generator.
     """
 
     __slots__ = ("_state", "_starts", "_block", "_pos", "_spare_normal")
@@ -191,7 +154,7 @@ class Xoshiro256StarStar:
         self._state = np.array(words, dtype=np.uint64)
         self._starts: np.ndarray | None = None
         self._block = _NO_BLOCK
-        self._pos = _LANE_CUTOFF
+        self._pos = _BLOCK_SIZE
         self._spare_normal: float | None = None
 
     def _refill(self) -> None:
@@ -215,21 +178,14 @@ class Xoshiro256StarStar:
             _advance_lanes(s, tmp)
         self._state = s[:, -1].copy()
         if not len(self._block):
-            self._block = np.empty(_LANE_CUTOFF, dtype=np.uint64).data
+            self._block = np.empty(_BLOCK_SIZE, dtype=np.uint64).data
         block = np.asarray(self._block).reshape(_BLOCK_LANES, _BLOCK_STEPS)
         _scramble(s1.T, block, s1.T)  # s1 is spent once read, so it is the scratch
         self._pos = 0
 
-    def _take(self, n: int) -> np.ndarray:
-        """Up to n unread values of the block, marked read: a view, valid
-        until the next refill."""
-        out = np.asarray(self._block[self._pos:self._pos + n])
-        self._pos += len(out)
-        return out
-
     def next_u64(self) -> int:
         pos = self._pos
-        if pos == _LANE_CUTOFF:
+        if pos == _BLOCK_SIZE:
             self._refill()
             pos = 0
         self._pos = pos + 1
@@ -242,56 +198,23 @@ class Xoshiro256StarStar:
     def doubles(self, n: int) -> np.ndarray:
         """n doubles in [0, 1), each ``random()`` of the next draw.
 
-        The result and the state left behind are bit-identical to n calls
-        of ``random()``. From ``_LANE_CUTOFF`` draws on, the r draws after
-        the block's unread rest are split into blocks of m = ceil(r /
-        _LANES); lane l starts at the state after l*m of them (T^m
-        jump-ahead from lane l-1) and writes draw t of its block straight
-        into the result. The last lane may hold fewer than m draws; the
-        state after its last draw is the state after all n.
+        Reads the block's unread rest, then refills and reads again until
+        it has n values, so the result and the state left behind are
+        bit-identical to n calls of ``random()``.
         """
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        head = (self._take(n) >> 11) * _INV_2_53  # read before a refill overwrites it
-        if len(head) == n:
-            return head
-        if n < _LANE_CUTOFF:
-            self._refill()
-            return np.concatenate([head, (self._take(n - len(head)) >> 11) * _INV_2_53])
         out = np.empty(n, dtype=np.float64)
-        out[:len(head)] = head
-        self._starts = None
-        rest = out[len(head):]
-        m = -(-len(rest) // _LANES)
-        lanes = -(-len(rest) // m)
-        tail = len(rest) - (lanes - 1) * m
-        s = self._lane_starts(m, lanes)
-        body = rest[:(lanes - 1) * m].reshape(lanes - 1, m)
-        last = rest[(lanes - 1) * m:]
-        draw = np.empty(lanes, dtype=np.uint64)
-        tmp = np.empty(lanes, dtype=np.uint64)
-        for t in range(m):
-            _scramble(s[1], draw, tmp)
-            draw >>= 11
-            np.multiply(draw[:-1], _INV_2_53, out=body[:, t])
-            if t < tail:
-                np.multiply(draw[-1:], _INV_2_53, out=last[t:t + 1])
-            _advance_lanes(s, tmp)
-            if t == tail - 1:
-                self._state = s[:, -1].copy()
-        return out
-
-    def _lane_starts(self, m: int, lanes: int) -> np.ndarray:
-        """(4, lanes) uint64 states: lane l is the state words advanced
-        l*m steps."""
-        jump = _jump(m)
-        bits = np.empty((lanes, 256), dtype=np.uint8)
-        v = _to_bits(self._state[None, :])[0]
-        bits[0] = v
-        for lane in range(1, lanes):
-            v = _gf2(jump @ v)
-            bits[lane] = v
-        return np.ascontiguousarray(_from_bits(bits).T)
+        done = 0
+        while True:
+            raw = np.asarray(self._block[self._pos:self._pos + n - done])
+            self._pos += len(raw)
+            raw >>= 11  # these values are now read, so the block is the scratch
+            np.multiply(raw, _INV_2_53, out=out[done:done + len(raw)])
+            done += len(raw)
+            if done == n:
+                return out
+            self._refill()
 
     def uniform(self, low: float, high: float, n: int) -> np.ndarray:
         return low + (high - low) * self.doubles(n)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwlab.encoder import EncoderConfig, init_params
-from mwlab.prng import _LANE_CUTOFF, _LANES, Xoshiro256StarStar, _splitmix64, derive_seed
+from mwlab.prng import _BLOCK_SIZE, Xoshiro256StarStar, _splitmix64, derive_seed
 from util import ReferenceXoshiro, reference_splitmix64_sequence, reference_xoshiro_sequence
 
 MASK = (1 << 64) - 1
@@ -88,10 +88,11 @@ class TestDistributions:
         assert items != list(range(50))
 
 
-# Draw counts on both sides of the lane cutoff, counts that leave the
-# last lane short, and the CLI encoder's embedding plus projection.
-BULK_SIZES = (0, 1, _LANE_CUTOFF - 1, _LANE_CUTOFF, _LANE_CUTOFF + 1, 5000,
-              _LANES * 512 + 17, 8192 * 32 + 32 * 16)
+# Draw counts that end inside a block, at its end and just past it, on
+# both sides of a 4096-value boundary, a count that ends 17 values into a
+# block, and the CLI encoder's embedding plus projection.
+BULK_SIZES = (0, 1, 4095, 4096, 4097, 5000, _BLOCK_SIZE - 1, _BLOCK_SIZE, _BLOCK_SIZE + 1,
+              262161, 8192 * 32 + 32 * 16)
 
 
 @pytest.fixture(scope="module")
@@ -115,8 +116,8 @@ class TestBulkDraws:
         bulk, scalar = Xoshiro256StarStar(3), Xoshiro256StarStar(3)
         bulk.normal()
         scalar.normal()
-        bulk.doubles(_LANE_CUTOFF + 5)
-        for _ in range(_LANE_CUTOFF + 5):
+        bulk.doubles(_BLOCK_SIZE + 5)
+        for _ in range(_BLOCK_SIZE + 5):
             scalar.random()
         assert [bulk.normal() for _ in range(3)] == [scalar.normal() for _ in range(3)]
 
@@ -128,17 +129,25 @@ class TestBulkDraws:
         assert digest.hexdigest() == (
             "2dd6cf134e34994199ffd1830ad63bab17814b5ba421519bceef4042351f3c46")
 
+    def test_default_init_params_golden_digest(self):
+        # 2,099,200 draws over many blocks, recorded from an earlier
+        # generator that placed its lanes by a float32 GF(2) jump-ahead
+        params = init_params(EncoderConfig())
+        digest = hashlib.sha256(params.embedding.tobytes() + params.projection.tobytes())
+        assert digest.hexdigest() == (
+            "21a88e76eab50b5ac7f6832ae7f9c69028fd34688438a653bb23e84ebc299a2f")
+
 
 # One call of each draw method: (name, arguments). ``below(2**63 + 1)``
-# rejects about half of the raw values; the doubles sizes straddle the
-# bulk cutoff, which is also one buffered block.
+# rejects about half of the raw values; the doubles sizes straddle one
+# buffered block.
 CALLS = st.one_of(
     st.tuples(st.sampled_from(["next_u64", "random", "normal"])),
     st.tuples(st.just("below"), st.sampled_from([1, 2, 7, 300, 2**32 + 1, 2**63 + 1, 2**64])),
     st.tuples(st.just("normals"), st.integers(0, 9), st.sampled_from([1.0, 0.5])),
     st.tuples(st.just("doubles"), st.one_of(
-        st.sampled_from([0, 1, _LANE_CUTOFF - 1, _LANE_CUTOFF, _LANE_CUTOFF + 1,
-                         2 * _LANE_CUTOFF + 17]),
+        st.sampled_from([0, 1, _BLOCK_SIZE - 1, _BLOCK_SIZE, _BLOCK_SIZE + 1,
+                         2 * _BLOCK_SIZE + 17]),
         st.integers(0, 40))),
     st.tuples(st.just("uniform"), st.just(-2.0), st.just(3.0), st.integers(0, 40)),
     st.tuples(st.just("shuffle"), st.integers(0, 30)),
@@ -177,7 +186,7 @@ class TestOneStream:
 
     @pytest.mark.parametrize("first", [
         ("next_u64",), ("random",), ("below", 300), ("normal",), ("normals", 3, 2.0),
-        ("doubles", 5), ("doubles", _LANE_CUTOFF + 1), ("uniform", -1.0, 1.0, 6),
+        ("doubles", 5), ("doubles", _BLOCK_SIZE + 1), ("uniform", -1.0, 1.0, 6),
         ("shuffle", 9), ("sample_indices", 50, 5),
     ])
     def test_fresh_generator_first_call(self, first):
@@ -186,12 +195,13 @@ class TestOneStream:
     def test_rejection_path(self):
         # limit 2**63 + 1: every raw value >= it is rejected and redrawn
         gen, oracle = Xoshiro256StarStar(5), ReferenceXoshiro(5)
-        draws = [gen.below(2**63 + 1) for _ in range(2 * _LANE_CUTOFF)]
-        assert draws == [oracle.below(2**63 + 1) for _ in range(2 * _LANE_CUTOFF)]
-        assert oracle.draws > 3 * _LANE_CUTOFF  # about half rejected
+        draws = [gen.below(2**63 + 1) for _ in range(2 * _BLOCK_SIZE)]
+        assert draws == [oracle.below(2**63 + 1) for _ in range(2 * _BLOCK_SIZE)]
+        assert oracle.draws > 3 * _BLOCK_SIZE  # about half rejected
         assert gen.next_u64() == oracle.next_u64()
 
-    @pytest.mark.parametrize("n", [10, _LANE_CUTOFF - 100, _LANE_CUTOFF, 3 * _LANE_CUTOFF + 5])
+    @pytest.mark.parametrize("n", [10, 3996, 4096, 12293,
+                                   _BLOCK_SIZE - 100, _BLOCK_SIZE, 3 * _BLOCK_SIZE + 5])
     def test_doubles_after_a_partly_read_block(self, n):
         # 100 values read: the block's unread rest comes first
         assert_same_calls(3, [("below", 7)] * 100 + [("doubles", n), ("doubles", n)])
