@@ -27,12 +27,10 @@ from .encoder import (
     EncoderGrads,
     EncoderParams,
     encode_backward,
-    encode_forward,
     init_params,
     load_checkpoint,
     make_scorer,
     save_checkpoint,
-    tokenize_hash,
 )
 from .metrics import (
     Histogram,
@@ -67,9 +65,8 @@ __all__ = [
     "Corpus", "Document", "Query", "QuerySet", "SplitSpec",
     "load_corpus", "load_queries", "save_queries", "mine_hard_negatives",
     "batch_rows", "sample_batch", "split_queries",
-    "EncoderConfig", "EncoderParams", "EncoderGrads", "encode_forward",
-    "encode_backward", "init_params", "make_scorer", "save_checkpoint",
-    "load_checkpoint", "tokenize_hash",
+    "EncoderConfig", "EncoderParams", "EncoderGrads", "encode_backward",
+    "init_params", "make_scorer", "save_checkpoint", "load_checkpoint",
     "ScoreBatch", "score_batch", "comparison_counts", "backprop_scores",
     "LossOutput", "cl_loss", "mw_loss", "mw_value",
     "gaussian_degradation_demo", "mw_bound_check",

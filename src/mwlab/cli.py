@@ -22,20 +22,15 @@ import numpy as np
 
 from . import encoder as enc
 from .data import (EVAL_FRACTION, TRAIN_FRACTION, SplitSpec, load_corpus, load_queries,
-                   mine_hard_negatives, save_queries, split_queries)
-from .experiments import (
-    ComparisonSettings,
-    fixed_provider,
-    run_comparison,
-    synthetic_provider,
-    write_comparison,
-)
+                   mine_hard_negatives, read_jsonl, save_queries, split_queries, write_csv,
+                   write_json)
+from .experiments import ComparisonSettings, fixed_provider, run_comparison, synthetic_provider
 from .metrics import ScorePool, evaluate, histogram, roc_curve
 from .objectives import check_tau, gaussian_degradation_demo, mw_bound_check
 from .prng import Xoshiro256StarStar, derive_seed
 from .scoring import comparison_counts
-from .synthetic import SyntheticSpec, make_benchmark, make_offset_demo_pools
-from .trainer import TrainConfig, train
+from .synthetic import SyntheticSpec, make_offset_demo_pools
+from .trainer import TrainConfig, ablation_sweep, train
 
 # Encoder shape used when no checkpoint or config supplies one. Smaller
 # than the EncoderConfig defaults so CLI runs stay fast on a laptop.
@@ -132,19 +127,14 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     pool, metrics = _evaluate_checkpoint(args)
     auc_value = metrics["auc"]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary = {
+    write_json(Path(args.out) / "metrics.json", {
         "auc": auc_value,
         "aoc": 1.0 - auc_value,
         "mrr_at_10": metrics["mrr10"],
         "ndcg_at_10": metrics["ndcg10"],
         "n_pos": pool.n_pos,
         "n_neg": pool.n_neg,
-    }
-    with open(out_dir / "metrics.json", "w", encoding="utf-8") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
-        f.write("\n")
+    })
     print(f"auc={auc_value!r} n_pos={pool.n_pos} n_neg={pool.n_neg}")
     return 0
 
@@ -152,11 +142,7 @@ def cmd_evaluate(args) -> int:
 def cmd_roc(args) -> int:
     pool, _ = _evaluate_checkpoint(args)
     curve = roc_curve(pool)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "roc.csv", "w", encoding="utf-8") as f:
-        for fpr, tpr in curve.points:
-            f.write(f"{float(fpr)!r},{float(tpr)!r}\n")
+    write_csv(Path(args.out) / "roc.csv", None, curve.points)
     print(f"wrote {len(curve.points)} roc points, area={curve.area()!r}")
     return 0
 
@@ -164,12 +150,8 @@ def cmd_roc(args) -> int:
 def cmd_histogram(args) -> int:
     pool, _ = _evaluate_checkpoint(args)
     hist = histogram(pool, bins=args.bins)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "hist.csv", "w", encoding="utf-8") as f:
-        for i in range(hist.bins):
-            f.write(f"{float(hist.edges[i])!r},{float(hist.edges[i + 1])!r},"
-                    f"{int(hist.pos_counts[i])},{int(hist.neg_counts[i])}\n")
+    write_csv(Path(args.out) / "hist.csv", None,
+              zip(hist.edges[:-1], hist.edges[1:], hist.pos_counts, hist.neg_counts))
     print(f"wrote {hist.bins} bins, overlap={hist.overlap_coefficient()!r}")
     return 0
 
@@ -192,27 +174,16 @@ def cmd_compare(args) -> int:
         queries = load_queries(args.queries, corpus)
         provider = fixed_provider(corpus, queries)
     result = run_comparison(args.seeds, provider, settings)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_comparison(result, out_dir / "compare.json")
+    write_json(Path(args.out) / "compare.json", result)
     mean = result["mean"]
     print(f"auc cl={mean['auc_cl']!r} mw={mean['auc_mw']!r} gain={mean['auc_gain']!r}")
     return 0
 
 
 def _load_pools(path: str) -> list[ScorePool]:
-    pools = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                pools.append(ScorePool(np.asarray(obj["positives"], dtype=np.float64),
-                                       np.asarray(obj["negatives"], dtype=np.float64)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+    pools = read_jsonl(path, "pool", lambda obj: ScorePool(
+        np.asarray(obj["positives"], dtype=np.float64),
+        np.asarray(obj["negatives"], dtype=np.float64)))
     if not pools:
         raise ValueError(f"{path}: no pools found")
     return pools
@@ -233,11 +204,7 @@ def cmd_lemma1_demo(args) -> int:
         for i, sigma in enumerate(args.sigma)
     ]
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as f:
-        f.write("sigma,aoc_before,aoc_after,cl_before,cl_after\n")
-        for row in rows:
-            f.write(",".join(repr(x) for x in row) + "\n")
+    write_csv(out, ("sigma", "aoc_before", "aoc_after", "cl_before", "cl_after"), rows)
     print(f"wrote {len(args.sigma)} rows -> {out}")
     return 0
 
@@ -276,17 +243,14 @@ def cmd_counts(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    from .trainer import ablation_sweep, write_sweep_csv
-
     train_cfg, encoder_cfg, train_qs, eval_qs, corpus = _load_split_inputs(args)
     rows = ablation_sweep(
         args.lrs, args.batch_sizes, args.hard_negatives,
         train_cfg, train_qs, eval_qs, corpus, encoder_cfg,
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_sweep_csv(rows, out_dir / "ablation.csv")
-    print(f"wrote {len(rows)} rows -> {out_dir / 'ablation.csv'}")
+    out = Path(args.out) / "ablation.csv"
+    write_csv(out, rows[0].keys(), (row.values() for row in rows))
+    print(f"wrote {len(rows)} rows -> {out}")
     return 0
 
 

@@ -6,6 +6,13 @@ Data lives in JSONL files: one JSON object per line. A corpus line is
 is optional before mining. Mining rewrites the query file with the
 ``hard_negative_ids`` filled in.
 
+This module owns the byte format of every text file mwlab reads or
+writes. ``read_jsonl`` reads JSONL and names ``path: line N:`` in its
+errors; ``write_json`` writes sorted-key JSON indented by 2 with a
+closing newline; ``write_csv`` writes a float cell as its ``repr``. The
+other modules write through these; only ``encoder`` writes a file of its
+own, the binary checkpoint.
+
 A ``Corpus`` or ``QuerySet`` hashes its texts once per ``hash_dim``
 (``tokens``) and keeps that table until it grows, so mining, every
 training run and every evaluation of one collection share one table.
@@ -22,7 +29,7 @@ import json
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -203,61 +210,73 @@ class SplitSpec:
             raise ValueError("train and eval fractions must leave room for a test split")
 
 
-def load_corpus(path: str | Path) -> Corpus:
-    """Read a corpus JSONL file. Duplicate ids and malformed lines are
-    rejected with the offending line number."""
+def read_jsonl(path: str | Path, what: str, parse: Callable[[dict], object]) -> list:
+    """``parse(obj)`` of each non-blank line of a JSONL file, in order. A
+    line that is not JSON, or that ``parse`` rejects with a KeyError,
+    TypeError or ValueError, raises ValueError prefixed ``path: line N:``.
+    A missing file raises FileNotFoundError naming ``what``."""
     path = Path(path)
     if not path.exists():
-        raise FileNotFoundError(f"corpus file not found: {path}")
-    corpus = Corpus()
+        raise FileNotFoundError(f"{what} file not found: {path}")
+    parsed = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                doc = Document(id=obj["id"], text=obj["text"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            try:
-                corpus.add(doc)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+            if line:
+                try:
+                    parsed.append(parse(json.loads(line)))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+    return parsed
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as JSON with sorted keys, indented by 2, and a closing
+    newline, creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def _cell(value) -> str:
+    # np.float64 is a float whose numpy-2 repr is "np.float64(...)"
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def write_csv(path: str | Path, header: Iterable[str] | None, rows: Iterable[Iterable]) -> None:
+    """Write a CSV file: the header line unless it is None, then one line
+    per row. A float cell is its shortest round-trip ``repr``, any other
+    cell its ``str``. Creates the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as f:
+        if header is not None:
+            f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(map(_cell, row)) + "\n")
+
+
+def load_corpus(path: str | Path) -> Corpus:
+    """Read a corpus JSONL file. Duplicate ids and malformed lines are
+    rejected with the offending line number."""
+    corpus = Corpus()
+    read_jsonl(path, "corpus", lambda obj: corpus.add(Document(id=obj["id"], text=obj["text"])))
     return corpus
 
 
 def load_queries(path: str | Path, corpus: Corpus) -> QuerySet:
     """Read a query JSONL file, validating all document references."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"query file not found: {path}")
     queries = QuerySet()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                query = Query(
-                    id=obj["id"],
-                    text=obj["text"],
-                    positive_ids=obj["positive_ids"],
-                    hard_negative_ids=obj.get("hard_negative_ids", []),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            for doc_id in query.positive_ids + query.hard_negative_ids:
-                if doc_id not in corpus:
-                    raise ValueError(
-                        f"{path}: line {lineno}: query {query.id!r} references "
-                        f"unknown document {doc_id!r}"
-                    )
-            try:
-                queries.add(query)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+
+    def parse(obj: dict) -> None:
+        query = Query(id=obj["id"], text=obj["text"], positive_ids=obj["positive_ids"],
+                      hard_negative_ids=obj.get("hard_negative_ids", []))
+        for doc_id in query.positive_ids + query.hard_negative_ids:
+            if doc_id not in corpus:
+                raise ValueError(f"query {query.id!r} references unknown document {doc_id!r}")
+        queries.add(query)
+
+    read_jsonl(path, "query", parse)
     return queries
 
 

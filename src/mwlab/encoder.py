@@ -135,20 +135,6 @@ class _Buckets(dict):
         return bucket
 
 
-def _count_buckets(text: str, buckets: _Buckets) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for token in _TOKEN_RE.findall(text.lower()):
-        bucket = buckets[token]
-        counts[bucket] = counts.get(bucket, 0) + 1
-    return counts
-
-
-def tokenize_hash(text: str, hash_dim: int) -> dict[int, int]:
-    """Lowercase, split on non-alphanumeric runs, hash each token into a
-    bucket. Returns bucket -> occurrence count; empty text gives {}."""
-    return _count_buckets(text, _Buckets(hash_dim))
-
-
 def prepare_tokens(texts: Sequence[str], hash_dim: int) -> sp.csr_matrix:
     """Tokenize and hash a batch once into its token table: the
     n_texts x hash_dim CSR matrix of count / total per row, buckets (FNV-1a
@@ -161,7 +147,10 @@ def prepare_tokens(texts: Sequence[str], hash_dim: int) -> sp.csr_matrix:
     indices: list[int] = []
     data: list[float] = []
     for text in texts:
-        counts = _count_buckets(text, buckets)
+        counts: dict[int, int] = {}
+        for token in _TOKEN_RE.findall(text.lower()):
+            bucket = buckets[token]
+            counts[bucket] = counts.get(bucket, 0) + 1
         if counts:
             total = sum(counts.values())
             for bucket in sorted(counts):
@@ -202,11 +191,6 @@ def encode_tokens(params: EncoderParams, tokens: sp.csr_matrix) -> EmbeddingBatc
     return EmbeddingBatch(
         vectors=vectors, pooled=pooled, norms=norms, active=active, tokens=tokens,
     )
-
-
-def encode_forward(params: EncoderParams, texts: Sequence[str]) -> EmbeddingBatch:
-    """Encode raw texts to unit-norm vectors."""
-    return encode_tokens(params, prepare_tokens(texts, params.config.hash_dim))
 
 
 def encode_backward(

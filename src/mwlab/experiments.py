@@ -10,9 +10,7 @@ overlap.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -105,11 +103,3 @@ def run_comparison(
             mean[f"{key}_{kind}"] = float(np.mean([r[kind][key] for r in per_seed]))
     mean["auc_gain"] = float(np.mean([r["auc_gain"] for r in per_seed]))
     return {"per_seed": per_seed, "mean": mean}
-
-
-def write_comparison(result: dict, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(result, f, sort_keys=True, indent=2)
-        f.write("\n")

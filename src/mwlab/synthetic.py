@@ -90,19 +90,19 @@ def make_benchmark(spec: SyntheticSpec) -> tuple[Corpus, QuerySet]:
     return corpus, QuerySet(queries)
 
 
-def make_offset_demo_pools(
-    n_queries: int,
-    rng: Xoshiro256StarStar,
-    positives_per_query: int = 2,
-    negatives_per_query: int = 10,
-) -> list[ScorePool]:
-    """Per-query pools with well-separated, bounded scores: positives in
-    (0.4, 0.9), negatives in (-0.9, 0.1). Pooled strict AoC starts at 0."""
+DEMO_POSITIVES = 2
+DEMO_NEGATIVES = 10
+
+
+def make_offset_demo_pools(n_queries: int, rng: Xoshiro256StarStar) -> list[ScorePool]:
+    """Per-query pools with well-separated, bounded scores: ``DEMO_POSITIVES``
+    positives in (0.4, 0.9) and ``DEMO_NEGATIVES`` negatives in (-0.9, 0.1).
+    Pooled strict AoC starts at 0."""
     if n_queries < 1:
         raise ValueError("need at least one query")
     pools = []
     for _ in range(n_queries):
-        pos = rng.uniform(0.4, 0.9, positives_per_query)
-        neg = rng.uniform(-0.9, 0.1, negatives_per_query)
+        pos = rng.uniform(0.4, 0.9, DEMO_POSITIVES)
+        neg = rng.uniform(-0.9, 0.1, DEMO_NEGATIVES)
         pools.append(ScorePool(pos, neg))
     return pools

@@ -35,9 +35,8 @@ same inputs produce bit-identical parameters, logs, and files.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from itertools import product
 from pathlib import Path
 from typing import Sequence
@@ -46,13 +45,19 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import encoder as enc
-from .data import Corpus, QuerySet, batch_rows, eligible_queries, sample_batch
+from .data import (Corpus, QuerySet, batch_rows, eligible_queries, sample_batch, write_csv,
+                   write_json)
 from .metrics import evaluate
 from .objectives import cl_loss, mw_loss, mw_value
 from .prng import Xoshiro256StarStar, derive_seed
 from .scoring import backprop_scores, score_batch
 
 LOSS_KINDS = ("cl", "mw")
+
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -95,9 +100,6 @@ class OptimizerState:
     m: enc.EncoderGrads
     v: enc.EncoderGrads
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: enc.EncoderParams) -> "OptimizerState":
@@ -137,25 +139,25 @@ def adam_step(
             f"non-finite gradient at optimizer step {state.step + 1}"
         )
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     for m, v, g, p in (
         (state.m.embedding, state.v.embedding, grads.embedding, params.embedding),
         (state.m.projection, state.v.projection, grads.projection, params.projection),
     ):
         s1 = np.empty_like(p)
         s2 = np.empty_like(p)
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=s1)
-        v *= state.beta2
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
+        v *= ADAM_BETA2
         np.square(g, out=s1)
-        s1 *= 1.0 - state.beta2
+        s1 *= 1.0 - ADAM_BETA2
         v += s1
         np.divide(m, bc1, out=s1)
         s1 *= lr
         np.divide(v, bc2, out=s2)
         np.sqrt(s2, out=s2)
-        s2 += state.eps
+        s2 += ADAM_EPS
         s1 /= s2
         p -= s1
     return params, state
@@ -183,28 +185,16 @@ class RunReport:
     def write(self, out_dir: str | Path) -> None:
         """Emit report.json, steps.csv, and evals.csv."""
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        summary = {
+        write_json(out_dir / "report.json", {
             "loss_kind": self.loss_kind,
             "best_checkpoint_step": self.best_checkpoint_step,
             "best_eval_loss": self.best_eval_loss if self.evals else None,
             "n_steps": len(self.steps),
             "n_evals": len(self.evals),
-        }
-        with open(out_dir / "report.json", "w", encoding="utf-8") as f:
-            json.dump(summary, f, sort_keys=True, indent=2)
-            f.write("\n")
-        with open(out_dir / "steps.csv", "w", encoding="utf-8") as f:
-            f.write("step,train_loss,lr\n")
-            for step, loss, lr in self.steps:
-                f.write(f"{step},{loss!r},{lr!r}\n")
-        with open(out_dir / "evals.csv", "w", encoding="utf-8") as f:
-            f.write("step,eval_loss,auc,mrr10,ndcg10\n")
-            for rec in self.evals:
-                f.write(
-                    f"{rec.step},{rec.eval_loss!r},{rec.auc!r},"
-                    f"{rec.mrr10!r},{rec.ndcg10!r}\n"
-                )
+        })
+        write_csv(out_dir / "steps.csv", ("step", "train_loss", "lr"), self.steps)
+        write_csv(out_dir / "evals.csv", ("step", "eval_loss", "auc", "mrr10", "ndcg10"),
+                  map(astuple, self.evals))
 
 
 def _loss_fns(kind: str):
@@ -367,8 +357,8 @@ def ablation_sweep(
 ) -> list[dict]:
     """One full train + evaluate per (lr, B, H) grid cell.
 
-    Returns one row per cell with the evaluation metrics of the winning
-    checkpoint; ``write_sweep_csv`` serializes the table.
+    Returns one row per cell, in grid order, with the evaluation metrics
+    of the winning checkpoint; its keys, in order, are the columns.
     """
     if not lrs or not batch_sizes or not hard_negative_counts:
         raise ValueError("ablation grid must be non-empty in every dimension")
@@ -396,15 +386,3 @@ def ablation_sweep(
             "AUC": metrics["auc"],
         })
     return rows
-
-
-def write_sweep_csv(rows: Sequence[dict], path: str | Path) -> None:
-    columns = ["lr", "batch_size", "hard_negative",
-               "precision@10", "recall@1", "MRR", "nDCG@10", "AUC"]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                             for c in columns) + "\n")

@@ -1,6 +1,7 @@
 """Tests for the command-line entry point: seeds and exit codes."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -248,6 +249,22 @@ def test_mine_with_repeated_positive_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "queries.jsonl: line 1: query 'q': document 'a' appears twice in positive_ids" in err
     assert not (tmp_path / "mined.jsonl").exists()
+
+
+@pytest.mark.parametrize("what", ["corpus", "query", "pool"])
+def test_a_missing_input_file_exits_2_naming_it(tmp_path, capsys, what):
+    corpus, queries = synthetic_provider(SyntheticSpec(n_queries=20, n_docs=50))(0)
+    corpus_path, queries_path = write_inputs(tmp_path, corpus, queries)
+    missing, out = str(tmp_path / "missing.jsonl"), tmp_path / "out"
+    argv = {
+        "corpus": ["mine", "--corpus", missing, "--queries", queries_path,
+                   "--out", str(out / "mined.jsonl")],
+        "query": ["train", "--corpus", corpus_path, "--queries", missing, "--out", str(out)],
+        "pool": ["lemma1-demo", "--pool", missing, "--sigma", "1", "--out", str(out / "d.csv")],
+    }[what]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {what} file not found: {missing}\n"
+    assert not out.exists()
 
 
 def test_lemma1_demo_writes_one_row_per_sigma(tmp_path):
@@ -575,3 +592,154 @@ def test_compare_top_k_sets_the_runs_eval_top_k(tmp_path, monkeypatch, extra, to
         cli.main(["compare", *compare_inputs(tmp_path), "--seeds", "0", "--mine-k", "5",
                   "--out", str(tmp_path / "out"), *extra])
     assert caught.value.args[0].eval_top_k == top_k
+
+
+GOLDEN_CONFIG = {"B": 4, "H": 2, "base_lr": 0.05, "max_epochs": 2, "eval_every": 3,
+                 "warmup_steps": 2, "eval_batches": 1, "eval_top_k": 20,
+                 "hash_dim": 256, "embed_dim": 8, "proj_dim": 4}
+
+
+def golden_run(tmp_path, capsys) -> dict[str, str]:
+    """Run every command once at toy size through ``cli.main``. Returns the
+    sha256 of each file written under ``out/`` and of each command's stdout,
+    with ``tmp_path`` masked; inputs live under ``in/``."""
+    inp, out = tmp_path / "in", tmp_path / "out"
+    inp.mkdir()
+    corpus_path, queries_path = write_inputs(
+        inp, *synthetic_provider(SyntheticSpec(n_queries=60, n_docs=150))(0))
+    config = inp / "config.json"
+    config.write_text(json.dumps(GOLDEN_CONFIG))
+    pools = inp / "pools.jsonl"
+    pools.write_text('{"positives": [0.5, 0.75], "negatives": [-0.25, 0.0, 0.25]}\n\n'
+                     '{"positives": [0.125], "negatives": [0.5, -0.5]}\n')
+    mined = str(out / "mine" / "mined.jsonl")
+    split = ["--corpus", corpus_path, "--queries", mined, "--config", str(config)]
+    commands = [
+        ("mine", ["mine", "--corpus", corpus_path, "--queries", queries_path,
+                  "--out", mined, "--top-k", "5", "--seed", "3"]),
+        ("train-cl", ["train", *split, "--loss", "cl", "--out", str(out / "train-cl")]),
+        ("train-mw", ["train", *split, "--loss", "mw", "--seed", "1",
+                      "--out", str(out / "train-mw")]),
+    ]
+    stdout = {}
+    for name, argv in commands:
+        assert cli.main(argv) == 0, name
+        stdout[name] = capsys.readouterr().out
+    best = json.loads((out / "train-mw" / "report.json").read_text())["best_checkpoint_step"]
+    evaluated = ["--corpus", corpus_path, "--queries", mined,
+                 "--checkpoint", str(out / "train-mw" / f"ckpt_{best}"), "--top-k", "20"]
+    commands = [
+        ("evaluate", ["evaluate", *evaluated, "--out", str(out / "evaluate")]),
+        ("roc", ["roc", *evaluated, "--out", str(out / "roc")]),
+        ("histogram", ["histogram", *evaluated, "--bins", "7", "--out", str(out / "histogram")]),
+        ("compare-synthetic", ["compare", "--synthetic", "--synth-queries", "60",
+                               "--synth-docs", "150", "--seeds", "0", "1", "--mine-k", "5",
+                               "--config", str(config), "--out", str(out / "compare-synthetic")]),
+        ("compare-files", ["compare", "--corpus", corpus_path, "--queries", queries_path,
+                           "--seeds", "2", "--mine-k", "5", "--top-k", "10",
+                           "--config", str(config), "--out", str(out / "compare-files")]),
+        ("ablate", ["ablate", *split, "--lrs", "0.01", "0.05", "--batch-sizes", "4",
+                    "--hard-negatives", "0", "2", "--out", str(out / "ablate")]),
+        ("lemma1-synthetic", ["lemma1-demo", "--synthetic", "--n-queries", "20",
+                              "--sigma", "0", "0.5", "2", "--out", str(out / "lemma1" / "s.csv")]),
+        ("lemma1-pool", ["lemma1-demo", "--pool", str(pools), "--sigma", "0.25", "1",
+                         "--seed", "4", "--out", str(out / "lemma1" / "p.csv")]),
+        ("lemma2-check", ["lemma2-check", "--trials", "12", "--max-side", "30"]),
+        ("counts", ["counts", "4", "2"]),
+    ]
+    for name, argv in commands:
+        assert cli.main(argv) == 0, name
+        stdout[name] = capsys.readouterr().out
+    digests = {f"stdout:{name}": text.replace(str(tmp_path), "<tmp>").encode()
+               for name, text in stdout.items()}
+    digests.update((path.relative_to(out).as_posix(), path.read_bytes())
+                   for path in sorted(out.rglob("*")) if path.is_file())
+    return {name: hashlib.sha256(raw).hexdigest() for name, raw in digests.items()}
+
+
+# recorded before the readers and writers moved into data.py; a command
+# whose bytes change shows here by file name
+GOLDEN = {
+    "ablate/ablation.csv":
+        "08be9bb04928d53748d3f3c2b7a342feb0b8ee4131f2c106b4d19324e955a3b8",
+    "compare-files/compare.json":
+        "05238183a009e4e777b09ebe1ecf51d0cca0244bcfbc08232c68aa613f3b3f35",
+    "compare-synthetic/compare.json":
+        "06f8d5e3178cb162c248ae07d62e34d3e1331084607696896a4c67d22d541987",
+    "evaluate/metrics.json":
+        "a62d2672feca387426dc7e3889134e8fcec31a99527595db533144f973aa1ca2",
+    "histogram/hist.csv":
+        "05ae9613c87facc2581aef2231ea130677a6d26baf2abb3f96a34754688d2806",
+    "lemma1/p.csv":
+        "5832729e5d2567c1bb51abc78430a32bd757ad63aeb6e25d0dd4d92a947975fc",
+    "lemma1/s.csv":
+        "e3bec500bc60806a43f0208b9d34dbb5fe06756ede9040d978eb253a9de63d03",
+    "mine/mined.jsonl":
+        "6666f3ba493d7e2aeb532da9bcf021d1c60b2b0ce4da061a64548c8e6400cdc4",
+    "roc/roc.csv":
+        "ec39426a18117ef5e8cdbbc7dee8e88b1930e83e3d28bf2829ef3a30436c671f",
+    "stdout:ablate":
+        "619a92a0d021e2f6e2750e605661affd18abe31cf4965b436212f317871006c2",
+    "stdout:compare-files":
+        "b49eea46893f91b58ac7190b4370c28900c460ce60f2ddd025db15fb10f1ad37",
+    "stdout:compare-synthetic":
+        "3572cf6966a48e379db469290b9c0318b7b4127612b3ea8e7a8df13639a28468",
+    "stdout:counts":
+        "29cb87103a00ce701b970367f36f5e0753efd0ce2ae25de433f5ab1b28b768ce",
+    "stdout:evaluate":
+        "5b77f050397b3b15e0121875fd2fb4a359998dce09c6db65efb282c57da54003",
+    "stdout:histogram":
+        "1b9c44e9c4574832865952a4baf8fb2e3fc3c86057a0e71ab88f40fff7eb95cb",
+    "stdout:lemma1-pool":
+        "83741e6cea5a8c50c3e07cef9cd7fc76898a27c742d0455bd8b2f43d3f389d0d",
+    "stdout:lemma1-synthetic":
+        "c6de89f661dd7cd90cec5fcec838af686e839168aa16afe1562b30a35b4a519e",
+    "stdout:lemma2-check":
+        "d0c8efb9d67becbbc8d44e6e573151aa949a9240cd6974de6017b633d505a968",
+    "stdout:mine":
+        "e7ffde168a86dbdebcc90dfe80e18fc85f8e6c6cb980615dd295d5b9c771642b",
+    "stdout:roc":
+        "d2a858f33e4d352f77196bdbee21c0519cce17d1b1409bc8d433f31b35ddf111",
+    "stdout:train-cl":
+        "feebd335dfeb7c817aa21825681f22998d27635647f4e3812fdf1a0d2bc13246",
+    "stdout:train-mw":
+        "f2229c909483cb0c4b6b0f03c18a029b6fe5f9040a7f8359e37b0bfdc223ca53",
+    "train-cl/ckpt_3":
+        "cc92aabe592477f54ffcf0ff9662f4b76e498ef0b4e13a26c12c2b7cbf79abb2",
+    "train-cl/ckpt_6":
+        "6fed705adb4d9447ab51a9223d8fc17922e424661d3e34b2fadfd4fef5cd08aa",
+    "train-cl/ckpt_9":
+        "e8e3ec26c8407b794656dc097eb530e6be68da8ee9668d2e40044cc9e5ca720f",
+    "train-cl/evals.csv":
+        "6f5eded5525caafbf1a356d6b8dde26dbd533c1a3e59ed91190a690fc22fb473",
+    "train-cl/report.json":
+        "dd0af064a37c21f40fb0a39a1050e7e917513906f37389273f0f4af10f0d0b80",
+    "train-cl/steps.csv":
+        "10b7ac72d9217840c95ab0c9802d5c308f362d208a75efaa041ed7ae8a4896a6",
+    "train-mw/ckpt_12":
+        "86af45f8b7eaab1d12202446323b408d7133fa909b6c91a7a265aa06cf568707",
+    "train-mw/ckpt_15":
+        "75e4290456568df65f9898eb0e3fbdb5cba6f8c90a930ebb6ae379682ea2b5e1",
+    "train-mw/ckpt_18":
+        "38ba986ad2b61f7d7bb98eb29bb1bfd85d85a3526618f87f6811bac9ef52c4c1",
+    "train-mw/ckpt_21":
+        "7c4d7e73635628014d4490e4945e0f6cdd0ef39a00c6b8b0369f2b4259441d72",
+    "train-mw/ckpt_24":
+        "215a9a15efb4f7a244f70bdd98c38c2e107b81b5e1962595db7329088e946273",
+    "train-mw/ckpt_3":
+        "f53bd59ac3c282383de37df93aa2d1cc0ffe20eb11c2b79cc2e91d6fe3deddf4",
+    "train-mw/ckpt_6":
+        "e1f6eb94b907b97f5cee376053124496ee94239d4ad1b84fcd4abfa3a4ad9e55",
+    "train-mw/ckpt_9":
+        "b9f7ac49d3f5bfc770fc3f0dce015871ce9a63ceb2f8174a06e33883b220021d",
+    "train-mw/evals.csv":
+        "67bd43de4a5c5e9bfc1fc3979fbc3b0e3017ee946a3badd4a78174434a91ffa8",
+    "train-mw/report.json":
+        "daad90e3e7ea4afe5ec9baf8b8b4edb33719d6a755ce90bceff112975efdb41f",
+    "train-mw/steps.csv":
+        "56966ffebe3da71f5af6f97112395b66c4f4d7a8849560ad37827d843c7c20f0",
+}
+
+
+def test_every_command_writes_the_recorded_bytes(tmp_path, capsys):
+    assert golden_run(tmp_path, capsys) == GOLDEN

@@ -1,12 +1,15 @@
 """Tests for corpus/query ingestion, mining, and batch sampling."""
 
+import ast
 import hashlib
 import json
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mwlab
 from mwlab import data
 from mwlab.data import (
     Corpus,
@@ -18,11 +21,14 @@ from mwlab.data import (
     load_corpus,
     load_queries,
     mine_hard_negatives,
+    read_jsonl,
     sample_batch,
     save_queries,
     score_matrix,
     split_queries,
     top_k_columns,
+    write_csv,
+    write_json,
 )
 from mwlab.encoder import EncoderConfig, init_params, make_scorer, prepare_tokens
 from mwlab.prng import Xoshiro256StarStar, derive_seed
@@ -80,6 +86,69 @@ class TestLoadCorpus:
         write_jsonl(path, [{"id": "d1", "text": ""}])
         with pytest.raises(ValueError, match="line 1"):
             load_corpus(path)
+
+
+class TestFileFormats:
+    def test_read_jsonl_skips_blank_lines_and_numbers_the_rest(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n\n  \n{"a": 2}\n{"b": 3}\n')
+        with pytest.raises(ValueError, match=f"^{path}: line 5: 'a'$"):
+            read_jsonl(path, "row", lambda obj: obj["a"])
+        path.write_text('{"a": 1}\n\n{"a": 2}\n')
+        assert read_jsonl(path, "row", lambda obj: obj["a"]) == [1, 2]
+
+    def test_write_json_sorts_keys_and_ends_the_line(self, tmp_path):
+        path = tmp_path / "new" / "dir" / "out.json"
+        write_json(path, {"b": [1, 2.5], "a": np.float64(0.1)})
+        assert path.read_text() == '{\n  "a": 0.1,\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+
+    def test_write_csv_writes_floats_by_repr(self, tmp_path):
+        path = tmp_path / "new" / "out.csv"
+        write_csv(path, ("x", "y", "n"), [(np.float64(0.1), 1 / 3, np.int64(4)), (2.0, 1e-20, 5)])
+        assert path.read_text() == "x,y,n\n0.1,0.3333333333333333,4\n2.0,1e-20,5\n"
+        write_csv(path, None, np.array([[0.5, 1.0]]))
+        assert path.read_text() == "0.5,1.0\n"
+
+
+def file_writes(source: str) -> list[str]:
+    """Calls in Python source that write a file or make a directory:
+    ``json.dump``, ``write_text``, ``write_bytes``, ``mkdir``, and an
+    ``open`` whose mode is not a constant read mode."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name == "open":
+            # open(path, mode) or path.open(mode)
+            modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            modes += [kw.value for kw in node.keywords if kw.arg == "mode"]
+            if not all(isinstance(m, ast.Constant) and isinstance(m.value, str)
+                       and not set(m.value) & set("wax+") for m in modes):
+                found.append(f"{node.lineno}: open")
+        elif name in ("write_text", "write_bytes", "mkdir") or ast.unparse(func) == "json.dump":
+            found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def test_the_write_scan_finds_each_kind_of_write():
+    source = """
+json.dump(x, f); json.dumps(x); p.write_text(s); p.write_bytes(b); p.parent.mkdir()
+open(p, "w"); open(p, mode="ab"); p.open("x"); open(p, "r+"); open(p, mode)
+open(p); open(p, "rb"); p.open(); open(p, encoding="utf-8")
+"""
+    assert [w.split(": ")[1] for w in file_writes(source)] == [
+        "dump", "write_text", "write_bytes", "mkdir", "open", "open", "open", "open", "open"]
+
+
+def test_only_data_and_encoder_write_files():
+    # data owns the text formats (JSON, CSV, JSONL) and encoder the binary
+    # checkpoints; every other module writes through data's writers
+    src = Path(mwlab.__file__).parent
+    writes = {path.name: file_writes(path.read_text(encoding="utf-8"))
+              for path in sorted(src.glob("*.py")) if path.name not in ("data.py", "encoder.py")}
+    assert {name: found for name, found in writes.items() if found} == {}
 
 
 class TestFieldTypes:

@@ -8,7 +8,6 @@ from mwlab.encoder import (
     NORM_FLOOR,
     EncoderConfig,
     encode_backward,
-    encode_forward,
     encode_tokens,
     fnv1a64,
     init_params,
@@ -16,32 +15,38 @@ from mwlab.encoder import (
     make_scorer,
     prepare_tokens,
     save_checkpoint,
-    tokenize_hash,
 )
+
+from util import encode_forward
 
 SMALL = EncoderConfig(hash_dim=256, embed_dim=12, proj_dim=8, seed=7)
 
 
+def token_row(text: str, hash_dim: int = 256) -> dict[int, float]:
+    """The text's row of ``prepare_tokens``: bucket -> count / total."""
+    row = prepare_tokens([text], hash_dim)
+    return dict(zip(row.indices.tolist(), row.data.tolist()))
+
+
 class TestTokenizeHash:
     def test_case_folding_collapses(self):
-        counts = tokenize_hash("The THE the", 256)
-        assert len(counts) == 1
-        assert next(iter(counts.values())) == 3
+        # "the" and "x" hash to distinct buckets of 256
+        the, x = fnv1a64("the") % 256, fnv1a64("x") % 256
+        assert token_row("The THE x the") == {the: 0.75, x: 0.25}
 
     def test_empty_text(self):
-        assert tokenize_hash("", 256) == {}
-        assert tokenize_hash("   .,;!", 256) == {}
+        assert token_row("") == {}
+        assert token_row("   .,;!") == {}
 
     def test_order_invariance(self):
-        assert tokenize_hash("a b", 256) == tokenize_hash("b a", 256)
+        assert token_row("a b") == token_row("b a")
 
     def test_split_on_non_alphanumeric_runs(self):
-        assert tokenize_hash("foo--bar", 256) == tokenize_hash("foo bar", 256)
-        assert tokenize_hash("a1b", 256) != tokenize_hash("a 1 b", 256)
+        assert token_row("foo--bar") == token_row("foo bar")
+        assert token_row("a1b") != token_row("a 1 b")
 
     def test_bucket_range(self):
-        counts = tokenize_hash("lorem ipsum dolor sit amet", 64)
-        assert all(0 <= b < 64 for b in counts)
+        assert all(0 <= b < 64 for b in token_row("lorem ipsum dolor sit amet", 64))
 
     def test_mod_equals_the_mask_for_powers_of_two(self):
         # every power-of-two table keeps the buckets the mask gave it
@@ -53,12 +58,12 @@ class TestTokenizeHash:
             assert [h % d for h in hashes] == [h & (d - 1) for h in hashes]
 
     def test_bucket_is_the_hash_mod_hash_dim(self):
-        assert tokenize_hash("x", 100) == {fnv1a64("x") % 100: 1}
+        assert token_row("x", 100) == {fnv1a64("x") % 100: 1.0}
 
     @pytest.mark.parametrize("hash_dim", [0, -4])
     def test_hash_dim_must_be_positive(self, hash_dim):
         with pytest.raises(ValueError, match=f"hash_dim must be >= 1, got {hash_dim}"):
-            tokenize_hash("x", hash_dim)
+            prepare_tokens(["x"], hash_dim)
 
     def test_fnv1a_reference_value(self):
         # FNV-1a 64 of empty input is the offset basis
@@ -167,8 +172,8 @@ class TestBackward:
 
         check_entries(params.projection, grads.projection, 25)
         # restrict embedding checks to rows the texts actually touch
-        touched = [b for t in texts for b in tokenize_hash(t, SMALL.hash_dim)]
-        for bucket in set(touched):
+        touched = prepare_tokens(texts, SMALL.hash_dim).indices
+        for bucket in set(touched.tolist()):
             for j in rng.choice(SMALL.embed_dim, size=3, replace=False):
                 orig = params.embedding[bucket, j]
                 params.embedding[bucket, j] = orig + h

@@ -4,13 +4,9 @@ import json
 
 import numpy as np
 
+from mwlab.data import write_json
 from mwlab.encoder import EncoderConfig
-from mwlab.experiments import (
-    ComparisonSettings,
-    run_comparison,
-    synthetic_provider,
-    write_comparison,
-)
+from mwlab.experiments import ComparisonSettings, run_comparison, synthetic_provider
 from mwlab.synthetic import SyntheticSpec
 from mwlab.trainer import TrainConfig
 
@@ -26,7 +22,7 @@ def test_comparison_is_byte_identical_and_means_match(tmp_path):
     paths = []
     for run in ("a", "b"):
         path = tmp_path / run / "compare.json"
-        write_comparison(run_comparison([0, 1], provider, TOY), path)
+        write_json(path, run_comparison([0, 1], provider, TOY))
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 

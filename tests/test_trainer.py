@@ -17,7 +17,6 @@ from mwlab.encoder import (
     EncoderGrads,
     EncoderParams,
     encode_backward,
-    encode_forward,
     init_params,
     load_checkpoint,
     make_scorer,
@@ -29,7 +28,7 @@ from mwlab.scoring import backprop_scores, score_batch
 from mwlab.synthetic import SyntheticSpec, make_benchmark
 from mwlab.trainer import OptimizerState, TrainConfig, TrainingDiverged, adam_step, lr_at, train
 
-from util import central_difference, naive_adam_step, relative_error
+from util import central_difference, encode_forward, naive_adam_step, relative_error
 
 ENCODER = EncoderConfig(hash_dim=256, embed_dim=8, proj_dim=4, seed=5)
 # 36 train queries: 6 steps per epoch, evaluations at steps 3, 6, 9, 12

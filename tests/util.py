@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mwlab.encoder import encode_tokens, prepare_tokens
 from mwlab.scoring import ScoreBatch
+from mwlab.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 MASK64 = (1 << 64) - 1
@@ -267,17 +269,17 @@ def naive_adam_step(params, grads, state, lr) -> None:
     """Bias-corrected dense Adam written as the formula, one temporary
     per operation; updates params and state in place."""
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     for m, v, g, p in (
         (state.m.embedding, state.v.embedding, grads.embedding, params.embedding),
         (state.m.projection, state.v.projection, grads.projection, params.projection),
     ):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def naive_top_k(row, ids, k, exclude=()) -> list[int]:
@@ -286,3 +288,8 @@ def naive_top_k(row, ids, k, exclude=()) -> list[int]:
     skip = set(exclude)
     order = sorted(range(len(row)), key=lambda j: (-row[j], ids[j]))
     return [j for j in order if j not in skip][:k]
+
+
+def encode_forward(params, texts):
+    """Encode raw texts through a token table hashed afresh for them."""
+    return encode_tokens(params, prepare_tokens(texts, params.config.hash_dim))
