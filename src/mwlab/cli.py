@@ -22,8 +22,8 @@ import numpy as np
 
 from . import encoder as enc
 from .data import (EVAL_FRACTION, TRAIN_FRACTION, SplitSpec, load_corpus, load_queries,
-                   mine_hard_negatives, read_jsonl, save_queries, split_queries, write_csv,
-                   write_json)
+                   mine_hard_negatives, read_json, read_jsonl, save_queries, split_queries,
+                   write_csv, write_json)
 from .experiments import ComparisonSettings, fixed_provider, run_comparison, synthetic_provider
 from .metrics import ScorePool, evaluate, histogram, roc_curve
 from .objectives import check_tau, gaussian_degradation_demo, mw_bound_check
@@ -45,8 +45,7 @@ _ENCODER_KEYS = {"hash_dim", "embed_dim", "proj_dim"}
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
+    raw = read_json(path, "config")
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     unknown = set(raw) - _TRAIN_FIELDS - _ENCODER_KEYS
@@ -115,10 +114,7 @@ def _load_split_inputs(args):
 
 def cmd_train(args) -> int:
     train_cfg, encoder_cfg, train_qs, eval_qs, corpus = _load_split_inputs(args)
-    best, report = train(train_cfg, train_qs, eval_qs, corpus, encoder_cfg, out_dir=args.out)
-    best_ckpt = Path(args.out) / f"ckpt_{report.best_checkpoint_step}"
-    if not best_ckpt.exists():
-        enc.save_checkpoint(best, report.best_checkpoint_step, best_ckpt)
+    _, report = train(train_cfg, train_qs, eval_qs, corpus, encoder_cfg, out_dir=args.out)
     print(f"trained {train_cfg.loss_kind} for {len(report.steps)} steps; "
           f"best step {report.best_checkpoint_step}; report in {args.out}")
     return 0

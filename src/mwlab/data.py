@@ -7,11 +7,11 @@ is optional before mining. Mining rewrites the query file with the
 ``hard_negative_ids`` filled in.
 
 This module owns the byte format of every text file mwlab reads or
-writes. ``read_jsonl`` reads JSONL and names ``path: line N:`` in its
-errors; ``write_json`` writes sorted-key JSON indented by 2 with a
-closing newline; ``write_csv`` writes a float cell as its ``repr``. The
-other modules write through these; only ``encoder`` writes a file of its
-own, the binary checkpoint.
+writes. ``read_jsonl`` (JSONL) and ``read_json`` (the CLI's --config)
+name the file in their errors; ``write_json`` writes sorted-key JSON
+indented by 2 with a closing newline; ``write_csv`` writes a float cell
+as its ``repr``. Only ``encoder`` reads and writes a file of its own,
+the binary checkpoint.
 
 A ``Corpus`` or ``QuerySet`` hashes its texts once per ``hash_dim``
 (``tokens``) and keeps that table until it grows, so mining, every
@@ -210,23 +210,35 @@ class SplitSpec:
             raise ValueError("train and eval fractions must leave room for a test split")
 
 
+def _existing(path: str | Path, what: str) -> Path:
+    if not Path(path).exists():
+        raise FileNotFoundError(f"{what} file not found: {path}")
+    return Path(path)
+
+
+def read_json(path: str | Path, what: str):
+    """The value of a UTF-8 JSON file, with ``read_jsonl``'s errors less the line."""
+    path = _existing(path, what)
+    try:
+        return json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def read_jsonl(path: str | Path, what: str, parse: Callable[[dict], object]) -> list:
     """``parse(obj)`` of each non-blank line of a JSONL file, in order. A
-    line that is not JSON, or that ``parse`` rejects with a KeyError,
+    line that is not UTF-8 JSON, or that ``parse`` rejects with a KeyError,
     TypeError or ValueError, raises ValueError prefixed ``path: line N:``.
     A missing file raises FileNotFoundError naming ``what``."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"{what} file not found: {path}")
+    path = _existing(path, what)
     parsed = []
-    with open(path, encoding="utf-8") as f:
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if line:
-                try:
-                    parsed.append(parse(json.loads(line)))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+            try:
+                if text := line.decode("utf-8").strip():
+                    parsed.append(parse(json.loads(text)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return parsed
 
 

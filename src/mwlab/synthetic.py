@@ -8,6 +8,7 @@ query's similarities, which leaves per-query ranking (and therefore the
 softmax loss) almost untouched but scrambles scores across queries. An
 objective that only compares scores within a query has no incentive to
 unlearn the filler; one that compares scores across queries does.
+Module constants fix the shape; a ``SyntheticSpec`` sets size and seed.
 
 ``make_offset_demo_pools`` builds per-query score pools with clean
 separation, the starting point for the Gaussian-offset degradation demo.
@@ -22,25 +23,25 @@ from .metrics import ScorePool
 from .prng import Xoshiro256StarStar
 
 
+# The planted benchmark's shape. Documents fall into topics of DOCS_PER_TOPIC
+# and carry DOC_TOPIC_TOKENS of their topic's TOKENS_PER_TOPIC words plus
+# FILLER_TOKEN; a query keeps QUERY_TOPIC_TOKENS of its own document's words
+# and repeats the filler 0..MAX_FILLER_REPEATS times (the planted offset).
+# Same-topic documents act as natural hard negatives.
+FILLER_TOKEN = "filler"
+DOCS_PER_TOPIC = 10
+TOKENS_PER_TOPIC = 8
+DOC_TOPIC_TOKENS = 6
+QUERY_TOPIC_TOKENS = 3
+MAX_FILLER_REPEATS = 12
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Shape of the planted benchmark.
-
-    Documents are grouped into topics (``docs_per_topic`` each) and carry
-    ``doc_topic_tokens`` draws from their topic's vocabulary plus one
-    filler token. Each query is built from a distinct document: it keeps
-    ``query_topic_tokens`` of that document's topic vocabulary and
-    repeats the filler 0..``max_filler_repeats`` times (the planted
-    offset). Same-topic documents act as natural hard negatives.
-    """
+    """Size and seed of a planted benchmark; its shape is the module's."""
 
     n_queries: int = 2000
     n_docs: int = 5000
-    docs_per_topic: int = 10
-    tokens_per_topic: int = 8
-    doc_topic_tokens: int = 6
-    query_topic_tokens: int = 3
-    max_filler_repeats: int = 12
     seed: int = 0
 
     def __post_init__(self):
@@ -48,17 +49,6 @@ class SyntheticSpec:
             raise ValueError("need at least one query and two documents")
         if self.n_queries > self.n_docs:
             raise ValueError("each query needs its own positive document")
-        if self.docs_per_topic < 1 or self.tokens_per_topic < 1:
-            raise ValueError("topic shape parameters must be >= 1")
-        if not (1 <= self.doc_topic_tokens <= self.tokens_per_topic):
-            raise ValueError("doc_topic_tokens must be in 1..tokens_per_topic")
-        if not (1 <= self.query_topic_tokens <= self.doc_topic_tokens):
-            raise ValueError("query_topic_tokens must be in 1..doc_topic_tokens")
-        if self.max_filler_repeats < 0:
-            raise ValueError("max_filler_repeats must be >= 0")
-
-
-FILLER_TOKEN = "filler"
 
 
 def make_benchmark(spec: SyntheticSpec) -> tuple[Corpus, QuerySet]:
@@ -71,9 +61,9 @@ def make_benchmark(spec: SyntheticSpec) -> tuple[Corpus, QuerySet]:
     docs = []
     doc_topic_words: list[list[str]] = []
     for d in range(spec.n_docs):
-        topic = d // spec.docs_per_topic
-        vocab = [f"t{topic}w{j}" for j in range(spec.tokens_per_topic)]
-        idx = rng.sample_indices(spec.tokens_per_topic, spec.doc_topic_tokens)
+        topic = d // DOCS_PER_TOPIC
+        vocab = [f"t{topic}w{j}" for j in range(TOKENS_PER_TOPIC)]
+        idx = rng.sample_indices(TOKENS_PER_TOPIC, DOC_TOPIC_TOKENS)
         words = [vocab[j] for j in idx]
         doc_topic_words.append(words)
         text = " ".join(words + [FILLER_TOKEN, f"u{d}"])
@@ -82,9 +72,9 @@ def make_benchmark(spec: SyntheticSpec) -> tuple[Corpus, QuerySet]:
 
     queries = []
     for i in range(spec.n_queries):
-        kept = rng.sample_indices(spec.doc_topic_tokens, spec.query_topic_tokens)
+        kept = rng.sample_indices(DOC_TOPIC_TOKENS, QUERY_TOPIC_TOKENS)
         words = [doc_topic_words[i][j] for j in kept]
-        repeats = rng.below(spec.max_filler_repeats + 1)
+        repeats = rng.below(MAX_FILLER_REPEATS + 1)
         text = " ".join(words + [FILLER_TOKEN] * repeats)
         queries.append(Query(id=f"q{i}", text=text, positive_ids=[f"d{i}"]))
     return corpus, QuerySet(queries)

@@ -245,14 +245,15 @@ def train(
     train_queries: QuerySet,
     eval_queries: QuerySet,
     corpus: Corpus,
-    encoder_config: enc.EncoderConfig | None = None,
+    encoder_config: enc.EncoderConfig,
     out_dir: str | Path | None = None,
 ) -> tuple[enc.EncoderParams, RunReport]:
     """Run the full optimization loop and return (best params, report).
 
-    With ``out_dir`` set, a checkpoint ``ckpt_<step>`` is written at every
-    evaluation-loss improvement and the report files at the end.
-    ``max_epochs = 0`` returns the initial parameters untouched.
+    ``max_epochs = 0`` returns ``encoder_config``'s initial parameters,
+    as step 0. With ``out_dir`` set, the best checkpoint is always on
+    disk: ``ckpt_<step>`` is written at every evaluation-loss improvement,
+    or ``ckpt_0`` when no step runs, and the report files at the end.
 
     Before any other work, each split's batch rows are built once and the
     fixed eval batches and the first training batch are drawn from them,
@@ -265,8 +266,6 @@ def train(
     encode the eval split and the corpus once; the fixed eval batches
     are rows of those two encodings. A run ends with an evaluation.
     """
-    if encoder_config is None:
-        encoder_config = enc.EncoderConfig(seed=derive_seed(config.seed, 1))
     steps_per_epoch = max(1, -(-len(train_queries) // config.B))
     max_steps = config.max_epochs * steps_per_epoch
     if max_steps > 0:
@@ -289,6 +288,7 @@ def train(
     out_path = Path(out_dir) if out_dir is not None else None
     if max_steps == 0:
         if out_path is not None:
+            enc.save_checkpoint(params, 0, out_path / "ckpt_0")
             report.write(out_path)
         return params, report
 
@@ -353,7 +353,7 @@ def ablation_sweep(
     train_queries: QuerySet,
     eval_queries: QuerySet,
     corpus: Corpus,
-    encoder_config: enc.EncoderConfig | None = None,
+    encoder_config: enc.EncoderConfig,
 ) -> list[dict]:
     """One full train + evaluate per (lr, B, H) grid cell.
 

@@ -267,6 +267,57 @@ def test_a_missing_input_file_exits_2_naming_it(tmp_path, capsys, what):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content, expected", [
+    (None, "config file not found: {path}\n"),
+    (b'{"B": 4,', "{path}: Expecting property name enclosed in double quotes"),
+    (b'{"B": 4}\xff', "{path}: 'utf-8' codec can't decode byte 0xff"),
+], ids=["missing", "malformed", "not-utf-8"])
+def test_a_bad_config_file_exits_2_naming_it(tmp_path, capsys, content, expected):
+    corpus, queries = synthetic_provider(SyntheticSpec(n_queries=20, n_docs=50))(0)
+    corpus_path, queries_path = write_inputs(tmp_path, corpus, queries)
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    if content is not None:
+        config.write_bytes(content)
+    argv = ["train", "--corpus", corpus_path, "--queries", queries_path,
+            "--config", str(config), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: " + expected.format(path=config))
+    assert not out.exists()
+
+
+def test_an_input_file_that_is_not_utf8_exits_2_naming_file_and_line(tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_bytes(b'{"id": "d1", "text": "a"}\n\xff{"id": "d2", "text": "b"}\n')
+    queries_path = tmp_path / "queries.jsonl"
+    queries_path.write_text('{"id": "q1", "text": "a", "positive_ids": ["d1"]}\n')
+    argv = ["mine", "--corpus", str(corpus_path), "--queries", str(queries_path),
+            "--out", str(tmp_path / "mined.jsonl")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {corpus_path}: line 2: 'utf-8' codec can't decode byte 0xff")
+    assert not (tmp_path / "mined.jsonl").exists()
+
+
+def test_train_writes_its_own_best_checkpoint_over_an_older_one(tmp_path):
+    corpus, queries = synthetic_provider(SyntheticSpec(n_queries=20, n_docs=50))(0)
+    corpus_path, queries_path = write_inputs(tmp_path, corpus, queries)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_epochs": 0, "hash_dim": 256, "embed_dim": 8,
+                                  "proj_dim": 4}))
+
+    def best_checkpoint(out, seed) -> bytes:
+        assert cli.main(["train", "--corpus", corpus_path, "--queries", queries_path,
+                         "--config", str(config), "--out", str(out),
+                         "--seed", str(seed)]) == 0
+        assert json.loads((out / "report.json").read_text())["best_checkpoint_step"] == 0
+        return (out / "ckpt_0").read_bytes()
+
+    older = best_checkpoint(tmp_path / "run", 1)
+    fresh = best_checkpoint(tmp_path / "fresh", 2)
+    assert older != fresh
+    assert best_checkpoint(tmp_path / "run", 2) == fresh
+
+
 def test_lemma1_demo_writes_one_row_per_sigma(tmp_path):
     out = tmp_path / "demo.csv"
     assert cli.main(["lemma1-demo", "--synthetic", "--n-queries", "20",

@@ -21,6 +21,7 @@ from mwlab.data import (
     load_corpus,
     load_queries,
     mine_hard_negatives,
+    read_json,
     read_jsonl,
     sample_batch,
     save_queries,
@@ -97,6 +98,19 @@ class TestFileFormats:
         path.write_text('{"a": 1}\n\n{"a": 2}\n')
         assert read_jsonl(path, "row", lambda obj: obj["a"]) == [1, 2]
 
+    def test_read_json_names_the_file_in_its_errors(self, tmp_path):
+        path = tmp_path / "config.json"
+        with pytest.raises(FileNotFoundError, match=f"^config file not found: {path}$"):
+            read_json(path, "config")
+        path.write_text('{"b": [1, 2.5]}')
+        assert read_json(path, "config") == {"b": [1, 2.5]}
+        path.write_text("[1,")
+        with pytest.raises(ValueError, match=f"^{path}: Expecting value"):
+            read_json(path, "config")
+        path.write_bytes(b'"\xff"')
+        with pytest.raises(ValueError, match=f"^{path}: 'utf-8' codec can't decode byte 0xff"):
+            read_json(path, "config")
+
     def test_write_json_sorts_keys_and_ends_the_line(self, tmp_path):
         path = tmp_path / "new" / "dir" / "out.json"
         write_json(path, {"b": [1, 2.5], "a": np.float64(0.1)})
@@ -142,13 +156,44 @@ open(p); open(p, "rb"); p.open(); open(p, encoding="utf-8")
         "dump", "write_text", "write_bytes", "mkdir", "open", "open", "open", "open", "open"]
 
 
+def file_reads(source: str) -> list[str]:
+    """Calls in Python source that read a file: ``json.load``,
+    ``read_text``, ``read_bytes``, and ``open`` in any mode."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in ("open", "read_text", "read_bytes") or ast.unparse(func) == "json.load":
+                found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def test_the_read_scan_finds_each_kind_of_read():
+    source = """
+json.load(f); json.loads(s); p.read_text(); p.read_bytes(); open(p); p.open("rb")
+open(p, "w"); io.open(p); p.write_text(s); p.readlines()
+"""
+    assert [r.split(": ")[1] for r in file_reads(source)] == [
+        "load", "read_text", "read_bytes", "open", "open", "open", "open"]
+
+
+def found_outside_data_and_encoder(scan) -> dict[str, list[str]]:
+    src = Path(mwlab.__file__).parent
+    found = {path.name: scan(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py")) if path.name not in ("data.py", "encoder.py")}
+    return {name: calls for name, calls in found.items() if calls}
+
+
 def test_only_data_and_encoder_write_files():
     # data owns the text formats (JSON, CSV, JSONL) and encoder the binary
     # checkpoints; every other module writes through data's writers
-    src = Path(mwlab.__file__).parent
-    writes = {path.name: file_writes(path.read_text(encoding="utf-8"))
-              for path in sorted(src.glob("*.py")) if path.name not in ("data.py", "encoder.py")}
-    assert {name: found for name, found in writes.items() if found} == {}
+    assert found_outside_data_and_encoder(file_writes) == {}
+
+
+def test_only_data_and_encoder_read_files():
+    # and every other module reads through data's readers
+    assert found_outside_data_and_encoder(file_reads) == {}
 
 
 class TestFieldTypes:

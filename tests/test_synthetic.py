@@ -2,21 +2,14 @@
 
 import pytest
 
-from mwlab.synthetic import FILLER_TOKEN, SyntheticSpec, make_benchmark
+from mwlab.synthetic import (DOCS_PER_TOPIC, FILLER_TOKEN, MAX_FILLER_REPEATS,
+                             QUERY_TOPIC_TOKENS, SyntheticSpec, make_benchmark)
 
 
 @pytest.mark.parametrize("fields, expected", [
     ({"n_queries": 0}, "at least one query and two documents"),
     ({"n_docs": 1, "n_queries": 1}, "at least one query and two documents"),
     ({"n_queries": 11, "n_docs": 10}, "its own positive document"),
-    ({"docs_per_topic": 0}, "topic shape parameters"),
-    ({"tokens_per_topic": 0, "doc_topic_tokens": 1, "query_topic_tokens": 1},
-     "topic shape parameters"),
-    ({"doc_topic_tokens": 0}, "doc_topic_tokens must be in"),
-    ({"doc_topic_tokens": 9}, "doc_topic_tokens must be in"),
-    ({"query_topic_tokens": 0}, "query_topic_tokens must be in"),
-    ({"query_topic_tokens": 7}, "query_topic_tokens must be in"),
-    ({"max_filler_repeats": -1}, "max_filler_repeats must be >= 0"),
 ])
 def test_spec_validation(fields, expected):
     with pytest.raises(ValueError, match=expected):
@@ -35,10 +28,9 @@ def test_make_benchmark_is_deterministic_per_seed():
     assert snapshot(spec) != snapshot(SyntheticSpec(n_queries=40, n_docs=90, seed=4))
 
 
-@pytest.mark.parametrize("max_filler_repeats", [0, 5])
-def test_planted_structure(max_filler_repeats):
-    spec = SyntheticSpec(n_queries=60, n_docs=100, max_filler_repeats=max_filler_repeats)
-    corpus, queries = make_benchmark(spec)
+@pytest.mark.parametrize("seed", [0, 5])
+def test_planted_structure(seed):
+    corpus, queries = make_benchmark(SyntheticSpec(n_queries=60, n_docs=100, seed=seed))
     assert corpus.ids == [f"d{d}" for d in range(100)]
     fillers = []
     for i, q in enumerate(queries):
@@ -46,13 +38,13 @@ def test_planted_structure(max_filler_repeats):
         assert q.positive_ids == [f"d{i}"] and q.hard_negative_ids == []
         words = q.text.split()
         topic_words = [w for w in words if w != FILLER_TOKEN]
-        assert len(topic_words) == spec.query_topic_tokens
+        assert len(topic_words) == QUERY_TOPIC_TOKENS
         # the query keeps words of its positive document, from that document's topic
         assert set(topic_words) <= set(corpus[f"d{i}"].text.split())
-        assert all(w.startswith(f"t{i // spec.docs_per_topic}w") for w in topic_words)
+        assert all(w.startswith(f"t{i // DOCS_PER_TOPIC}w") for w in topic_words)
         fillers.append(words.count(FILLER_TOKEN))
-    # every count lies in 0..max_filler_repeats, and 60 queries reach each one
-    assert set(fillers) == set(range(max_filler_repeats + 1))
+    # every count lies in 0..MAX_FILLER_REPEATS, and 60 queries reach each one
+    assert set(fillers) == set(range(MAX_FILLER_REPEATS + 1))
     for d, doc in enumerate(corpus):
         words = doc.text.split()
         assert words.count(FILLER_TOKEN) == 1 and words[-1] == f"u{d}"
