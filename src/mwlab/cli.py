@@ -6,7 +6,7 @@ no images are rendered. Every command is deterministic given --seed and
 read-only on its inputs apart from the declared outputs.
 
 Exit codes: 0 success, 1 a checked bound or assertion failed, 2 usage or
-IO error.
+IO error, or a training run that diverged.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .objectives import check_tau, gaussian_degradation_demo, mw_bound_check
 from .prng import Xoshiro256StarStar, derive_seed
 from .scoring import comparison_counts
 from .synthetic import SyntheticSpec, make_offset_demo_pools
-from .trainer import TrainConfig, ablation_sweep, train
+from .trainer import TrainConfig, TrainingDiverged, ablation_sweep, train
 
 # Encoder shape used when no checkpoint or config supplies one. Smaller
 # than the EncoderConfig defaults so CLI runs stay fast on a laptop.
@@ -362,6 +362,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

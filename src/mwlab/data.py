@@ -232,13 +232,13 @@ def read_jsonl(path: str | Path, what: str, parse: Callable[[dict], object]) -> 
     A missing file raises FileNotFoundError naming ``what``."""
     path = _existing(path, what)
     parsed = []
-    with open(path, "rb") as f:
-        for lineno, line in enumerate(f, start=1):
-            try:
-                if text := line.decode("utf-8").strip():
-                    parsed.append(parse(json.loads(text)))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+    # bytes.splitlines ends a line at \n, \r\n or \r, as text mode does
+    for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            if text := line.decode("utf-8").strip():
+                parsed.append(parse(json.loads(text)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return parsed
 
 

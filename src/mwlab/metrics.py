@@ -5,8 +5,11 @@ relevant (positive) and irrelevant (negative) passages, pooled across
 queries. The Mann-Whitney U statistic counts correctly ordered
 positive-negative pairs (ties at half weight), U / (n_pos * n_neg) is
 the area under the ROC curve, and 1 - AUC is the area over it. A pool
-sorts its sides once; U, strict AoC, the ROC curve and the histogram all
-read that one sort.
+sorts its sides once, and places its sorted positives among its sorted
+negatives once: for each positive, the negatives below it and the
+negatives not above it (two binary searches). U, strict AoC and the ROC
+curve all read that one placement pair, and the histogram the sort. All
+counts are integers below 2^53, so every statistic is exact.
 
 Tie conventions: U and AUC give ties half weight, the standard
 Mann-Whitney treatment. ``strict_aoc`` counts only strict inversions
@@ -17,8 +20,10 @@ half the tie mass.
 ``evaluate`` is the one evaluation bundle: it takes a precomputed
 n_queries x n_docs score matrix, runs the pooled AUC protocol and the
 depth-10 ranked lists over it, and returns the pool with auc, mrr10,
-ndcg10, precision10 and recall1. Training, ablation, comparison and the
-CLI all evaluate through it, so each scores a query set only once.
+ndcg10, precision10 and recall1. The four list metrics read one hit pass:
+per list, the ranks within its top 10 that hold a relevant id. Training,
+ablation, comparison and the CLI all evaluate through it, so each scores
+a query set only once.
 """
 
 from __future__ import annotations
@@ -40,8 +45,9 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ScorePool:
     """Pooled positive and negative scores. A side may be empty; the rank
-    statistics require both. The pool keeps a read-only copy of each side
-    and sorts both once, on first use (``sorted_sides``, also read-only)."""
+    statistics require both. The pool keeps a read-only copy of each side,
+    and computes its sort (``sorted_sides``) and its placements
+    (``placements``) once, on first use; both are read-only too."""
 
     positives: np.ndarray
     negatives: np.ndarray
@@ -65,31 +71,22 @@ class ScorePool:
     def sorted_sides(self) -> tuple[np.ndarray, np.ndarray]:
         return _read_only(np.sort(self.positives)), _read_only(np.sort(self.negatives))
 
-
-def _require_both_sides(pool: ScorePool, op: str) -> None:
-    if pool.n_pos == 0 or pool.n_neg == 0:
-        raise ValueError(
-            f"{op} needs scores on both sides "
-            f"(n_pos={pool.n_pos}, n_neg={pool.n_neg})"
-        )
+    @cached_property
+    def placements(self) -> tuple[np.ndarray, np.ndarray]:
+        """(below, not_above): for each sorted positive, the number of
+        negatives scoring strictly below it and the number not above it."""
+        if self.n_pos == 0 or self.n_neg == 0:
+            raise ValueError("rank statistics need scores on both sides "
+                             f"(n_pos={self.n_pos}, n_neg={self.n_neg})")
+        pos, neg = self.sorted_sides
+        return tuple(_read_only(np.searchsorted(neg, pos, side)) for side in ("left", "right"))
 
 
 def mann_whitney_u(pool: ScorePool) -> float:
-    """U = #(s+ > s-) + 0.5 * #(s+ = s-) over all positive-negative pairs.
-
-    Computed from midranks: U = sum of positive midranks - n_pos (n_pos + 1)
-    / 2, each placed in the union by binary searches in the two sorted
-    sides. Midrank sums stay below 2^53, so the result is exact.
-    """
-    _require_both_sides(pool, "mann_whitney_u")
-    pos, neg = pool.sorted_sides
-    # a positive's tie group fills union positions lo..hi-1, so its
-    # midrank is the mean 1-based rank 0.5 * (lo + hi - 1) + 1
-    lo = np.searchsorted(pos, pos, side="left") + np.searchsorted(neg, pos, side="left")
-    hi = np.searchsorted(pos, pos, side="right") + np.searchsorted(neg, pos, side="right")
-    n_pos = pool.n_pos
-    rank_sum = float((0.5 * (lo + hi - 1) + 1.0).sum())
-    return rank_sum - n_pos * (n_pos + 1) / 2.0
+    """U = #(s+ > s-) + 0.5 * #(s+ = s-) over all positive-negative pairs,
+    summed from the pool's placements."""
+    below, not_above = pool.placements
+    return float(below.sum() + 0.5 * (not_above - below).sum())
 
 
 def auc(pool: ScorePool) -> float:
@@ -100,10 +97,8 @@ def auc(pool: ScorePool) -> float:
 
 def strict_aoc(pool: ScorePool) -> float:
     """Fraction of pairs strictly misordered (s+ < s-); ties count zero."""
-    _require_both_sides(pool, "strict_aoc")
-    # for each positive, number of negatives strictly above it
-    above = pool.n_neg - np.searchsorted(pool.sorted_sides[1], pool.positives, side="right")
-    return float(above.sum()) / (pool.n_pos * pool.n_neg)
+    above = (pool.n_neg - pool.placements[1]).sum()  # negatives above each positive
+    return float(above) / (pool.n_pos * pool.n_neg)
 
 
 @dataclass
@@ -115,8 +110,7 @@ class ROCCurve:
 
     def area(self) -> float:
         """Trapezoidal area under the curve."""
-        fpr = self.points[:, 0]
-        tpr = self.points[:, 1]
+        fpr, tpr = self.points.T
         return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1])) * 0.5)
 
 
@@ -126,19 +120,17 @@ def roc_curve(pool: ScorePool) -> ROCCurve:
     trapezoidal area equals ``auc`` including its half-weight ties. One
     merge of the sorted sides gives every point (Fawcett 2006, Alg. 1): the
     integer counts below the start of each tie group of the merged scores."""
-    _require_both_sides(pool, "roc_curve")
     pos, neg = pool.sorted_sides
     n_pos, n_neg = pool.n_pos, pool.n_neg
-    at = np.searchsorted(neg, pos) + np.arange(n_pos)  # the positives' places in the merge
+    at = pool.placements[0] + np.arange(n_pos)  # the positives' places in the merge
     is_pos = np.zeros(n_pos + n_neg, dtype=bool)
     is_pos[at] = True
     merged = np.empty(n_pos + n_neg)
     merged[at], merged[~is_pos] = pos, neg
     starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))[::-1]
     pos_below = np.concatenate(([0], np.cumsum(is_pos)))[starts]
-    points = np.empty((len(starts) + 1, 2))
-    points[0] = (0.0, 0.0)
-    # counts of scores >= each threshold
+    # (0, 0), then the rates of scores >= each threshold
+    points = np.zeros((len(starts) + 1, 2))
     points[1:, 0] = (n_neg - (starts - pos_below)) / n_neg
     points[1:, 1] = (n_pos - pos_below) / n_pos
     return ROCCurve(points=points)
@@ -192,67 +184,29 @@ class RankedList:
             raise ValueError("ranked_ids contains duplicates")
 
 
-def _check_lists(lists: Sequence[RankedList], k: int) -> None:
+def _hit_ranks(lists: Sequence[RankedList], k: int) -> list[list[int]]:
+    """Per list, the 1-based ranks within its top k that hold a relevant id."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not lists:
         raise ValueError("no ranked lists given")
+    return [[rank for rank, doc_id in enumerate(rl.ranked_ids[:k], start=1)
+             if doc_id in rl.relevant_ids] for rl in lists]
+
+
+def _mean(values: Sequence[float]) -> float:
+    """Mean of per-query values, summed in query order from zero by a
+    running total (``sum`` compensates float sums from Python 3.12 on)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def mrr_at_k(lists: Sequence[RankedList], k: int = 10) -> float:
     """Mean reciprocal rank of the first relevant hit within the top k;
     queries with no hit contribute 0."""
-    _check_lists(lists, k)
-    total = 0.0
-    for rl in lists:
-        for rank, doc_id in enumerate(rl.ranked_ids[:k], start=1):
-            if doc_id in rl.relevant_ids:
-                total += 1.0 / rank
-                break
-    return total / len(lists)
-
-
-def ndcg_at_k(lists: Sequence[RankedList], k: int = 10) -> float:
-    """Binary-gain nDCG@k averaged over queries.
-
-    DCG = sum over hit ranks r <= k of 1 / log2(r + 1); the ideal DCG
-    places all relevant documents first. Queries without relevant
-    documents contribute 0 and still count in the mean.
-    """
-    _check_lists(lists, k)
-    discounts = 1.0 / np.log2(np.arange(2, k + 2))
-    total = 0.0
-    for rl in lists:
-        n_rel = len(rl.relevant_ids)
-        if n_rel == 0:
-            continue
-        gains = [1.0 if d in rl.relevant_ids else 0.0 for d in rl.ranked_ids[:k]]
-        dcg = float(np.dot(gains, discounts[: len(gains)]))
-        idcg = float(discounts[: min(n_rel, k)].sum())
-        total += dcg / idcg
-    return total / len(lists)
-
-
-def precision_at_k(lists: Sequence[RankedList], k: int = 10) -> float:
-    """Mean fraction of the top k that is relevant."""
-    _check_lists(lists, k)
-    total = sum(
-        sum(1 for d in rl.ranked_ids[:k] if d in rl.relevant_ids) / k for rl in lists
-    )
-    return total / len(lists)
-
-
-def recall_at_k(lists: Sequence[RankedList], k: int = 10) -> float:
-    """Mean fraction of each query's relevant documents found in the top k;
-    queries with no relevant documents contribute 0."""
-    _check_lists(lists, k)
-    total = 0.0
-    for rl in lists:
-        if not rl.relevant_ids:
-            continue
-        hits = sum(1 for d in rl.ranked_ids[:k] if d in rl.relevant_ids)
-        total += hits / len(rl.relevant_ids)
-    return total / len(lists)
+    return _mean([1.0 / hits[0] if hits else 0.0 for hits in _hit_ranks(lists, k)])
 
 
 def ranked_lists(
@@ -282,12 +236,24 @@ def evaluate(
 
     pool, auc_value = pooled_auc_protocol(queries, corpus, fixed, top_k=top_k)
     lists = ranked_lists(queries, corpus, fixed, depth=10)
+    # nDCG's gains are binary, and its ideal DCG places every relevant
+    # document first; every query has a relevant document
+    discounts = 1.0 / np.log2(np.arange(2, 12))
+    rr, ndcg, precision, recall = [], [], [], []
+    for rl, hits in zip(lists, _hit_ranks(lists, 10)):
+        n_rel = len(rl.relevant_ids)
+        gains = [float(rank in hits) for rank in range(1, len(rl.ranked_ids) + 1)]
+        rr.append(1.0 / hits[0] if hits else 0.0)
+        ndcg.append(float(np.dot(gains, discounts[:len(gains)]))
+                    / float(discounts[:min(n_rel, 10)].sum()))
+        precision.append(len(hits) / 10)
+        recall.append(int(1 in hits) / n_rel)
     return pool, {
         "auc": auc_value,
-        "mrr10": mrr_at_k(lists, 10),
-        "ndcg10": ndcg_at_k(lists, 10),
-        "precision10": precision_at_k(lists, 10),
-        "recall1": recall_at_k(lists, 1),
+        "mrr10": _mean(rr),
+        "ndcg10": _mean(ndcg),
+        "precision10": _mean(precision),
+        "recall1": _mean(recall),
     }
 
 

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -144,7 +145,8 @@ def _mw_pair_sums(
         # leaving the block waits for the worker, which writes into
         # sigmoid_cols, also when the left half raises
         with ThreadPoolExecutor(1) as pool:
-            right = pool.submit(_mw_node, pos, neg, tau, mid, n,
+            # in the caller's context, so its numpy error state holds there too
+            right = pool.submit(copy_context().run, _mw_node, pos, neg, tau, mid, n,
                                 [np.empty(size) for _ in range(4)], sigmoid_cols)
             left = _mw_node(pos, neg, tau, 0, mid, buffers, sigmoid_cols)
         sums = tuple(a + b for a, b in zip(left, right.result()))

@@ -61,7 +61,7 @@ ADAM_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a gradient goes non-finite; the run aborts."""
+    """Raised when a loss or gradient goes non-finite; the run aborts."""
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,9 @@ def train(
     Steps and Adam run on the sub-table of the module docstring. Every
     evaluation first writes it back into the full parameters, which
     encode the eval split and the corpus once; the fixed eval batches
-    are rows of those two encodings. A run ends with an evaluation.
+    are rows of those two encodings. A run ends with an evaluation. A
+    non-finite loss or gradient raises ``TrainingDiverged`` naming the
+    loss kind, the step and tau.
     """
     steps_per_epoch = max(1, -(-len(train_queries) // config.B))
     max_steps = config.max_epochs * steps_per_epoch
@@ -320,9 +322,14 @@ def train(
         if step > 1:
             batch = sample_batch(train_split, batch_rng)
         q, p = batch
-        value, grads = _train_step(sub, sub_train[q], sub_corpus[p], config.tau, loss)
         lr = lr_at(step, config)
-        adam_step(sub, grads, state, lr)
+        try:  # the loss and Adam check their results, so numpy need not warn
+            with np.errstate(all="ignore"):
+                value, grads = _train_step(sub, sub_train[q], sub_corpus[p], config.tau, loss)
+                adam_step(sub, grads, state, lr)
+        except (TrainingDiverged, ValueError) as exc:
+            raise TrainingDiverged(f"{config.loss_kind} training diverged at step {step} "
+                                   f"(tau={config.tau!r}): {exc}") from exc
         report.steps.append((step, value, lr))
 
         if step % config.eval_every == 0 or step == max_steps:

@@ -1,7 +1,7 @@
 """The benchmark in bench/ probes mwlab functions by name; a refactor
 that removes or renames one must fail here, not at benchmark time. Its
-toy jobs also guard the hash budget: each text is hashed once, so the
-traced reuse ratio is 1."""
+toy jobs also guard the hash budget (each text is hashed once, so the
+traced reuse ratio is 1) and pass the benchmark's own output checks."""
 
 import json
 import sys
@@ -46,9 +46,12 @@ def test_toy_workload_hashes_each_text_once(bench, tmp_path, name):
     job = workloads.WORKLOADS[name]
     inst.start_job(traced=True)
     try:
-        job.run(0, job.sizes["toy"], tmp_path, inst.probe)
+        out = job.run(0, job.sizes["toy"], tmp_path, inst.probe)
     finally:
         inst.stop_job()
+    # the checks measure.run_job makes on every job: exact U and ROC area
+    # against AUC (eval-large), the Lemma 2 bound (train-wide-mw)
+    assert job.check(out, inst.probe) == []
     c = inst.counters
     # the corpus and the full query set are hashed once each; mined sets and
     # splits inherit their parent's rows. When they hashed again the toy

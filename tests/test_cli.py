@@ -147,6 +147,26 @@ def test_train_with_wrongly_typed_config_exits_2(tmp_path, capsys, config, expec
     assert f"error: {expected}, got " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("loss, cause", [
+    ("cl", "non-finite gradient at optimizer step 1"),
+    ("mw", "loss value must be finite and >= 0, got inf"),
+], ids=["cl", "mw"])
+def test_a_diverging_run_exits_2_naming_the_step(tmp_path, capsys, loss, cause):
+    # scores over tau overflow at once; the suite turns any numpy warning
+    # into an error, so the run must also keep its expected overflow quiet
+    provider = synthetic_provider(SyntheticSpec(n_queries=60, n_docs=150))
+    corpus_path, queries_path = write_inputs(tmp_path, *provider(0))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tau": 1e-308, "B": 4, "H": 0, "max_epochs": 1,
+                                  "eval_every": 2, "eval_batches": 1, "hash_dim": 256,
+                                  "embed_dim": 8, "proj_dim": 4}))
+    argv = ["train", "--corpus", corpus_path, "--queries", queries_path, "--loss", loss,
+            "--config", str(config), "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {loss} training diverged at step 1 (tau=1e-308): {cause}\n")
+
+
 def test_evaluate_hashes_queries_and_corpus_once(tmp_path, monkeypatch):
     corpus, queries = synthetic_provider(SyntheticSpec(n_queries=20, n_docs=50))(0)
     corpus_path, queries_path = write_inputs(tmp_path, corpus, queries)
@@ -550,6 +570,27 @@ def test_compare_hashes_the_corpus_once(tmp_path, monkeypatch):
     corpus, _ = synthetic_provider(SyntheticSpec(n_queries=60, n_docs=150))(0)
     assert calls.count(corpus.texts) == 1
     assert len(calls) == 2 and [len(c) for c in calls if c != corpus.texts] == [60]
+
+
+def test_compare_without_hard_negatives_never_mines(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare with H = 0 mined")
+
+    monkeypatch.setattr(experiments, "mine_hard_negatives", refuse)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "B": 4, "H": 0, "max_epochs": 1, "eval_every": 3, "warmup_steps": 2,
+        "eval_batches": 1, "hash_dim": 256, "embed_dim": 8, "proj_dim": 4,
+    }))
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--synthetic", "--synth-queries", "60", "--synth-docs", "150",
+                     "--seeds", "0", "--top-k", "20", "--config", str(config),
+                     "--out", str(out)]) == 0
+    (seed,) = json.loads((out / "compare.json").read_text())["per_seed"]
+    for kind in ("cl", "mw"):
+        assert set(seed[kind]) == {"auc", "mrr10", "ndcg10", "overlap", "best_checkpoint_step"}
+        assert 0.0 <= seed[kind]["auc"] <= 1.0
+    assert seed["auc_gain"] == seed["mw"]["auc"] - seed["cl"]["auc"]
 
 
 @pytest.mark.parametrize("keep", ["--corpus", "--queries"])

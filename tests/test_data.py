@@ -82,6 +82,14 @@ class TestLoadCorpus:
         with pytest.raises(ValueError, match="line 2"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_every_line_ending_loads_the_same_corpus(self, tmp_path, end):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(end.join(['{"id": "d1", "text": "a"}', '{"id": "d2", "text": "b c"}',
+                                   ""]).encode())
+        corpus = load_corpus(path)
+        assert corpus.ids == ["d1", "d2"] and [d.text for d in corpus] == ["a", "b c"]
+
     def test_empty_text_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [{"id": "d1", "text": ""}])

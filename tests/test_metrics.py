@@ -1,9 +1,11 @@
 """Tests for rank statistics and retrieval metrics.
 
 Brute-force pair loops are the oracle for the U statistic and AUC; the
-ROC trapezoid and the midrank fast path must agree with them exactly.
-The statistics that read a pool's cached sort are checked against naive
-oracles that sort the pool themselves, on tie-heavy generated pools.
+ROC trapezoid and the placement-based U must agree with them exactly.
+The statistics that read a pool's cached sort and placements are checked
+against naive oracles that sort the pool themselves, on tie-heavy
+generated pools. ``evaluate``'s list metrics are checked on hand-built
+score matrices and against a full-sort oracle.
 """
 
 import numpy as np
@@ -20,11 +22,8 @@ from mwlab.metrics import (
     histogram,
     mann_whitney_u,
     mrr_at_k,
-    ndcg_at_k,
     pooled_auc_protocol,
-    precision_at_k,
     ranked_lists,
-    recall_at_k,
     roc_curve,
     strict_aoc,
 )
@@ -32,6 +31,7 @@ from util import (
     brute_force_strict_aoc,
     brute_force_u,
     naive_histogram_counts,
+    naive_list_metrics,
     naive_mann_whitney_u,
     naive_roc_curve,
 )
@@ -62,19 +62,29 @@ class TestCachedSort:
         assert hist.pos_counts.tolist() == naive_histogram_counts(pool.positives, lo, hi, bins)
         assert hist.neg_counts.tolist() == naive_histogram_counts(pool.negatives, lo, hi, bins)
 
+    @PROPERTY
+    @given(tie_heavy_pools())
+    def test_placements_count_the_negatives_below_and_not_above(self, pool):
+        below, not_above = pool.placements
+        for p, b, a in zip(pool.sorted_sides[0], below, not_above):
+            assert b == sum(1 for n in pool.negatives if n < p)
+            assert a == sum(1 for n in pool.negatives if n <= p)
+
     def test_sides_and_their_sorts_are_read_only(self):
         pool = ScorePool([0.3, 0.1], [0.2, 0.0, 0.4])
-        for side in (pool.positives, pool.negatives, *pool.sorted_sides):
+        for side in (pool.positives, pool.negatives, *pool.sorted_sides, *pool.placements):
             with pytest.raises(ValueError, match="read-only"):
                 side[0] = 1.0
 
     def test_sort_is_computed_once(self):
         pool = ScorePool([0.3, 0.1], [0.2, 0.0, 0.4])
-        first = pool.sorted_sides
+        first, placed = pool.sorted_sides, pool.placements
         auc(pool), strict_aoc(pool), roc_curve(pool), histogram(pool, 3)
-        assert pool.sorted_sides is first
+        assert pool.sorted_sides is first and pool.placements is placed
         np.testing.assert_array_equal(first[0], [0.1, 0.3])
         np.testing.assert_array_equal(first[1], [0.0, 0.2, 0.4])
+        np.testing.assert_array_equal(placed[0], [1, 2])
+        np.testing.assert_array_equal(placed[1], [1, 2])
 
     def test_pool_keeps_its_own_copy(self):
         negatives = np.array([0.2, 0.0, 0.4])
@@ -270,6 +280,21 @@ class TestPooledProtocol:
             pooled_auc_protocol(queries, corpus, lambda qs, c: np.ones((1, 1)), top_k=5)
 
 
+def list_metrics(*rankings) -> dict:
+    """evaluate's metrics over one query per (ranked ids, relevant ids)
+    pair. A query's ranked ids score above every other document, in the
+    order given; the others tie at zero and rank by ascending id."""
+    ids = sorted({d for ranked, relevant in rankings for d in [*ranked, *relevant]})
+    scores = np.zeros((len(rankings), len(ids)))
+    for i, (ranked, _) in enumerate(rankings):
+        for rank, doc_id in enumerate(ranked):
+            scores[i, ids.index(doc_id)] = len(ranked) - rank
+    corpus = Corpus([Document(d, d) for d in ids])
+    queries = QuerySet([Query(f"q{i}", f"q{i}", sorted(relevant))
+                        for i, (_, relevant) in enumerate(rankings)])
+    return evaluate(scores, queries, corpus, top_k=1)[1]
+
+
 class TestEvaluate:
     def test_equals_its_parts(self):
         rng = np.random.default_rng(5)
@@ -279,32 +304,30 @@ class TestEvaluate:
             Query(f"q{i}", f"q{i}", rng.choice(ids, size=1 + i % 3, replace=False).tolist())
             for i in range(8)
         ])
-        scores = rng.integers(0, 5, size=(8, 30)) / 4.0  # ties within and across rows
-        scorer = lambda qs, c: scores  # noqa: E731
-        pool, metrics = evaluate(scores, queries, corpus, top_k=6)
+        # ties within and across rows, then continuous scores
+        for scores in (rng.integers(0, 5, size=(8, 30)) / 4.0, rng.normal(size=(8, 30))):
+            scorer = lambda qs, c: scores  # noqa: E731
+            pool, metrics = evaluate(scores, queries, corpus, top_k=6)
 
-        ref_pool, ref_auc = pooled_auc_protocol(queries, corpus, scorer, top_k=6)
-        lists = ranked_lists(queries, corpus, scorer, depth=10)
-        np.testing.assert_array_equal(pool.positives, ref_pool.positives)
-        np.testing.assert_array_equal(pool.negatives, ref_pool.negatives)
-        assert pool.n_neg == 8 * 6  # top_k below every query's negative count
-        assert metrics == {
-            "auc": ref_auc,
-            "mrr10": mrr_at_k(lists, 10),
-            "ndcg10": ndcg_at_k(lists, 10),
-            "precision10": precision_at_k(lists, 10),
-            "recall1": recall_at_k(lists, 1),
-        }
+            ref_pool, ref_auc = pooled_auc_protocol(queries, corpus, scorer, top_k=6)
+            lists = ranked_lists(queries, corpus, scorer, depth=10)
+            np.testing.assert_array_equal(pool.positives, ref_pool.positives)
+            np.testing.assert_array_equal(pool.negatives, ref_pool.negatives)
+            assert pool.n_neg == 8 * 6  # top_k below every query's negative count
+            assert metrics == {"auc": ref_auc, **naive_list_metrics(scores, queries, corpus)}
+            assert metrics["mrr10"] == mrr_at_k(lists, 10)
 
 
 class TestRankedMetrics:
     def test_mrr_first_relevant_at_rank_three(self):
         lists = [RankedList(["a", "b", "c", "d"], {"c"})]
         assert mrr_at_k(lists, 10) == pytest.approx(1 / 3)
+        assert list_metrics((["a", "b", "c", "d"], {"c"}))["mrr10"] == pytest.approx(1 / 3)
 
     def test_mrr_no_relevant_in_top_k(self):
-        lists = [RankedList([f"x{i}" for i in range(12)], {"x11"})]
-        assert mrr_at_k(lists, 10) == 0.0
+        ranked = [f"x{i}" for i in range(12)]
+        assert mrr_at_k([RankedList(ranked, {"x11"})], 10) == 0.0
+        assert list_metrics((ranked, {"x11"}))["mrr10"] == 0.0
 
     def test_mrr_two_queries(self):
         lists = [
@@ -312,23 +335,26 @@ class TestRankedMetrics:
             RankedList(["c", "d"], {"d"}),
         ]
         assert mrr_at_k(lists, 10) == pytest.approx(0.75)
+        metrics = list_metrics((["a", "b", "c", "d"], {"a"}), (["c", "d", "a", "b"], {"d"}))
+        assert metrics["mrr10"] == pytest.approx(0.75)
 
     def test_ndcg_rank_one(self):
-        assert ndcg_at_k([RankedList(["a", "b"], {"a"})], 10) == 1.0
+        assert list_metrics((["a", "b"], {"a"}))["ndcg10"] == 1.0
 
     def test_ndcg_rank_two_single_relevant(self):
-        value = ndcg_at_k([RankedList(["b", "a"], {"a"})], 10)
+        value = list_metrics((["b", "a"], {"a"}))["ndcg10"]
         assert value == pytest.approx(1 / np.log2(3), abs=1e-12)
         assert value == pytest.approx(0.6309, abs=1e-4)
 
     def test_ndcg_relevant_absent(self):
-        assert ndcg_at_k([RankedList(["b", "c"], {"zzz"})], 10) == 0.0
+        ranked = [f"x{i:02d}" for i in range(10)]
+        assert list_metrics((ranked, {"zzz"}))["ndcg10"] == 0.0
 
     def test_precision_recall(self):
-        lists = [RankedList(["a", "b", "c"], {"a", "c", "x"})]
-        assert precision_at_k(lists, 3) == pytest.approx(2 / 3)
-        assert recall_at_k(lists, 3) == pytest.approx(2 / 3)
-        assert recall_at_k(lists, 1) == pytest.approx(1 / 3)
+        # "x" ranks below the top 10, among the filler
+        metrics = list_metrics(([*"abc", *(f"f{i}" for i in range(10))], {"a", "c", "x"}))
+        assert metrics["precision10"] == pytest.approx(2 / 10)
+        assert metrics["recall1"] == pytest.approx(1 / 3)
 
     def test_ranked_lists_tie_break_by_id(self):
         corpus = Corpus([Document(d, d) for d in ["b", "a", "c"]])
@@ -341,8 +367,12 @@ class TestRankedMetrics:
         assert lists[0].ranked_ids == ["a", "b", "c"]
 
     def test_empty_collection_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no ranked lists"):
             mrr_at_k([], 10)
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            mrr_at_k([RankedList(["a"], {"a"})], 0)
 
 
 class TestHistogram:

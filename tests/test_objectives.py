@@ -354,6 +354,15 @@ class TestMwSplit:
         # every right-half tile finished before the error came out
         assert right_done == [lo for lo in tile_starts(len(neg)) if lo >= mid]
 
+    def test_worker_keeps_the_callers_numpy_error_state(self, split_always, tile_threads):
+        # the suite turns numpy warnings into errors: an overflow the caller
+        # silences must stay silent on the worker too
+        pos, neg = self.pair()
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            softplus_rows, _, _ = objectives._mw_pair_sums(pos, neg, 1e-308)
+        assert np.isinf(softplus_rows).all()
+        assert len(set(tile_threads)) == 2
+
     def test_repeated_splits_leave_no_threads(self, split_always, tile_threads):
         pos, neg = self.pair()
         before = threading.active_count()

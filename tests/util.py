@@ -290,6 +290,25 @@ def naive_top_k(row, ids, k, exclude=()) -> list[int]:
     return [j for j in order if j not in skip][:k]
 
 
+def naive_list_metrics(scores, queries, corpus) -> dict[str, float]:
+    """mrr10, ndcg10, precision10 and recall1 from each query's top 10 by
+    ``naive_top_k``, each the per-query values summed in query order by a
+    running total, over the number of queries. nDCG's DCG is the dot
+    product of the top 10's binary gains with 1 / log2(rank + 1)."""
+    ids = corpus.ids
+    totals = dict.fromkeys(("mrr10", "ndcg10", "precision10", "recall1"), 0.0)
+    for row, q in zip(scores, queries):
+        relevant = set(q.positive_ids)
+        gains = [1.0 if ids[j] in relevant else 0.0 for j in naive_top_k(row, ids, 10)]
+        discounts = 1.0 / np.log2(np.arange(2, len(gains) + 2))
+        ideal = 1.0 / np.log2(np.arange(2, min(len(relevant), 10) + 2))
+        totals["mrr10"] += 1.0 / (gains.index(1.0) + 1) if 1.0 in gains else 0.0
+        totals["ndcg10"] += float(np.dot(gains, discounts)) / float(ideal.sum())
+        totals["precision10"] += gains.count(1.0) / 10
+        totals["recall1"] += gains[0] / len(relevant)
+    return {name: total / len(queries) for name, total in totals.items()}
+
+
 def encode_forward(params, texts):
     """Encode raw texts through a token table hashed afresh for them."""
     return encode_tokens(params, prepare_tokens(texts, params.config.hash_dim))
