@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -45,9 +45,12 @@ logger = logging.getLogger(__name__)
 Scorer = Callable[["QuerySet", "Corpus"], np.ndarray]
 
 
-def _require_str(value, what: str) -> None:
+def _require_str(value, what: str, *args, empty: bool = True) -> None:
+    """ValueError naming ``what % args`` unless ``value`` is a str, non-empty unless ``empty``."""
     if not isinstance(value, str):
-        raise ValueError(f"{what} must be a string, got {type(value).__name__} {value!r}")
+        raise ValueError(f"{what % args} must be a string, got {type(value).__name__} {value!r}")
+    if not (value or empty):
+        raise ValueError(f"{what % args} must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -58,12 +61,8 @@ class Document:
     text: str
 
     def __post_init__(self):
-        _require_str(self.id, "document id")
-        if not self.id:
-            raise ValueError("document id must be non-empty")
-        _require_str(self.text, f"document {self.id!r}: text")
-        if not self.text:
-            raise ValueError(f"document {self.id!r}: text must be non-empty")
+        _require_str(self.id, "document id", empty=False)
+        _require_str(self.text, "document %r: text", self.id, empty=False)
 
 
 @dataclass(frozen=True)
@@ -81,27 +80,23 @@ class Query:
     hard_negative_ids: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        _require_str(self.id, "query id")
-        if not self.id:
-            raise ValueError("query id must be non-empty")
-        _require_str(self.text, f"query {self.id!r}: text")
+        _require_str(self.id, "query id", empty=False)
+        _require_str(self.text, "query %r: text", self.id)
         if not (isinstance(self.positive_ids, list) and isinstance(self.hard_negative_ids, list)):
             raise ValueError(f"query {self.id!r}: positive_ids and hard_negative_ids must be lists")
-        for doc_id in self.positive_ids + self.hard_negative_ids:
-            _require_str(doc_id, f"query {self.id!r}: document id")
+        for doc_id in (doc_ids := self.positive_ids + self.hard_negative_ids):
+            if not isinstance(doc_id, str):  # a call per id would cost more than the check
+                _require_str(doc_id, "query %r: document id", self.id)
         if not self.positive_ids:
             raise ValueError(f"query {self.id!r}: positive_ids must be non-empty")
-        for name, ids in (("positive_ids", self.positive_ids),
-                          ("hard_negative_ids", self.hard_negative_ids)):
-            if len(set(ids)) < len(ids):
-                dup = next(d for i, d in enumerate(ids) if d in ids[:i])
-                raise ValueError(f"query {self.id!r}: document {dup!r} appears twice in {name}")
-        overlap = set(self.positive_ids) & set(self.hard_negative_ids)
-        if overlap:
-            raise ValueError(
-                f"query {self.id!r}: ids {sorted(overlap)} are both positive "
-                f"and hard negative"
-            )
+        if len(set(doc_ids)) < len(doc_ids):  # a repeat within a list, or an overlap
+            for name, ids in (("positive_ids", self.positive_ids),
+                              ("hard_negative_ids", self.hard_negative_ids)):
+                if len(set(ids)) < len(ids):
+                    d = next(x for i, x in enumerate(ids) if x in ids[:i])
+                    raise ValueError(f"query {self.id!r}: document {d!r} appears twice in {name}")
+            both = sorted(set(self.positive_ids) & set(self.hard_negative_ids))
+            raise ValueError(f"query {self.id!r}: ids {both} are both positive and hard negative")
 
 
 def _read_only(table: sp.csr_matrix) -> sp.csr_matrix:
@@ -297,14 +292,8 @@ def save_queries(queries: QuerySet, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
-        for q in queries:
-            obj = {
-                "id": q.id,
-                "text": q.text,
-                "positive_ids": q.positive_ids,
-                "hard_negative_ids": q.hard_negative_ids,
-            }
-            f.write(json.dumps(obj, sort_keys=True) + "\n")
+        for q in queries:  # a query's fields are its line's keys
+            f.write(json.dumps(asdict(q), sort_keys=True) + "\n")
 
 
 def score_matrix(queries: QuerySet, corpus: Corpus, scorer: Scorer) -> np.ndarray:
@@ -326,23 +315,31 @@ def top_k_columns(
 ) -> list[np.ndarray]:
     """Per row, the columns of its k best documents, best first: descending
     score, ties by ascending document id. Row i skips the columns in
-    ``exclude[i]``; a row with fewer than k columns left returns them all.
+    ``exclude[i]``, ints in [0, n) (else ValueError) where a repeat counts
+    once; a row with fewer than k columns left returns them all.
 
     With m = k + |exclude[i]|, a row sorts only its candidates: the columns
     scoring at least its m-th best score. Ties at that boundary stay in, and
     unique ids make the order total, so the sorted candidates begin with the
     first m columns of the sorted row. An all-equal row sorts every column.
+    Row i marks its excluded columns with i in one length-n row all rows reuse.
     """
+    n = scores.shape[1]
+    if exclude is not None and (bad := [j for s in exclude for j in s if not 0 <= j < n or j % 1]):
+        raise ValueError(f"exclude holds {bad[0]!r}, not a column index in [0, {n})")
     # rank of each column when ids are sorted ascending: the tie key
     id_rank = np.argsort(np.argsort(np.array(doc_ids), kind="stable"), kind="stable")
-    n = scores.shape[1]
+    stamp = np.full(n, -1, dtype=np.intp)
     out = []
     for i, row in enumerate(scores):
         skip = () if exclude is None else exclude[i]
         m = k + len(skip)
         cand = np.flatnonzero(row >= np.partition(row, n - m)[n - m]) if 0 < m < n else np.arange(n)
         head = cand[np.lexsort((id_rank[cand], -row[cand]))[:m]]
-        out.append(head if exclude is None else head[~np.isin(head, skip)][:k])
+        if exclude is not None:
+            stamp[np.asarray(skip, dtype=np.intp)] = i
+            head = head[stamp[head] != i][:k]
+        out.append(head)
     return out
 
 
@@ -367,7 +364,7 @@ def mine_hard_negatives(
                 "query %r: only %d negatives available (requested %d)",
                 q.id, len(chosen), k,
             )
-        mined.append(replace(q, hard_negative_ids=[doc_ids[j] for j in chosen]))
+        mined.append(replace(q, hard_negative_ids=[doc_ids[j] for j in chosen.tolist()]))
     result = QuerySet(mined)
     result._tokens.update(queries._tokens)  # the same texts in the same order
     return result

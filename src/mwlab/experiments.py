@@ -96,6 +96,9 @@ def run_comparison(
     """Per-seed results plus means; ``auc_gain`` is AUC(mw) - AUC(cl)."""
     if not seeds:
         raise ValueError("need at least one seed")
+    reduced = [s % (1 << 64) for s in seeds]
+    if repeated := [s for s, r in zip(seeds, reduced) if reduced.count(r) > 1]:
+        raise ValueError(f"seeds must be distinct mod 2**64, got repeats {repeated}")
     per_seed = [run_single_seed(s, provider, settings) for s in seeds]
     mean = {}
     for kind in ("cl", "mw"):

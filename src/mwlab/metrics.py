@@ -219,7 +219,7 @@ def ranked_lists(
     doc_ids = corpus.ids
     tops = top_k_columns(score_matrix(queries, corpus, scorer), doc_ids, depth)
     return [
-        RankedList(ranked_ids=[doc_ids[j] for j in top], relevant_ids=set(q.positive_ids))
+        RankedList(ranked_ids=[doc_ids[j] for j in top.tolist()], relevant_ids=set(q.positive_ids))
         for q, top in zip(queries, tops)
     ]
 

@@ -61,8 +61,8 @@ def make_benchmark(spec: SyntheticSpec) -> tuple[Corpus, QuerySet]:
     docs = []
     doc_topic_words: list[list[str]] = []
     for d in range(spec.n_docs):
-        topic = d // DOCS_PER_TOPIC
-        vocab = [f"t{topic}w{j}" for j in range(TOKENS_PER_TOPIC)]
+        if d % DOCS_PER_TOPIC == 0:
+            vocab = [f"t{d // DOCS_PER_TOPIC}w{j}" for j in range(TOKENS_PER_TOPIC)]
         idx = rng.sample_indices(TOKENS_PER_TOPIC, DOC_TOPIC_TOKENS)
         words = [vocab[j] for j in idx]
         doc_topic_words.append(words)

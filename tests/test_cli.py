@@ -641,6 +641,34 @@ def test_compare_with_out_of_range_setting_exits_2(tmp_path, monkeypatch, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seeds, repeated", [
+    (["3", "3"], "[3, 3]"),
+    (["-1", "4", "18446744073709551615"], "[-1, 18446744073709551615]"),  # equal mod 2**64
+    (["0", "18446744073709551616", "2", "2"], "[0, 18446744073709551616, 2, 2]"),
+])
+def test_compare_with_aliased_seeds_exits_2(tmp_path, monkeypatch, capsys, seeds, repeated):
+    refuse_training(monkeypatch)
+    monkeypatch.setattr(experiments, "mine_hard_negatives",
+                        lambda *args, **kwargs: pytest.fail("compare mined"))
+    out = tmp_path / "out"
+    assert cli.main(["compare", *compare_inputs(tmp_path), "--seeds", *seeds,
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: seeds must be distinct mod 2**64, got repeats {repeated}\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_compare_takes_seeds_that_differ_mod_2_64(monkeypatch):
+    ran = []
+    outcome = {kind: {"auc": 0.5, "mrr10": 0.5, "ndcg10": 0.5, "overlap": 0.5}
+               for kind in ("cl", "mw")}
+    monkeypatch.setattr(experiments, "run_single_seed",
+                        lambda seed, *args: ran.append(seed) or {**outcome, "auc_gain": 0.0})
+    seeds = [-1, 0, 2**64 + 1, 2**64 - 2]
+    experiments.run_comparison(seeds, None, None)
+    assert ran == seeds
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
 def test_compare_with_a_non_finite_config_value_exits_2(tmp_path, monkeypatch, capsys, value):
     refuse_training(monkeypatch)

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mwlab
-from mwlab import data
+from mwlab import cli, data
 from mwlab.data import (
     Corpus,
     Document,
@@ -235,6 +237,61 @@ class TestFieldTypes:
         write_jsonl(path, [{"id": "q1", "text": "x", "positive_ids": [7]}])
         with pytest.raises(ValueError, match=r"queries\.jsonl: line 1: .*must be a string"):
             load_queries(path, corpus)
+
+
+class TestErrorText:
+    """The full text of each field check's error, whose name is formatted
+    only when the check fails."""
+
+    @pytest.mark.parametrize("make, expected", [
+        (lambda: Document(7, "t"), "document id must be a string, got int 7"),
+        (lambda: Document("", "t"), "document id must be non-empty"),
+        (lambda: Document("d1", 5), "document 'd1': text must be a string, got int 5"),
+        (lambda: Document("d1", ["t"]), "document 'd1': text must be a string, got list ['t']"),
+        (lambda: Document("d1", ""), "document 'd1': text must be non-empty"),
+        (lambda: Query(None, "x", ["d1"]), "query id must be a string, got NoneType None"),
+        (lambda: Query("", "x", ["d1"]), "query id must be non-empty"),
+        (lambda: Query("q1", 5, ["d1"]), "query 'q1': text must be a string, got int 5"),
+        (lambda: Query("q1", "x", ["d1", 7]),
+         "query 'q1': document id must be a string, got int 7"),
+        (lambda: Query("q1", "x", ["d1"], ["d2", None]),
+         "query 'q1': document id must be a string, got NoneType None"),
+        (lambda: Query("q1", "x", []), "query 'q1': positive_ids must be non-empty"),
+        # a repeat within a list is named before an overlap between the lists
+        (lambda: Query("q1", "x", ["d1", "d1"], ["d1"]),
+         "query 'q1': document 'd1' appears twice in positive_ids"),
+        (lambda: Query("q1", "x", ["d1"], ["d2", "d1", "d2"]),
+         "query 'q1': document 'd2' appears twice in hard_negative_ids"),
+        (lambda: Query("q1", "x", ["d3", "d1"], ["d1", "d2", "d3"]),
+         "query 'q1': ids ['d1', 'd3'] are both positive and hard negative"),
+    ])
+    def test_direct(self, make, expected):
+        with pytest.raises(ValueError) as caught:
+            make()
+        assert str(caught.value) == expected
+
+    def test_through_load_corpus(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [{"id": "d1", "text": "a"}, {"id": "d3", "text": 5}])
+        with pytest.raises(ValueError) as caught:
+            load_corpus(path)
+        assert str(caught.value) == f"{path}: line 2: document 'd3': text must be a string, got int 5"
+
+    @pytest.mark.parametrize("row, expected", [
+        ({"id": "q1", "text": 5, "positive_ids": ["7"]},
+         "query 'q1': text must be a string, got int 5"),
+        ({"id": "q1", "text": "x", "positive_ids": [7]},
+         "query 'q1': document id must be a string, got int 7"),
+        ({"id": "q1", "text": "x", "positive_ids": ["7"], "hard_negative_ids": [False]},
+         "query 'q1': document id must be a string, got bool False"),
+    ])
+    def test_through_load_queries(self, tmp_path, row, expected):
+        corpus = Corpus([Document("7", "a")])
+        path = tmp_path / "queries.jsonl"
+        write_jsonl(path, [{"id": "q0", "text": "ok", "positive_ids": ["7"]}, row])
+        with pytest.raises(ValueError) as caught:
+            load_queries(path, corpus)
+        assert str(caught.value) == f"{path}: line 2: {expected}"
 
 
 class TestLoadQueries:
@@ -510,6 +567,63 @@ class TestTopKColumns:
         for i, row in enumerate(scores):
             assert excluded[i].tolist() == naive_top_k(row, ids, k, exclude[i])
             assert full[i].tolist() == naive_top_k(row, ids, k)
+
+    # -1 must not wrap around to the last column, nor 1.5 truncate to column 1
+    @pytest.mark.parametrize("bad", [-1, -5, 5, 6, 1.5, float("nan")])
+    def test_an_exclude_entry_that_is_not_a_column_is_rejected(self, bad):
+        with pytest.raises(ValueError) as caught:
+            top_k_columns(np.zeros((2, 5)), list("abcde"), 2, exclude=[[0], [1, bad]])
+        assert str(caught.value) == f"exclude holds {bad!r}, not a column index in [0, 5)"
+
+    def test_exclude_rows_may_be_tuples_or_arrays(self):
+        rng = np.random.default_rng(5)
+        scores = rng.integers(0, 3, size=(3, 9)) / 2.0
+        ids = [f"d{i}" for i in rng.permutation(9)]
+        rows = [[4, 0], [], [8, 8, 3]]
+        expected = top_k_columns(scores, ids, 3, exclude=rows)
+        for kind in (tuple, lambda r: np.array(r, dtype=np.int64)):
+            got = top_k_columns(scores, ids, 3, exclude=[kind(r) for r in rows])
+            assert [g.tolist() for g in got] == [e.tolist() for e in expected]
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_property_matches_full_sort_oracle(self, draw):
+        # few score values force ties, at the candidate boundary too;
+        # excluded columns repeat and may outnumber the columns left
+        n = draw.draw(st.integers(1, 30), label="n")
+        n_rows = draw.draw(st.integers(1, 4), label="rows")
+        k = draw.draw(st.integers(0, n + 5), label="k")
+        ids = [f"d{i:02d}" for i in draw.draw(st.permutations(range(n)), label="ids")]
+        scores = np.array(draw.draw(st.lists(
+            st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), min_size=n, max_size=n),
+            min_size=n_rows, max_size=n_rows), label="scores"))
+        exclude = draw.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=n + 2),
+                                     min_size=n_rows, max_size=n_rows), label="exclude")
+        excluded = top_k_columns(scores, ids, k, exclude=exclude)
+        full = top_k_columns(scores, ids, k)
+        for i, row in enumerate(scores):
+            assert excluded[i].tolist() == naive_top_k(row, ids, k, exclude[i])
+            assert full[i].tolist() == naive_top_k(row, ids, k)
+
+
+def sha256_lines(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def test_mining_golden():
+    # recorded before the per-row exclusion and the lazily built field
+    # errors: the planted data of compare seed 0 at the compare-synth size,
+    # mined at k=50 with the CLI encoder
+    corpus, queries = make_benchmark(SyntheticSpec(400, 1000, seed=derive_seed(0, 10)))
+    assert sha256_lines(corpus.texts) == (
+        "a794ecd24ddd08c0d60f9acfc216e1310a1cc716e002c4c371b1411f7a555cc6")
+    assert sha256_lines(queries.texts) == (
+        "147ae9c23487f1747859017d3ec472da5f40c68c14e78743b11d221f81241a4f")
+    config = EncoderConfig(hash_dim=cli.CLI_HASH_DIM, embed_dim=cli.CLI_EMBED_DIM,
+                           proj_dim=cli.CLI_PROJ_DIM, seed=derive_seed(0, 1))
+    mined = mine_hard_negatives(queries, corpus, make_scorer(init_params(config)), k=50)
+    assert sha256_lines(json.dumps(q.hard_negative_ids) for q in mined) == (
+        "2ef4317e8b4b1338e0ec99fe22746fcaabff330100b1cc17d2cea8391701ecda")
 
 
 @pytest.fixture(scope="module")
