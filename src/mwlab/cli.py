@@ -30,7 +30,7 @@ from .objectives import check_tau, gaussian_degradation_demo, mw_bound_check
 from .prng import Xoshiro256StarStar, derive_seed
 from .scoring import comparison_counts
 from .synthetic import SyntheticSpec, make_offset_demo_pools
-from .trainer import TrainConfig, TrainingDiverged, ablation_sweep, train
+from .trainer import LOSS_KINDS, TrainConfig, TrainingDiverged, ablation_sweep, train
 
 # Encoder shape used when no checkpoint or config supplies one. Smaller
 # than the EncoderConfig defaults so CLI runs stay fast on a laptop.
@@ -70,14 +70,6 @@ def _build_configs(args, config: dict) -> tuple[TrainConfig, enc.EncoderConfig]:
     return train_cfg, encoder_cfg
 
 
-def _scorer_from_args(args) -> "callable":
-    if args.checkpoint:
-        params, _ = enc.load_checkpoint(args.checkpoint)
-    else:
-        params = enc.init_params(_build_configs(args, {})[1])
-    return enc.make_scorer(params)
-
-
 def _evaluate_checkpoint(args) -> tuple[ScorePool, dict]:
     """The evaluation bundle of --checkpoint on --queries against --corpus."""
     corpus = load_corpus(args.corpus)
@@ -90,8 +82,11 @@ def _evaluate_checkpoint(args) -> tuple[ScorePool, dict]:
 def cmd_mine(args) -> int:
     corpus = load_corpus(args.corpus)
     queries = load_queries(args.queries, corpus)
-    scorer = _scorer_from_args(args)
-    mined = mine_hard_negatives(queries, corpus, scorer, k=args.top_k)
+    if args.checkpoint:
+        params, _ = enc.load_checkpoint(args.checkpoint)
+    else:
+        params = enc.init_params(_build_configs(args, {})[1])
+    mined = mine_hard_negatives(queries, corpus, enc.make_scorer(params), k=args.top_k)
     save_queries(mined, args.out)
     short = sum(1 for q in mined if len(q.hard_negative_ids) < args.top_k)
     print(f"mined {len(mined)} queries -> {args.out} "
@@ -264,7 +259,7 @@ def _add_split_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--queries", required=True, help="query JSONL (mined if H > 0)")
     p.add_argument("--config", help="JSON training config")
     p.add_argument("--out", required=True)
-    p.add_argument("--loss", choices=["cl", "mw"])
+    p.add_argument("--loss", choices=LOSS_KINDS)
     p.add_argument("--seed", type=int)
     p.add_argument("--train-fraction", type=float, default=TRAIN_FRACTION, dest="train_fraction")
     p.add_argument("--eval-fraction", type=float, default=EVAL_FRACTION, dest="eval_fraction")
@@ -362,6 +357,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, TrainingDiverged) as exc:
+    except (OSError, ValueError, KeyError, MemoryError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,8 +17,9 @@ A ``Corpus`` or ``QuerySet`` hashes its texts once per ``hash_dim``
 (``tokens``) and keeps that table until it grows, so mining, every
 training run and every evaluation of one collection share one table.
 Mined and split query sets inherit their parent's rows of those tables.
-A training batch is its rows: ``batch_rows`` turns a split's eligible
-queries and their document ids into corpus positions once, and
+A training batch is its rows: ``batch_rows`` checks a split against
+(B, H) and turns its eligible queries, those with at least H hard
+negatives, and their document ids into corpus positions once, and
 ``sample_batch`` draws from those, returning positions in the query set
 and the corpus that index the token tables directly.
 """
@@ -164,9 +165,6 @@ class Corpus(_Collection):
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._by_id
-
-    def __getitem__(self, doc_id: str) -> Document:
-        return self._items[self._by_id[doc_id]]
 
     def index_of(self, doc_id: str) -> int:
         return self._by_id[doc_id]
@@ -370,22 +368,6 @@ def mine_hard_negatives(
     return result
 
 
-def eligible_queries(queries: QuerySet, B: int, H: int) -> list[int]:
-    """Positions of the queries a (B, H) batch can draw: those with at
-    least H mined hard negatives. Raises ValueError when fewer than B are."""
-    if B < 2:
-        raise ValueError(f"B must be >= 2, got {B}")
-    if H < 0:
-        raise ValueError(f"H must be >= 0, got {H}")
-    eligible = [i for i, q in enumerate(queries) if len(q.hard_negative_ids) >= H]
-    if len(eligible) < B:
-        raise ValueError(
-            f"need {B} eligible queries (>= {H} hard negatives each), "
-            f"have {len(eligible)}"
-        )
-    return eligible
-
-
 @dataclass(frozen=True)
 class BatchRows:
     """What (B, H) batches draw from: the eligible queries' positions and,
@@ -400,8 +382,18 @@ class BatchRows:
 
 def batch_rows(queries: QuerySet, corpus: Corpus, B: int, H: int) -> BatchRows:
     """The rows a split's (B, H) batches draw from, built once per split.
-    Raises ``eligible_queries``' ValueError when fewer than B can draw."""
-    eligible = eligible_queries(queries, B, H)
+    A query is eligible with at least H mined hard negatives. Raises
+    ValueError when B < 2, H < 0 or fewer than B queries are eligible."""
+    if B < 2:
+        raise ValueError(f"B must be >= 2, got {B}")
+    if H < 0:
+        raise ValueError(f"H must be >= 0, got {H}")
+    eligible = [i for i, q in enumerate(queries) if len(q.hard_negative_ids) >= H]
+    if len(eligible) < B:
+        raise ValueError(
+            f"need {B} eligible queries (>= {H} hard negatives each), "
+            f"have {len(eligible)}"
+        )
     chosen = [queries[i] for i in eligible]
     row = corpus.index_of
     return BatchRows(B, H, eligible, [[row(d) for d in q.positive_ids] for q in chosen],

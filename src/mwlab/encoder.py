@@ -120,36 +120,26 @@ def fnv1a64(token: str) -> int:
     return h
 
 
-class _Buckets(dict):
-    """token -> ``fnv1a64(token) % hash_dim`` (for a power of two, the mask
-    ``& (hash_dim - 1)``), each token hashed on first sight. One map
-    serves one ``prepare_tokens`` call and is then dropped."""
-
-    def __init__(self, hash_dim: int):
-        if hash_dim < 1:
-            raise ValueError(f"hash_dim must be >= 1, got {hash_dim}")
-        self.hash_dim = hash_dim
-
-    def __missing__(self, token: str) -> int:
-        bucket = self[token] = fnv1a64(token) % self.hash_dim
-        return bucket
-
-
 def prepare_tokens(texts: Sequence[str], hash_dim: int) -> sp.csr_matrix:
     """Tokenize and hash a batch once into its token table: the
     n_texts x hash_dim CSR matrix of count / total per row, buckets (FNV-1a
     mod ``hash_dim``) ascending. A text without tokens is a row with no
     stored entry. Row ``i`` of the table, or of any row gather
     ``table[rows]``, is what hashing text ``i`` alone gives. Each distinct
-    token is hashed once per call; the collections' ``tokens`` cache it."""
-    buckets = _Buckets(hash_dim)
+    token is hashed on first sight into one map per call; the collections'
+    ``tokens`` cache the table."""
+    if hash_dim < 1:
+        raise ValueError(f"hash_dim must be >= 1, got {hash_dim}")
+    buckets: dict[str, int] = {}
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
     for text in texts:
         counts: dict[int, int] = {}
         for token in _TOKEN_RE.findall(text.lower()):
-            bucket = buckets[token]
+            bucket = buckets.get(token)
+            if bucket is None:
+                bucket = buckets[token] = fnv1a64(token) % hash_dim
             counts[bucket] = counts.get(bucket, 0) + 1
         if counts:
             total = sum(counts.values())

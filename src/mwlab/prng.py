@@ -12,13 +12,13 @@ Vigna, "Scrambled linear pseudorandom number generators", TOMS 2021).
 Every draw reads one stream of buffered blocks of _BLOCK_LANES x
 _BLOCK_STEPS = 512 x 32 raw values: lane l starts 32*l steps into the
 block, the lanes step together as numpy ``uint64`` arrays, and the block
-is laid out lane-major. After a block every lane start moves on by
-T^16384, and a fresh generator places its first starts by doubling, both
-through 4-bit lookup tables of T^(32 * 2^k) built once per process.
-``doubles`` reads whole blocks the way scalar draws read single values.
-The state words always hold the state after the buffered block, so every
-call leaves the generator exactly where the same draws taken one at a
-time would.
+is laid out lane-major. Each block places its lane starts by doubling
+from the state words through 4-bit lookup tables of T^(32 * 2^k), built
+once per process. ``doubles`` reads whole blocks the way scalar draws
+read single values. The state words always hold the state after the
+buffered block, which is the next block's lane-0 start, so every call
+leaves the generator exactly where the same draws taken one at a time
+would.
 """
 
 from __future__ import annotations
@@ -121,12 +121,12 @@ def _apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _jump_tables() -> tuple[np.ndarray, ...]:
-    """Lookup tables of T^(32 * 2^k) for 2^k <= _BLOCK_LANES, the last
-    one T^_BLOCK_SIZE. T^32 steps the unit states; each later one
-    squares the one before it through its table."""
+    """Lookup tables of T^(32 * 2^k) for 2^k < _BLOCK_LANES. T^32 steps
+    the unit states; each later one squares the one before it through
+    its table."""
     columns = _stepped_units(_BLOCK_STEPS)
     tables = [_nibble_table(columns)]
-    while len(tables) < _BLOCK_LANES.bit_length():
+    while 1 << len(tables) < _BLOCK_LANES:
         columns = _apply(tables[-1], columns)
         tables.append(_nibble_table(columns))
     for table in tables:
@@ -139,11 +139,10 @@ class Xoshiro256StarStar:
 
     The four state words are the first four splitmix64 outputs of the
     seed, guaranteeing a non-zero state for every seed. ``_state`` is the
-    state after the block ``_block``, read up to ``_pos``; ``_starts`` are
-    the block's lane starts, None for a fresh generator.
+    state after the block ``_block``, read up to ``_pos``.
     """
 
-    __slots__ = ("_state", "_starts", "_block", "_pos", "_spare_normal")
+    __slots__ = ("_state", "_block", "_pos", "_spare_normal")
 
     def __init__(self, seed: int):
         state = seed & _MASK64
@@ -152,25 +151,20 @@ class Xoshiro256StarStar:
             state, out = _splitmix64(state)
             words.append(out)
         self._state = np.array(words, dtype=np.uint64)
-        self._starts: np.ndarray | None = None
         self._block = _NO_BLOCK
         self._pos = _BLOCK_SIZE
         self._spare_normal: float | None = None
 
     def _refill(self) -> None:
-        """Buffer the next block and move the state words past it. The
-        block and its lane starts are rewritten in place, so a generator
-        leaves no new long-lived allocation behind in the heap."""
-        tables = _jump_tables()
-        if self._starts is None:
-            self._starts = np.empty((_BLOCK_LANES, 4), dtype=np.uint64)
-            self._starts[0] = self._state
-            for k, table in enumerate(tables[:-1]):
-                # lanes [2^k, 2^(k+1)) are lanes [0, 2^k) 32 * 2^k steps on
-                self._starts[1 << k:2 << k] = _apply(table, self._starts[:1 << k])
-        else:
-            self._starts[:] = _apply(tables[-1], self._starts)
-        s = np.ascontiguousarray(self._starts.T)
+        """Buffer the next block and move the state words past it. Lane 0
+        starts at the state words. The block is rewritten in place, so a
+        generator leaves no new long-lived allocation behind in the heap."""
+        starts = np.empty((_BLOCK_LANES, 4), dtype=np.uint64)
+        starts[0] = self._state
+        for k, table in enumerate(_jump_tables()):
+            # lanes [2^k, 2^(k+1)) are lanes [0, 2^k) 32 * 2^k steps on
+            starts[1 << k:2 << k] = _apply(table, starts[:1 << k])
+        s = np.ascontiguousarray(starts.T)
         s1 = np.empty((_BLOCK_STEPS, _BLOCK_LANES), dtype=np.uint64)
         tmp = np.empty(_BLOCK_LANES, dtype=np.uint64)
         for t in range(_BLOCK_STEPS):

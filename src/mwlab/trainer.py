@@ -45,8 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import encoder as enc
-from .data import (Corpus, QuerySet, batch_rows, eligible_queries, sample_batch, write_csv,
-                   write_json)
+from .data import Corpus, QuerySet, batch_rows, sample_batch, write_csv, write_json
 from .metrics import evaluate
 from .objectives import cl_loss, mw_loss, mw_value
 from .prng import Xoshiro256StarStar, derive_seed
@@ -376,7 +375,7 @@ def ablation_sweep(
     splits = (("eval", eval_queries), ("train", train_queries)) if base_config.max_epochs else ()
     for cfg, (name, queries) in product(cells, splits):
         with _naming_split(name, queries):
-            eligible_queries(queries, cfg.B, cfg.H)
+            batch_rows(queries, corpus, cfg.B, cfg.H)
     rows = []
     for cfg in cells:
         best, _ = train(cfg, train_queries, eval_queries, corpus, encoder_config)

@@ -1,5 +1,6 @@
 """Tests for the command-line entry point: seeds and exit codes."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -303,6 +304,26 @@ def test_a_bad_config_file_exits_2_naming_it(tmp_path, capsys, content, expected
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: " + expected.format(path=config))
     assert not out.exists()
+
+
+# 2**40 x 32 and 8192 x 10**11 doubles are 2**48 bytes or more, beyond the
+# 47-bit user address space, so the request fails under any overcommit setting
+@pytest.mark.parametrize("config", [{"hash_dim": 2**40}, {"embed_dim": 10**11}])
+def test_a_table_too_large_to_allocate_exits_2(tmp_path, capsys, config):
+    config_path, out = tmp_path / "config.json", tmp_path / "out"
+    config_path.write_text(json.dumps(config))
+    assert cli.main(["compare", "--synthetic", "--synth-queries", "60", "--synth-docs", "150",
+                     "--seeds", "0", "--config", str(config_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_the_docstring_lists_exactly_the_commands():
+    listed = cli.__doc__.split("Commands:")[1].split(".")[0]
+    commands = next(a.choices for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    assert [c.strip() for c in listed.split(",")] == list(commands)
 
 
 def test_an_input_file_that_is_not_utf8_exits_2_naming_file_and_line(tmp_path, capsys):

@@ -40,7 +40,7 @@ def test_planted_structure(seed):
         topic_words = [w for w in words if w != FILLER_TOKEN]
         assert len(topic_words) == QUERY_TOPIC_TOKENS
         # the query keeps words of its positive document, from that document's topic
-        assert set(topic_words) <= set(corpus[f"d{i}"].text.split())
+        assert set(topic_words) <= set(corpus.texts[corpus.index_of(f"d{i}")].split())
         assert all(w.startswith(f"t{i // DOCS_PER_TOPIC}w") for w in topic_words)
         fillers.append(words.count(FILLER_TOKEN))
     # every count lies in 0..MAX_FILLER_REPEATS, and 60 queries reach each one

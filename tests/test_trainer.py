@@ -70,7 +70,7 @@ def text_step(params, rows, queries, corpus, tau, loss):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("loss_kind", ["cl", "mw"])
+    @pytest.mark.parametrize("loss_kind", trainer.LOSS_KINDS)
     def test_runs_are_byte_identical(self, toy_data, tmp_path, loss_kind):
         corpus, train_qs, eval_qs = toy_data
         config = replace(MW_CONFIG, loss_kind=loss_kind)
@@ -187,7 +187,7 @@ def test_train_builds_batch_rows_once_per_split(toy_data, monkeypatch):
 
 
 class TestTrainStep:
-    @pytest.mark.parametrize("loss_kind", ["cl", "mw"])
+    @pytest.mark.parametrize("loss_kind", trainer.LOSS_KINDS)
     def test_gathered_tokens_match_text_encoding(self, toy_data, loss_kind):
         corpus, train_qs, _ = toy_data
         params = init_params(ENCODER)
@@ -199,7 +199,7 @@ class TestTrainStep:
         np.testing.assert_array_equal(grads.embedding, ref_grads.embedding)
         np.testing.assert_array_equal(grads.projection, ref_grads.projection)
 
-    @pytest.mark.parametrize("loss_kind", ["cl", "mw"])
+    @pytest.mark.parametrize("loss_kind", trainer.LOSS_KINDS)
     def test_gradient_matches_finite_differences(self, toy_data, loss_kind):
         params = init_params(ENCODER)
         _, q_tokens, p_tokens = gathered_batch(toy_data)
@@ -308,7 +308,7 @@ class TestSubTable:
         assert len(report.steps) == 12 and len(report.evals) == 4
         assert run_digest(params, report) == GOLDEN[data, loss_kind]
 
-    @pytest.mark.parametrize("loss_kind", ["cl", "mw"])
+    @pytest.mark.parametrize("loss_kind", trainer.LOSS_KINDS)
     def test_untouchable_rows_are_fixed_points(self, sub_table_data, loss_kind):
         corpus, train_qs, eval_qs = sub_table_data["wide"]
         params, _ = train(replace(MW_CONFIG, loss_kind=loss_kind), train_qs, eval_qs, corpus, WIDE)
