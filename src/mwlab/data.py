@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -305,6 +306,12 @@ def score_matrix(queries: QuerySet, corpus: Corpus, scorer: Scorer) -> np.ndarra
     return scores
 
 
+# Rows per block in the two block-wise selections, ``top_k_columns`` and
+# ``metrics.pooled_auc_protocol``: a block's temporaries hold
+# O(_BLOCK_ROWS * n_docs) values, whatever the number of rows.
+_BLOCK_ROWS = 64
+
+
 def top_k_columns(
     scores: np.ndarray,
     doc_ids: Sequence[str],
@@ -314,30 +321,56 @@ def top_k_columns(
     """Per row, the columns of its k best documents, best first: descending
     score, ties by ascending document id. Row i skips the columns in
     ``exclude[i]``, ints in [0, n) (else ValueError) where a repeat counts
-    once; a row with fewer than k columns left returns them all.
+    once; a row with fewer than k columns left returns them all. A
+    negative k raises ValueError; k = 0 gives empty rows.
 
-    With m = k + |exclude[i]|, a row sorts only its candidates: the columns
-    scoring at least its m-th best score. Ties at that boundary stay in, and
-    unique ids make the order total, so the sorted candidates begin with the
-    first m columns of the sorted row. An all-equal row sorts every column.
-    Row i marks its excluded columns with i in one length-n row all rows reuse.
+    Rows go in blocks of ``_BLOCK_ROWS``, and a block sorts only its
+    candidates. With m = k + |exclude[i]|, row i's candidates are the
+    columns scoring at least the m-th largest of the maxima of g >= m
+    disjoint column groups. At least m cells reach that bound, so the m
+    best columns do, and ties at it stay in. One compare takes a block's
+    candidates, with its excluded cells cleared, and one sort orders them
+    on a unique int64 key: row, then the rank of the negated score, then
+    the id rank. Unique ids make the order total, so each row's sorted
+    candidates begin with its k best columns. An all-equal row sorts every
+    column.
     """
-    n = scores.shape[1]
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    n_rows, n = scores.shape
     if exclude is not None and (bad := [j for s in exclude for j in s if not 0 <= j < n or j % 1]):
         raise ValueError(f"exclude holds {bad[0]!r}, not a column index in [0, {n})")
+    if k == 0 or n == 0:
+        return [np.empty(0, dtype=np.intp) for _ in range(n_rows)]
     # rank of each column when ids are sorted ascending: the tie key
     id_rank = np.argsort(np.argsort(np.array(doc_ids), kind="stable"), kind="stable")
-    stamp = np.full(n, -1, dtype=np.intp)
+    skips = [0] * n_rows if exclude is None else [len(s) for s in exclude]
+    m = k + np.array(skips, dtype=np.intp)
+    first_skip = np.concatenate(([0], np.cumsum(skips)))
+    skip_rows = np.repeat(np.arange(n_rows), skips)
+    skip_cols = np.array([] if exclude is None else [j for s in exclude for j in s], dtype=np.intp)
     out = []
-    for i, row in enumerate(scores):
-        skip = () if exclude is None else exclude[i]
-        m = k + len(skip)
-        cand = np.flatnonzero(row >= np.partition(row, n - m)[n - m]) if 0 < m < n else np.arange(n)
-        head = cand[np.lexsort((id_rank[cand], -row[cand]))[:m]]
-        if exclude is not None:
-            stamp[np.asarray(skip, dtype=np.intp)] = i
-            head = head[stamp[head] != i][:k]
-        out.append(head)
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        block = scores[start:start + _BLOCK_ROWS]
+        b, m_block = len(block), m[start:start + _BLOCK_ROWS]
+        # g groups of w columns, j mod g, over the first w * g columns:
+        # g >= m for every m <= n, and wider groups make the maxima cheaper
+        # but the bound looser
+        w = max(1, math.isqrt(n // int(m_block.max())))
+        g = n // w
+        group_max = block[:, :w * g].reshape(b, w, g).max(axis=1)
+        at = g - np.minimum(m_block, g)  # m > g only when w = 1 and m > n: every column
+        group_max.partition(np.unique(at), axis=1)
+        cand = block >= group_max[np.arange(b), at][:, None]
+        lo, hi = first_skip[start], first_skip[start + b]
+        cand[skip_rows[lo:hi] - start, skip_cols[lo:hi]] = False
+        flat = np.flatnonzero(cand)
+        rows, cols = np.divmod(flat, n)
+        # np.unique counts -0.0 and +0.0 as one value, as the order does
+        _, rank = np.unique(-block[rows, cols], return_inverse=True)
+        cols = cols[np.argsort((rows * len(flat) + rank) * n + id_rank[cols])]
+        ends = np.cumsum(np.bincount(rows, minlength=b)).tolist()
+        out += [cols[s:min(e, s + k)] for s, e in zip([0] + ends, ends)]
     return out
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import mwlab
 from mwlab import cli, data
 from mwlab.data import (
+    _BLOCK_ROWS,
     Corpus,
     Document,
     Query,
@@ -34,6 +35,7 @@ from mwlab.data import (
     write_json,
 )
 from mwlab.encoder import EncoderConfig, init_params, make_scorer, prepare_tokens
+from mwlab.metrics import pooled_auc_protocol, ranked_lists
 from mwlab.prng import Xoshiro256StarStar, derive_seed
 from mwlab.synthetic import SyntheticSpec, make_benchmark
 from util import naive_top_k
@@ -575,6 +577,14 @@ class TestTopKColumns:
             top_k_columns(np.zeros((2, 5)), list("abcde"), 2, exclude=[[0], [1, bad]])
         assert str(caught.value) == f"exclude holds {bad!r}, not a column index in [0, 5)"
 
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_a_negative_k_is_rejected(self, k):
+        # a negative k once dropped the row's last |k| columns: [0, 2, 1] at k=-1
+        scores = np.array([[3.0, 1.0, 2.0, 0.0]])
+        with pytest.raises(ValueError, match=f"k must be >= 0, got {k}"):
+            top_k_columns(scores, list("abcd"), k)
+        assert top_k_columns(scores, list("abcd"), 0)[0].tolist() == []
+
     def test_exclude_rows_may_be_tuples_or_arrays(self):
         rng = np.random.default_rng(5)
         scores = rng.integers(0, 3, size=(3, 9)) / 2.0
@@ -589,16 +599,20 @@ class TestTopKColumns:
     @given(st.data())
     def test_property_matches_full_sort_oracle(self, draw):
         # few score values force ties, at the candidate boundary too;
-        # excluded columns repeat and may outnumber the columns left
+        # excluded columns repeat and may outnumber the columns left. Up to
+        # four drawn rows repeat, in turn, over as many rows as three blocks
         n = draw.draw(st.integers(1, 30), label="n")
-        n_rows = draw.draw(st.integers(1, 4), label="rows")
+        n_drawn = draw.draw(st.integers(1, 4), label="drawn rows")
+        n_rows = draw.draw(st.one_of(st.integers(1, 4), st.integers(1, 3 * _BLOCK_ROWS)), label="rows")
         k = draw.draw(st.integers(0, n + 5), label="k")
         ids = [f"d{i:02d}" for i in draw.draw(st.permutations(range(n)), label="ids")]
         scores = np.array(draw.draw(st.lists(
-            st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), min_size=n, max_size=n),
-            min_size=n_rows, max_size=n_rows), label="scores"))
+            st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), min_size=n, max_size=n),
+            min_size=n_drawn, max_size=n_drawn), label="scores"))
         exclude = draw.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=n + 2),
-                                     min_size=n_rows, max_size=n_rows), label="exclude")
+                                     min_size=n_drawn, max_size=n_drawn), label="exclude")
+        scores = scores[np.arange(n_rows) % n_drawn]
+        exclude = [exclude[i % n_drawn] for i in range(n_rows)]
         excluded = top_k_columns(scores, ids, k, exclude=exclude)
         full = top_k_columns(scores, ids, k)
         for i, row in enumerate(scores):
@@ -624,6 +638,22 @@ def test_mining_golden():
     mined = mine_hard_negatives(queries, corpus, make_scorer(init_params(config)), k=50)
     assert sha256_lines(json.dumps(q.hard_negative_ids) for q in mined) == (
         "2ef4317e8b4b1338e0ec99fe22746fcaabff330100b1cc17d2cea8391701ecda")
+
+
+def test_evaluation_selection_golden():
+    # recorded before the block-wise selections: the pool of the AUC
+    # protocol, negatives in order, and the depth-10 ranked ids, over the
+    # data and encoder of test_mining_golden at top_k 500
+    corpus, queries = make_benchmark(SyntheticSpec(400, 1000, seed=derive_seed(0, 10)))
+    config = EncoderConfig(hash_dim=cli.CLI_HASH_DIM, embed_dim=cli.CLI_EMBED_DIM,
+                           proj_dim=cli.CLI_PROJ_DIM, seed=derive_seed(0, 1))
+    scorer = make_scorer(init_params(config))
+    pool, _ = pooled_auc_protocol(queries, corpus, scorer, top_k=500)
+    digest = hashlib.sha256(pool.positives.tobytes() + pool.negatives.tobytes())
+    lists = ranked_lists(queries, corpus, scorer, depth=10)
+    digest.update("\n".join(json.dumps(rl.ranked_ids) for rl in lists).encode("utf-8"))
+    assert digest.hexdigest() == (
+        "72e2155740f20834f6a59b1a58100845a28bab30e8abf343f952d72c9375930a")
 
 
 @pytest.fixture(scope="module")

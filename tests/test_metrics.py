@@ -8,12 +8,14 @@ generated pools. ``evaluate``'s list metrics are checked on hand-built
 score matrices and against a full-sort oracle.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwlab.data import Corpus, Document, Query, QuerySet
+from mwlab.data import _BLOCK_ROWS, Corpus, Document, Query, QuerySet
 from mwlab.metrics import (
     RankedList,
     ScorePool,
@@ -33,6 +35,7 @@ from util import (
     naive_histogram_counts,
     naive_list_metrics,
     naive_mann_whitney_u,
+    naive_pool,
     naive_roc_curve,
 )
 
@@ -272,6 +275,55 @@ class TestPooledProtocol:
             queries, corpus, self.scorer_from_table(table, corpus), top_k=1
         )
         assert value == 0.75
+
+    @PROPERTY
+    @given(st.data())
+    def test_property_matches_the_per_query_oracle(self, draw):
+        # 1-3 positives per query mix positive counts within a block, a
+        # small corpus leaves some queries fewer non-positives than top_k,
+        # and up to four score levels make ties; row counts reach past
+        # one block
+        n_docs = draw.draw(st.integers(4, 9), label="docs")
+        n_queries = draw.draw(st.one_of(st.integers(1, 5),
+                                        st.integers(_BLOCK_ROWS - 1, _BLOCK_ROWS + 6)), label="queries")
+        top_k = draw.draw(st.integers(1, n_docs), label="top_k")
+        levels = np.array(draw.draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+                                    label="levels"))
+        rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1), label="seed"))
+        corpus = Corpus([Document(f"d{j}", "t") for j in range(n_docs)])
+        queries = QuerySet([
+            Query(f"q{i}", "q", [f"d{j}" for j in rng.choice(n_docs, rng.integers(1, 4), replace=False)])
+            for i in range(n_queries)
+        ])
+        scores = levels[rng.integers(0, len(levels), size=(n_queries, n_docs))]
+        pool, value = pooled_auc_protocol(queries, corpus, lambda qs, c: scores, top_k=top_k)
+
+        positives, negatives = naive_pool(scores, queries, corpus, top_k)
+        assert pool.positives.tolist() == [v for p in positives for v in p]
+        ends = np.cumsum([len(n) for n in negatives])
+        assert pool.n_neg == ends[-1]
+        for got, want in zip(np.split(pool.negatives, ends[:-1]), negatives):
+            assert sorted(got.tolist()) == sorted(want)
+        assert value == brute_force_u(pool.positives, pool.negatives) / (pool.n_pos * pool.n_neg)
+
+    def test_memory_stays_within_two_blocks(self):
+        # row copies of every query would hold 400 x 1999 x 8 = 6.4 MB; the
+        # bound is two blocks in flight (cells and mask) plus four copies of
+        # the 400 x 50 pooled negatives
+        n_queries, n_docs, top_k = 400, 2000, 50
+        bound = 2 * _BLOCK_ROWS * n_docs * 9 + 4 * n_queries * top_k * 8
+        assert bound < n_queries * (n_docs - 1) * 8
+        scores = np.random.default_rng(0).normal(size=(n_queries, n_docs))
+        corpus = Corpus([Document(f"d{j}", "t") for j in range(n_docs)])
+        queries = QuerySet([Query(f"q{i}", "q", [f"d{i}"]) for i in range(n_queries)])
+        tracemalloc.start()
+        try:
+            pool, _ = pooled_auc_protocol(queries, corpus, lambda qs, c: scores, top_k=top_k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pool.n_neg == n_queries * top_k
+        assert peak < bound
 
     def test_no_nonpositive_documents_rejected(self):
         corpus = Corpus([Document("d0", "t")])

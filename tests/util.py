@@ -290,6 +290,19 @@ def naive_top_k(row, ids, k, exclude=()) -> list[int]:
     return [j for j in order if j not in skip][:k]
 
 
+def naive_pool(scores, queries, corpus, top_k) -> tuple[list[list[float]], list[list[float]]]:
+    """Per query, its positive scores in ``positive_ids`` order and its
+    top_k largest non-positive scores (all of them when it has fewer),
+    each from a full Python sort of the row less its positives."""
+    positives, negatives = [], []
+    for row, q in zip(scores, queries):
+        cols = [corpus.index_of(d) for d in q.positive_ids]
+        positives.append([float(row[j]) for j in cols])
+        others = sorted((float(v) for j, v in enumerate(row) if j not in cols), reverse=True)
+        negatives.append(others[:top_k])
+    return positives, negatives
+
+
 def naive_list_metrics(scores, queries, corpus) -> dict[str, float]:
     """mrr10, ndcg10, precision10 and recall1 from each query's top 10 by
     ``naive_top_k``, each the per-query values summed in query order by a
