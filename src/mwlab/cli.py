@@ -18,8 +18,6 @@ from dataclasses import fields as dataclass_fields
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import encoder as enc
 from .data import (EVAL_FRACTION, TRAIN_FRACTION, SplitSpec, load_corpus, load_queries,
                    mine_hard_negatives, read_json, read_jsonl, save_queries, split_queries,
@@ -171,18 +169,12 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _load_pools(path: str) -> list[ScorePool]:
-    pools = read_jsonl(path, "pool", lambda obj: ScorePool(
-        np.asarray(obj["positives"], dtype=np.float64),
-        np.asarray(obj["negatives"], dtype=np.float64)))
-    if not pools:
-        raise ValueError(f"{path}: no pools found")
-    return pools
-
-
 def cmd_lemma1_demo(args) -> int:
     if args.pool:
-        pools = _load_pools(args.pool)
+        pools = read_jsonl(args.pool, "pool",
+                           lambda obj: ScorePool(obj["positives"], obj["negatives"]))
+        if not pools:
+            raise ValueError(f"{args.pool}: no pools found")
     elif args.synthetic:
         rng = Xoshiro256StarStar(derive_seed(args.seed, 20))
         pools = make_offset_demo_pools(args.n_queries, rng)

@@ -17,11 +17,15 @@ A ``Corpus`` or ``QuerySet`` hashes its texts once per ``hash_dim``
 (``tokens``) and keeps that table until it grows, so mining, every
 training run and every evaluation of one collection share one table.
 Mined and split query sets inherit their parent's rows of those tables.
-A training batch is its rows: ``batch_rows`` checks a split against
-(B, H) and turns its eligible queries, those with at least H hard
-negatives, and their document ids into corpus positions once, and
-``sample_batch`` draws from those, returning positions in the query set
-and the corpus that index the token tables directly.
+
+This module owns the columns of a score matrix and every selection over
+it: ``Corpus.columns`` is the one map from document ids to columns, and
+``top_k_columns`` (mining, ranked lists) and ``top_k_scores`` (the
+pooled AUC protocol) walk the rows in blocks (``_row_blocks``). A
+training batch is its rows: ``batch_rows`` checks a split against (B, H)
+and maps its eligible queries, those with at least H hard negatives, to
+corpus positions once, and ``sample_batch`` draws positions in the query
+set and the corpus that index the token tables directly.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from itertools import accumulate
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -167,8 +172,10 @@ class Corpus(_Collection):
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._by_id
 
-    def index_of(self, doc_id: str) -> int:
-        return self._by_id[doc_id]
+    def columns(self, doc_ids: Iterable[str]) -> list[int]:
+        """The positions of ``doc_ids``, in order: their columns in a score
+        matrix against this corpus. An unknown id raises KeyError."""
+        return [self._by_id[d] for d in doc_ids]
 
     @property
     def ids(self) -> list[str]:
@@ -306,10 +313,26 @@ def score_matrix(queries: QuerySet, corpus: Corpus, scorer: Scorer) -> np.ndarra
     return scores
 
 
-# Rows per block in the two block-wise selections, ``top_k_columns`` and
-# ``metrics.pooled_auc_protocol``: a block's temporaries hold
+# Rows per block of both selections: a block's temporaries hold
 # O(_BLOCK_ROWS * n_docs) values, whatever the number of rows.
 _BLOCK_ROWS = 64
+
+
+def _row_blocks(scores: np.ndarray, exclude: Sequence[Sequence[int]] | None) -> list[tuple]:
+    """Per block of ``_BLOCK_ROWS`` rows, ``(start, block, rows, cols)``: its
+    first row, its scores, and the block row and column of each excluded
+    cell, in ``exclude`` order. ``exclude[i]`` lists row i's columns, ints
+    in [0, n) (else ValueError), or None none; checked and flattened once."""
+    n_rows, n = scores.shape
+    counts = [0] * n_rows if exclude is None else [len(s) for s in exclude]
+    flat = [] if exclude is None else [j for s in exclude for j in s]
+    if bad := [j for j in flat if not 0 <= j < n or j % 1]:
+        raise ValueError(f"exclude holds {bad[0]!r}, not a column index in [0, {n})")
+    first = [0, *accumulate(counts)]  # row i's cells are [first[i], first[i + 1])
+    rows, cols = np.repeat(np.arange(n_rows), counts), np.array(flat, dtype=np.intp)
+    return [(s, scores[s:s + _BLOCK_ROWS], rows[lo:hi] - s, cols[lo:hi])
+            for s in range(0, n_rows, _BLOCK_ROWS)
+            for lo, hi in [(first[s], first[min(s + _BLOCK_ROWS, n_rows)])]]
 
 
 def top_k_columns(
@@ -320,39 +343,32 @@ def top_k_columns(
 ) -> list[np.ndarray]:
     """Per row, the columns of its k best documents, best first: descending
     score, ties by ascending document id. Row i skips the columns in
-    ``exclude[i]``, ints in [0, n) (else ValueError) where a repeat counts
-    once; a row with fewer than k columns left returns them all. A
-    negative k raises ValueError; k = 0 gives empty rows.
+    ``exclude[i]`` (see ``_row_blocks``), where a repeat counts once; a row
+    with fewer than k columns left returns them all. A negative k raises
+    ValueError; k = 0 gives empty rows.
 
-    Rows go in blocks of ``_BLOCK_ROWS``, and a block sorts only its
-    candidates. With m = k + |exclude[i]|, row i's candidates are the
-    columns scoring at least the m-th largest of the maxima of g >= m
-    disjoint column groups. At least m cells reach that bound, so the m
-    best columns do, and ties at it stay in. One compare takes a block's
-    candidates, with its excluded cells cleared, and one sort orders them
-    on a unique int64 key: row, then the rank of the negated score, then
-    the id rank. Unique ids make the order total, so each row's sorted
-    candidates begin with its k best columns. An all-equal row sorts every
-    column.
+    A block sorts only its candidates. With m = k + |exclude[i]|, row i's
+    candidates are the columns scoring at least the m-th largest of the
+    maxima of g >= m disjoint column groups. At least m cells reach that
+    bound, so the m best columns do, and ties at it stay in. One compare
+    takes a block's candidates, with its excluded cells cleared, and one
+    sort orders them on a unique int64 key: row, then the rank of the
+    negated score, then the id rank. Unique ids make the order total, so
+    each row's sorted candidates begin with its k best columns. An
+    all-equal row sorts every column.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     n_rows, n = scores.shape
-    if exclude is not None and (bad := [j for s in exclude for j in s if not 0 <= j < n or j % 1]):
-        raise ValueError(f"exclude holds {bad[0]!r}, not a column index in [0, {n})")
+    blocks = _row_blocks(scores, exclude)
     if k == 0 or n == 0:
         return [np.empty(0, dtype=np.intp) for _ in range(n_rows)]
     # rank of each column when ids are sorted ascending: the tie key
     id_rank = np.argsort(np.argsort(np.array(doc_ids), kind="stable"), kind="stable")
-    skips = [0] * n_rows if exclude is None else [len(s) for s in exclude]
-    m = k + np.array(skips, dtype=np.intp)
-    first_skip = np.concatenate(([0], np.cumsum(skips)))
-    skip_rows = np.repeat(np.arange(n_rows), skips)
-    skip_cols = np.array([] if exclude is None else [j for s in exclude for j in s], dtype=np.intp)
     out = []
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        block = scores[start:start + _BLOCK_ROWS]
-        b, m_block = len(block), m[start:start + _BLOCK_ROWS]
+    for _, block, skip_rows, skip_cols in blocks:
+        b = len(block)
+        m_block = k + np.bincount(skip_rows, minlength=b)
         # g groups of w columns, j mod g, over the first w * g columns:
         # g >= m for every m <= n, and wider groups make the maxima cheaper
         # but the bound looser
@@ -362,8 +378,7 @@ def top_k_columns(
         at = g - np.minimum(m_block, g)  # m > g only when w = 1 and m > n: every column
         group_max.partition(np.unique(at), axis=1)
         cand = block >= group_max[np.arange(b), at][:, None]
-        lo, hi = first_skip[start], first_skip[start + b]
-        cand[skip_rows[lo:hi] - start, skip_cols[lo:hi]] = False
+        cand[skip_rows, skip_cols] = False
         flat = np.flatnonzero(cand)
         rows, cols = np.divmod(flat, n)
         # np.unique counts -0.0 and +0.0 as one value, as the order does
@@ -372,6 +387,41 @@ def top_k_columns(
         ends = np.cumsum(np.bincount(rows, minlength=b)).tolist()
         out += [cols[s:min(e, s + k)] for s, e in zip([0] + ends, ends)]
     return out
+
+
+def top_k_scores(
+    scores: np.ndarray, k: int, exclude: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(excluded, top)``: the scores of the cells in ``exclude`` (see
+    ``_row_blocks``; distinct per row) in order, and row by row the k
+    highest of each row's other scores, all when fewer are left; k < 0
+    raises ValueError. A block's rows that exclude as many columns go
+    through one mask to one ``partition(axis=1)``, which runs the same
+    select as a partition of each row's other cells alone: the order does
+    not depend on the block size, and no row copy outlives its block."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    n_rows, n = scores.shape
+    excluded, kept = [], np.empty(n_rows, dtype=np.intp)
+    top = np.empty((n_rows, min(k, n)))  # row i's first kept[i] cells
+    for start, block, rows, cols in _row_blocks(scores, exclude):
+        excluded.append(block[rows, cols])
+        counts = np.bincount(rows, minlength=len(block))
+        kept[start:start + len(block)] = np.minimum(k, n - counts)
+        for c in np.unique(counts).tolist():
+            if not (m := min(k, n - c)):
+                continue
+            same = counts == c
+            is_other = np.zeros(block.shape, dtype=bool)
+            is_other[same] = True
+            is_other[rows, cols] = False
+            other = block[is_other].reshape(-1, n - c)
+            if m < n - c:
+                other.partition(n - c - m, axis=1)
+            top[start:start + len(block)][same, :m] = other[:, n - c - m:]
+    if (kept < top.shape[1]).any():
+        top = top[np.arange(top.shape[1]) < kept[:, None]]
+    return np.concatenate([np.empty(0), *excluded]), top.ravel()
 
 
 def mine_hard_negatives(
@@ -387,7 +437,7 @@ def mine_hard_negatives(
         raise ValueError(f"k must be >= 1, got {k}")
     scores = score_matrix(queries, corpus, scorer)
     doc_ids = corpus.ids
-    positives = [[corpus.index_of(d) for d in q.positive_ids] for q in queries]
+    positives = [corpus.columns(q.positive_ids) for q in queries]
     mined = []
     for q, chosen in zip(queries, top_k_columns(scores, doc_ids, k, exclude=positives)):
         if len(chosen) < k:
@@ -428,9 +478,8 @@ def batch_rows(queries: QuerySet, corpus: Corpus, B: int, H: int) -> BatchRows:
             f"have {len(eligible)}"
         )
     chosen = [queries[i] for i in eligible]
-    row = corpus.index_of
-    return BatchRows(B, H, eligible, [[row(d) for d in q.positive_ids] for q in chosen],
-                     [[row(d) for d in q.hard_negative_ids] for q in chosen])
+    return BatchRows(B, H, eligible, [corpus.columns(q.positive_ids) for q in chosen],
+                     [corpus.columns(q.hard_negative_ids) for q in chosen])
 
 
 def sample_batch(rows: BatchRows, rng: Xoshiro256StarStar) -> tuple[np.ndarray, np.ndarray]:

@@ -108,9 +108,6 @@ class EncoderGrads:
         self.embedding += other.embedding
         self.projection += other.projection
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.embedding).all() and np.isfinite(self.projection).all())
-
 
 def fnv1a64(token: str) -> int:
     """FNV-1a 64-bit hash of the token's UTF-8 bytes."""

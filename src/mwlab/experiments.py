@@ -56,17 +56,6 @@ def fixed_provider(corpus: Corpus, queries: QuerySet) -> DataProvider:
     return provide
 
 
-def _evaluate_side(params, queries, corpus, settings) -> dict:
-    scores = make_scorer(params)(queries, corpus)
-    pool, metrics = evaluate(scores, queries, corpus, top_k=settings.base_config.eval_top_k)
-    return {
-        "auc": metrics["auc"],
-        "mrr10": metrics["mrr10"],
-        "ndcg10": metrics["ndcg10"],
-        "overlap": histogram(pool, settings.bins).overlap_coefficient(),
-    }
-
-
 def run_single_seed(
     seed: int, provider: DataProvider, settings: ComparisonSettings
 ) -> dict:
@@ -83,9 +72,11 @@ def run_single_seed(
     for kind in ("cl", "mw"):
         cfg = replace(settings.base_config, loss_kind=kind, seed=seed)
         best, report = train(cfg, train_qs, eval_qs, corpus, encoder_config)
-        side = _evaluate_side(best, test_qs, corpus, settings)
-        side["best_checkpoint_step"] = report.best_checkpoint_step
-        result[kind] = side
+        pool, metrics = evaluate(make_scorer(best)(test_qs, corpus), test_qs, corpus,
+                                 top_k=cfg.eval_top_k)
+        result[kind] = {key: metrics[key] for key in ("auc", "mrr10", "ndcg10")}
+        result[kind]["overlap"] = histogram(pool, settings.bins).overlap_coefficient()
+        result[kind]["best_checkpoint_step"] = report.best_checkpoint_step
     result["auc_gain"] = result["mw"]["auc"] - result["cl"]["auc"]
     return result
 

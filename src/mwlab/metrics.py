@@ -23,10 +23,10 @@ depth-10 ranked lists over it, and returns the pool with auc, mrr10,
 ndcg10, precision10 and recall1. The four list metrics read one hit pass:
 per list, the ranks within its top 10 that hold a relevant id. Training,
 ablation, comparison and the CLI all evaluate through it, so each scores
-a query set only once. Both selections over the matrix go by blocks of
-rows, not one row at a time: the protocol partitions a block's
-non-positive cells in one call, and ``data.top_k_columns`` sorts a
-block's candidates for the ranked lists in one call.
+a query set only once. ``data`` owns every selection over the matrix
+and the mapping of a query's ids to its columns: ``top_k_scores`` picks
+the protocol's pool and ``top_k_columns`` the ranked lists. This module
+only counts.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import _BLOCK_ROWS, Corpus, QuerySet, Scorer, score_matrix, top_k_columns
+from .data import Corpus, QuerySet, Scorer, score_matrix, top_k_columns, top_k_scores
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -150,52 +150,18 @@ def pooled_auc_protocol(
 
     When a query has fewer than top_k non-positives the available ones
     are used. Only score values enter the pool, so boundary ties need no
-    id-based tie-breaking here.
-
-    The positives come from one gather, in query order and each query's
-    in ``positive_ids`` order. The negatives go in blocks of
-    ``_BLOCK_ROWS`` rows. The rows of a block that share a positive count
-    give their non-positive cells, in column order, through one mask, and
-    one ``partition(axis=1)`` moves each row's top_k to its end. That runs
-    the same select on each row as a partition of the row alone, so the
-    pool, order included, does not depend on the block size, and no row
-    copy outlives its block.
+    id-based tie-breaking here. ``data.top_k_scores`` selects both sides:
+    the positives in query and ``positive_ids`` order, then the negatives.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     if len(queries) == 0:
         raise ValueError("query set is empty")
     scores = score_matrix(queries, corpus, scorer)
-    n = len(corpus)
-    pos_at = []  # the positives' columns, query by query
-    for q in queries:
-        pos_at += [corpus.index_of(d) for d in q.positive_ids]
-        if len(q.positive_ids) >= n:
-            raise ValueError(
-                f"query {q.id!r}: corpus has no non-positive documents"
-            )
-    pos_at = np.array(pos_at, dtype=np.intp)
-    n_pos = np.array([len(q.positive_ids) for q in queries], dtype=np.intp)
-    first_pos = np.concatenate(([0], np.cumsum(n_pos)))
-    pos_rows = np.repeat(np.arange(len(queries)), n_pos)
-    kept = np.minimum(top_k, n - n_pos)
-    negatives = np.empty((len(queries), kept.max()))  # row i's first kept[i] cells
-    for start in range(0, len(queries), _BLOCK_ROWS):
-        block, counts = scores[start:start + _BLOCK_ROWS], n_pos[start:start + _BLOCK_ROWS]
-        lo, hi = first_pos[start], first_pos[start + len(block)]
-        for c in np.unique(counts).tolist():
-            same = counts == c
-            is_neg = np.zeros(block.shape, dtype=bool)
-            is_neg[same] = True
-            is_neg[pos_rows[lo:hi] - start, pos_at[lo:hi]] = False
-            neg = block[is_neg].reshape(-1, n - c)
-            k = min(top_k, n - c)
-            if k < n - c:
-                neg.partition(n - c - k, axis=1)
-            negatives[start:start + len(block)][same, :k] = neg[:, n - c - k:]
-    if kept.min() < negatives.shape[1]:
-        negatives = negatives[np.arange(negatives.shape[1]) < kept[:, None]]
-    pool = ScorePool(scores[pos_rows, pos_at], negatives)
+    positives = [corpus.columns(q.positive_ids) for q in queries]
+    if full := [q.id for q, cols in zip(queries, positives) if len(cols) >= scores.shape[1]]:
+        raise ValueError(f"query {full[0]!r}: corpus has no non-positive documents")
+    pool = ScorePool(*top_k_scores(scores, top_k, positives))
     return pool, auc(pool)
 
 

@@ -266,21 +266,25 @@ def _pool_cl_loss(pools: Sequence[ScorePool], tau: float) -> float:
     """Softmax loss over per-query pools: each (query, positive) pair is
     scored against that query's negatives; mean over all such pairs.
     Computed via the difference form log(1 + sum e^((s- - s+)/tau)), which
-    is exactly shift-invariant up to input rounding."""
+    is exactly shift-invariant up to input rounding. A loss that overflows
+    raises ValueError naming tau; one that underflows is 0.0, its limit."""
     total = 0.0
     count = 0
-    for pool in pools:
-        if pool.n_pos == 0 or pool.n_neg == 0:
-            raise ValueError("per-query pools need both positives and negatives")
-        for s_pos in pool.positives:
-            d = (pool.negatives - s_pos) / tau
-            d_max = d.max()
-            if d_max <= 0.0:
-                total += float(np.log1p(np.exp(d).sum()))
-            else:
-                # log(1 + sum e^d) = d_max + log(e^-d_max + sum e^(d - d_max))
-                total += float(d_max + np.log(np.exp(-d_max) + np.exp(d - d_max).sum()))
-            count += 1
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total raises below
+        for pool in pools:
+            if pool.n_pos == 0 or pool.n_neg == 0:
+                raise ValueError("per-query pools need both positives and negatives")
+            for s_pos in pool.positives:
+                d = (pool.negatives - s_pos) / tau
+                d_max = d.max()
+                if d_max <= 0.0:
+                    total += float(np.log1p(np.exp(d).sum()))
+                else:
+                    # log(1 + sum e^d) = d_max + log(e^-d_max + sum e^(d - d_max))
+                    total += float(d_max + np.log(np.exp(-d_max) + np.exp(d - d_max).sum()))
+                count += 1
+    if not np.isfinite(total):
+        raise ValueError(f"the softmax loss is not finite at tau={tau!r}")
     return total / count
 
 
@@ -334,12 +338,11 @@ def mw_bound_check(pool: ScorePool, tau: float) -> tuple[float, float, bool]:
     1{z <= 0} <= softplus(-z/tau) / log 2 makes this true for every pool.
     The pairs go through the MW kernel's softplus-only pass, as in
     ``mw_value``, so memory stays O(MW_BLOCK_PAIRS + n_pos + n_neg)
-    however large the pool.
+    however large the pool. A pair loss that overflows is inf, its limit.
     """
     check_tau(tau)
-    if pool.n_pos == 0 or pool.n_neg == 0:
-        raise ValueError("bound check needs scores on both sides")
     aoc = strict_aoc(pool)
-    softplus_rows, _, _ = _mw_pair_sums(pool.positives, pool.negatives, tau, sigmoid=False)
+    with np.errstate(over="ignore"):
+        softplus_rows, _, _ = _mw_pair_sums(pool.positives, pool.negatives, tau, sigmoid=False)
     mw_population = float(softplus_rows.sum() / (pool.n_pos * pool.n_neg))
     return aoc, mw_population, aoc <= mw_population / LOG2

@@ -133,7 +133,7 @@ def adam_step(
     equal the formula's. A non-finite gradient raises ``TrainingDiverged``
     before params or state change.
     """
-    if not grads.is_finite():
+    if not (np.isfinite(grads.embedding).all() and np.isfinite(grads.projection).all()):
         raise TrainingDiverged(
             f"non-finite gradient at optimizer step {state.step + 1}"
         )

@@ -59,6 +59,18 @@ def test_mine_seed_matches_compare_mining(tmp_path, monkeypatch):
         q.hard_negative_ids for q in from_compare]
 
 
+def test_mine_with_a_checkpoint_scores_with_it(tmp_path):
+    args = toy_checkpoint(tmp_path)
+    out = tmp_path / "mined.jsonl"
+    assert cli.main(["mine", *args, "--out", str(out), "--top-k", "3"]) == 0
+    corpus = load_corpus(args[1])
+    params, _ = encoder.load_checkpoint(args[5])
+    expected = data.mine_hard_negatives(load_queries(args[3], corpus), corpus,
+                                        encoder.make_scorer(params), k=3)
+    assert [q.hard_negative_ids for q in load_queries(out, corpus)] == [
+        q.hard_negative_ids for q in expected]
+
+
 def test_train_with_short_eval_split_exits_2(tmp_path, capsys):
     provider = synthetic_provider(SyntheticSpec(n_queries=30, n_docs=80))
     corpus_path, queries_path = write_inputs(tmp_path, *provider(0))
@@ -292,7 +304,9 @@ def test_a_missing_input_file_exits_2_naming_it(tmp_path, capsys, what):
     (None, "config file not found: {path}\n"),
     (b'{"B": 4,', "{path}: Expecting property name enclosed in double quotes"),
     (b'{"B": 4}\xff', "{path}: 'utf-8' codec can't decode byte 0xff"),
-], ids=["missing", "malformed", "not-utf-8"])
+    (b'[{"B": 4}]', "{path}: config must be a JSON object\n"),
+    (b'{"B": 4, "Bee": 4, "lr": 1}', "{path}: unknown config keys ['Bee', 'lr']\n"),
+], ids=["missing", "malformed", "not-utf-8", "not-an-object", "unknown-keys"])
 def test_a_bad_config_file_exits_2_naming_it(tmp_path, capsys, content, expected):
     corpus, queries = synthetic_provider(SyntheticSpec(n_queries=20, n_docs=50))(0)
     corpus_path, queries_path = write_inputs(tmp_path, corpus, queries)
@@ -368,6 +382,34 @@ def test_lemma1_demo_writes_one_row_per_sigma(tmp_path):
     # the demo pools start cleanly separated, and no offset keeps them so
     assert float(rows[0]["aoc_before"]) == float(rows[0]["aoc_after"]) == 0.0
     assert float(rows[1]["aoc_after"]) > 0.0
+
+
+@pytest.mark.parametrize("pool, tau, code, err", [
+    # a negative above a positive: the loss overflows to +inf
+    ('{"positives": [0.1, 0.6], "negatives": [0.5, 0.0]}', "1e-310", 2,
+     "error: the softmax loss is not finite at tau=1e-310\n"),
+    # every positive above every negative: the loss saturates at 0
+    ('{"positives": [0.6], "negatives": [0.5, 0.0]}', "1e-310", 0, ""),
+    ("", "1.0", 2, "error: {path}: no pools found\n"),
+], ids=["overflow", "saturated", "no-pools"])
+def test_lemma1_demo_on_a_pool_file(tmp_path, capsys, pool, tau, code, err):
+    path, out = tmp_path / "pools.jsonl", tmp_path / "demo.csv"
+    path.write_text(pool + "\n")
+    assert cli.main(["lemma1-demo", "--pool", str(path), "--sigma", "0", "0.5",
+                     "--tau", tau, "--out", str(out)]) == code
+    assert capsys.readouterr().err == err.format(path=path)
+    if code == 0:
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [(r["cl_before"], r["cl_after"]) for r in rows] == [("0.0", "0.0")] * 2
+    else:
+        assert not out.exists()
+
+
+def test_lemma2_check_at_an_overflowing_tau_keeps_stderr_empty(capsys):
+    # (s- - s+) / tau overflows to +inf, the limit of the pair loss, so
+    # the bound holds in every trial
+    assert cli.main(["lemma2-check", "--trials", "3", "--max-side", "5", "--tau", "1e-320"]) == 0
+    assert capsys.readouterr() == ("trials=3 violations=0\n", "")
 
 
 def test_lemma2_check_passes(capsys):

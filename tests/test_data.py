@@ -31,6 +31,7 @@ from mwlab.data import (
     score_matrix,
     split_queries,
     top_k_columns,
+    top_k_scores,
     write_csv,
     write_json,
 )
@@ -206,6 +207,37 @@ def test_only_data_and_encoder_write_files():
 def test_only_data_and_encoder_read_files():
     # and every other module reads through data's readers
     assert found_outside_data_and_encoder(file_reads) == {}
+
+
+def private_imports(source: str) -> list[str]:
+    """Relative imports in Python source that take a ``_``-prefixed name
+    from a sibling module (``from .x import _name``)."""
+    return [f"{node.lineno}: {'.' * node.level}{node.module or ''} {alias.name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_the_private_import_scan_finds_each_kind():
+    source = """
+from .data import Corpus, _BLOCK_ROWS as rows
+from . import _helpers
+from ..pkg.data import _x
+from data import _absolute
+from .data import score_matrix
+import _thread
+"""
+    assert private_imports(source) == [
+        "2: .data _BLOCK_ROWS", "3: . _helpers", "4: ..pkg.data _x"]
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a module's private names are its own: a job two modules share lives
+    # in one of them behind a public name
+    src = Path(mwlab.__file__).parent
+    found = {path.name: private_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 class TestFieldTypes:
@@ -511,7 +543,7 @@ class TestMining:
         for j, q in enumerate(mined):
             expected = sorted(
                 (d for d in corpus.ids if d != f"d{j:03d}"),
-                key=lambda d: (-scores[j, corpus.index_of(d)], d),
+                key=lambda d: (-scores[j, corpus.ids.index(d)], d),
             )[:7]
             assert q.hard_negative_ids == expected
 
@@ -620,6 +652,37 @@ class TestTopKColumns:
             assert full[i].tolist() == naive_top_k(row, ids, k)
 
 
+class TestTopKScores:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.data())
+    def test_property_matches_the_per_row_oracle(self, draw):
+        # rows exclude 0 to n distinct columns, so some keep fewer than k
+        # columns and some none; k = 0 keeps nothing; rows reach three blocks
+        n = draw.draw(st.integers(1, 12), label="n")
+        n_rows = draw.draw(st.one_of(st.integers(0, 4), st.integers(1, 3 * _BLOCK_ROWS)),
+                           label="rows")
+        k = draw.draw(st.integers(0, n + 2), label="k")
+        rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1), label="seed"))
+        scores = rng.choice([-1.0, 0.0, 0.5, 1.0], size=(n_rows, n))
+        exclude = [rng.permutation(n)[:rng.integers(0, n + 1)].tolist() for _ in range(n_rows)]
+        excluded, top = top_k_scores(scores, k, exclude)
+        assert excluded.tolist() == [scores[i, j] for i, cols in enumerate(exclude) for j in cols]
+        want = [sorted((v for j, v in enumerate(row) if j not in cols), reverse=True)[:k]
+                for row, cols in zip(scores.tolist(), exclude)]
+        ends = np.cumsum([len(w) for w in want], dtype=int)
+        assert len(top) == (ends[-1] if n_rows else 0)
+        for got, w in zip(np.split(top, ends[:-1]), want):
+            assert sorted(got.tolist(), reverse=True) == w
+
+    @pytest.mark.parametrize("k, exclude, message", [
+        (-1, [[0]], "k must be >= 0, got -1"),
+        (2, [[3]], "exclude holds 3, not a column index in \\[0, 3\\)"),
+    ])
+    def test_bad_input_is_rejected(self, k, exclude, message):
+        with pytest.raises(ValueError, match=message):
+            top_k_scores(np.zeros((1, 3)), k, exclude)
+
+
 def sha256_lines(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
@@ -699,6 +762,11 @@ class TestSampleBatch:
         queries, corpus = self.make_data(4)
         with pytest.raises(ValueError, match="B must be >= 2, got 1"):
             batch_rows(queries, corpus, B=1, H=0)
+
+    def test_negative_hard_negative_count_rejected(self):
+        queries, corpus = self.make_data(4)
+        with pytest.raises(ValueError, match="H must be >= 0, got -1"):
+            batch_rows(queries, corpus, B=2, H=-1)
 
     def test_insufficient_queries(self):
         queries, corpus = self.make_data(2)

@@ -7,6 +7,7 @@ from mwlab.data import Corpus, Document, Query, QuerySet
 from mwlab.encoder import (
     NORM_FLOOR,
     EncoderConfig,
+    EncoderParams,
     encode_backward,
     encode_tokens,
     fnv1a64,
@@ -192,6 +193,15 @@ class TestBackward:
         with pytest.raises(ValueError, match="shape"):
             encode_backward(out, np.zeros((2, SMALL.proj_dim)), params)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_upstream_rejected(self, bad):
+        params = init_params(SMALL)
+        out = encode_forward(params, ["a b"])
+        upstream = np.zeros((1, SMALL.proj_dim))
+        upstream[0, 3] = bad
+        with pytest.raises(ValueError, match="upstream_grad must be finite"):
+            encode_backward(out, upstream, params)
+
 
 class TestInit:
     def test_determinism(self):
@@ -246,7 +256,39 @@ class TestTokenTableRows:
         np.testing.assert_array_equal(taken.active, direct.active)
 
 
+class TestParams:
+    def test_shapes_must_match_the_config(self):
+        params = init_params(SMALL)
+        with pytest.raises(ValueError, match=r"parameter shapes \(256, 12\)/\(8, 8\) do not "
+                                             r"match config \(256, 12\)/\(12, 8\)"):
+            EncoderParams(SMALL, params.embedding, params.projection[:8])
+
+    @pytest.mark.parametrize("where", ["embedding", "projection"])
+    def test_parameters_must_be_finite(self, where):
+        params = init_params(SMALL)
+        getattr(params, where)[1, 2] = np.nan
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            EncoderParams(SMALL, params.embedding, params.projection)
+
+
 class TestCheckpoint:
+    def test_missing_file_rejected(self, tmp_path):
+        path = tmp_path / "absent"
+        with pytest.raises(FileNotFoundError, match=f"checkpoint not found: {path}"):
+            load_checkpoint(path)
+
+    def test_header_lacking_a_key_rejected(self, tmp_path):
+        import json
+
+        path = tmp_path / "ckpt"
+        save_checkpoint(init_params(SMALL), step=0, path=path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        fields = json.loads(header)
+        del fields["seed"]
+        path.write_bytes(json.dumps(fields).encode() + b"\n" + payload)
+        with pytest.raises(ValueError, match="checkpoint header lacks 'seed'"):
+            load_checkpoint(path)
+
     def test_roundtrip(self, tmp_path):
         params = init_params(SMALL)
         path = tmp_path / "ckpt_12"

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from mwlab.data import write_json
 from mwlab.encoder import EncoderConfig
@@ -36,3 +37,8 @@ def test_comparison_is_byte_identical_and_means_match(tmp_path):
             assert result["mean"][f"{key}_{kind}"] == float(
                 np.mean([r[kind][key] for r in per_seed]))
     assert result["mean"]["auc_gain"] == float(np.mean([r["auc_gain"] for r in per_seed]))
+
+
+def test_comparison_needs_a_seed():
+    with pytest.raises(ValueError, match="need at least one seed"):
+        run_comparison([], synthetic_provider(SyntheticSpec(n_queries=60, n_docs=150)), TOY)

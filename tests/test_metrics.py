@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mwlab import metrics
 from mwlab.data import _BLOCK_ROWS, Corpus, Document, Query, QuerySet
 from mwlab.metrics import (
     RankedList,
@@ -101,6 +102,15 @@ class TestCachedSort:
         hist = histogram(ScorePool(positives, negatives), bins=2)
         np.testing.assert_array_equal(hist.edges, [0.0, 0.5, 1.0])
         assert sorted([hist.pos_counts.tolist(), hist.neg_counts.tolist()]) == [[0, 0], [1, 1]]
+        with pytest.raises(ValueError, match="overlap needs scores on both sides"):
+            hist.overlap_coefficient()
+
+    @pytest.mark.parametrize("positives, negatives, side", [
+        ([0.5, np.nan], [0.0], "positive"), ([0.5], [np.inf, 0.0], "negative"),
+    ])
+    def test_non_finite_scores_rejected(self, positives, negatives, side):
+        with pytest.raises(ValueError, match=f"{side} scores must be finite"):
+            ScorePool(positives, negatives)
 
 
 class TestMannWhitneyU:
@@ -328,8 +338,29 @@ class TestPooledProtocol:
     def test_no_nonpositive_documents_rejected(self):
         corpus = Corpus([Document("d0", "t")])
         queries = QuerySet([Query("q", "q", ["d0"])])
-        with pytest.raises(ValueError, match="non-positive"):
+        with pytest.raises(ValueError, match="query 'q': corpus has no non-positive documents"):
             pooled_auc_protocol(queries, corpus, lambda qs, c: np.ones((1, 1)), top_k=5)
+
+    def test_empty_query_set_rejected(self):
+        corpus = Corpus([Document("d0", "t"), Document("d1", "t")])
+        with pytest.raises(ValueError, match="query set is empty"):
+            pooled_auc_protocol(QuerySet(), corpus, lambda qs, c: np.ones((0, 2)))
+
+
+def test_evaluate_calls_the_protocol_and_the_lists_through_the_module_globals(monkeypatch):
+    # bench/run.py counts eval_queries_per_s from the queries that reach
+    # metrics.pooled_auc_protocol, and times both selections, by wrapping
+    # these globals: a direct reference would bypass the wrappers
+    calls = []
+    for name in ("pooled_auc_protocol", "ranked_lists"):
+        def counting(queries, *args, _real=getattr(metrics, name), _name=name, **kwargs):
+            calls.append((_name, len(queries)))
+            return _real(queries, *args, **kwargs)
+        monkeypatch.setattr(metrics, name, counting)
+    corpus = Corpus([Document(f"d{j}", "t") for j in range(5)])
+    queries = QuerySet([Query(f"q{i}", "q", [f"d{i}"]) for i in range(3)])
+    evaluate(np.random.default_rng(0).normal(size=(3, 5)), queries, corpus, top_k=2)
+    assert calls == [("pooled_auc_protocol", 3), ("ranked_lists", 3)]
 
 
 def list_metrics(*rankings) -> dict:
@@ -407,6 +438,16 @@ class TestRankedMetrics:
         metrics = list_metrics(([*"abc", *(f"f{i}" for i in range(10))], {"a", "c", "x"}))
         assert metrics["precision10"] == pytest.approx(2 / 10)
         assert metrics["recall1"] == pytest.approx(1 / 3)
+
+    def test_duplicate_ranked_ids_rejected(self):
+        with pytest.raises(ValueError, match="ranked_ids contains duplicates"):
+            RankedList(["a", "b", "a"], {"a"})
+
+    def test_depth_below_one_rejected(self):
+        corpus = Corpus([Document("a", "t"), Document("b", "t")])
+        queries = QuerySet([Query("q", "q", ["a"])])
+        with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
+            ranked_lists(queries, corpus, lambda qs, c: np.ones((1, 2)), depth=0)
 
     def test_ranked_lists_tie_break_by_id(self):
         corpus = Corpus([Document(d, d) for d in ["b", "a", "c"]])

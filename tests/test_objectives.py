@@ -68,6 +68,11 @@ def fd_gradient_check(loss_fn, sb, h=1e-5, rtol=1e-3, n_entries=None):
     assert checked > 0
 
 
+def test_a_non_finite_loss_gradient_is_rejected():
+    with pytest.raises(ValueError, match="loss gradient must be finite"):
+        objectives.LossOutput(value=1.0, d_sim=np.array([[0.0, np.nan]]), term_count=1)
+
+
 class TestClLoss:
     def test_identity_matrix_value(self):
         # direct evaluation: each row is -log(e / (e + 1)) = log(1 + e^-1)
@@ -512,6 +517,28 @@ class TestGaussianDegradation:
             for _ in range(n)
         ]
 
+    @pytest.mark.parametrize("pools, message", [
+        ([], "no per-query pools given"),
+        ([ScorePool([0.5], [0.1]), ScorePool([0.5], [])],
+         "per-query pools need both positives and negatives"),
+    ], ids=["none", "one-sided"])
+    def test_pools_without_pairs_rejected(self, pools, message):
+        with pytest.raises(ValueError, match=message):
+            gaussian_degradation_demo(pools, 1.0, Xoshiro256StarStar(1))
+
+    def test_an_overflowing_loss_names_tau(self):
+        # a negative above a positive: at tau 1e-310 the loss is +inf, not nan
+        pools = [ScorePool([0.1, 0.6], [0.5, 0.0])]
+        with pytest.raises(ValueError, match="the softmax loss is not finite at tau=1e-310"):
+            gaussian_degradation_demo(pools, 0.5, Xoshiro256StarStar(1), tau=1e-310)
+
+    def test_a_saturated_loss_is_zero(self):
+        # every positive above every negative: the tau -> 0 limit is 0
+        pools = [ScorePool([0.6], [0.5, 0.0])]
+        _, _, cl_b, cl_a = gaussian_degradation_demo(pools, 0.5, Xoshiro256StarStar(1),
+                                                     tau=1e-310)
+        assert cl_b == cl_a == 0.0
+
     def test_sigma_zero_is_identity(self):
         pools = self.make_pools(20)
         before, after, cl_b, cl_a = gaussian_degradation_demo(
@@ -592,8 +619,13 @@ class TestMwBound:
             assert aoc == pytest.approx(brute_force_strict_aoc(pos, neg), abs=1e-12)
 
     def test_empty_side_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rank statistics need scores on both sides"):
             mw_bound_check(ScorePool([1.0], []), tau=1.0)
+
+    def test_an_overflowing_pair_loss_is_the_infinite_limit(self):
+        # (0.5 - 0.1) / 1e-320 overflows: the bound holds, and numpy stays quiet
+        aoc, mw, holds = mw_bound_check(ScorePool([0.1, 0.6], [0.5, 0.0]), tau=1e-320)
+        assert (aoc, mw, holds) == (0.25, np.inf, True)
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf])
     def test_non_finite_tau_rejected(self, tau):

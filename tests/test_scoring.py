@@ -65,6 +65,10 @@ class TestScoreBatch:
         with pytest.raises(ValueError, match="not B"):
             ScoreBatch(sim=np.zeros((2, 5)), tau=1.0)
 
+    def test_sim_narrower_than_the_batch_rejected(self):
+        with pytest.raises(ValueError, match="sim needs at least B=3 columns, got 2"):
+            ScoreBatch(sim=np.zeros((3, 2)), tau=1.0)
+
     def test_union_of_negative_sets_size(self):
         sb = ScoreBatch(sim=np.zeros((3, 9)), tau=1.0)
         mask = sb.offdiag_mask()
@@ -134,5 +138,5 @@ class TestBackpropScores:
             assert abs(d_q[i, j] - fd) / max(abs(fd), 1e-12) < 1e-4
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match="d_sim shape \\(2, 3\\) != \\(2, 4\\)"):
             backprop_scores(np.zeros((2, 3)), np.zeros((2, 5)), np.zeros((4, 5)))

@@ -2,8 +2,10 @@
 
 import pytest
 
+from mwlab.prng import Xoshiro256StarStar
 from mwlab.synthetic import (DOCS_PER_TOPIC, FILLER_TOKEN, MAX_FILLER_REPEATS,
-                             QUERY_TOPIC_TOKENS, SyntheticSpec, make_benchmark)
+                             QUERY_TOPIC_TOKENS, SyntheticSpec, make_benchmark,
+                             make_offset_demo_pools)
 
 
 @pytest.mark.parametrize("fields, expected", [
@@ -40,7 +42,7 @@ def test_planted_structure(seed):
         topic_words = [w for w in words if w != FILLER_TOKEN]
         assert len(topic_words) == QUERY_TOPIC_TOKENS
         # the query keeps words of its positive document, from that document's topic
-        assert set(topic_words) <= set(corpus.texts[corpus.index_of(f"d{i}")].split())
+        assert set(topic_words) <= set(corpus.texts[corpus.ids.index(f"d{i}")].split())
         assert all(w.startswith(f"t{i // DOCS_PER_TOPIC}w") for w in topic_words)
         fillers.append(words.count(FILLER_TOKEN))
     # every count lies in 0..MAX_FILLER_REPEATS, and 60 queries reach each one
@@ -48,3 +50,9 @@ def test_planted_structure(seed):
     for d, doc in enumerate(corpus):
         words = doc.text.split()
         assert words.count(FILLER_TOKEN) == 1 and words[-1] == f"u{d}"
+
+
+@pytest.mark.parametrize("n_queries", [0, -2])
+def test_demo_pools_need_a_query(n_queries):
+    with pytest.raises(ValueError, match="need at least one query"):
+        make_offset_demo_pools(n_queries, Xoshiro256StarStar(0))

@@ -26,7 +26,8 @@ from mwlab.objectives import cl_loss, mw_loss
 from mwlab.prng import Xoshiro256StarStar
 from mwlab.scoring import backprop_scores, score_batch
 from mwlab.synthetic import SyntheticSpec, make_benchmark
-from mwlab.trainer import OptimizerState, TrainConfig, TrainingDiverged, adam_step, lr_at, train
+from mwlab.trainer import (OptimizerState, TrainConfig, TrainingDiverged, ablation_sweep, adam_step,
+                           lr_at, train)
 
 from util import central_difference, encode_forward, naive_adam_step, relative_error
 
@@ -159,11 +160,11 @@ class TestTrainSplitValidation:
 def test_train_builds_batch_rows_once_per_split(toy_data, monkeypatch):
     corpus, train_qs, eval_qs = toy_data
     built, drawn_from, lookups = [], [], []
-    index_of = Corpus.index_of
+    columns = Corpus.columns
 
-    def counting_index_of(self, doc_id):
-        lookups.append(doc_id)
-        return index_of(self, doc_id)
+    def counting_columns(self, doc_ids):
+        lookups.append(doc_ids)
+        return columns(self, doc_ids)
 
     def counting_batch_rows(queries, *args):
         built.append(queries)
@@ -176,11 +177,12 @@ def test_train_builds_batch_rows_once_per_split(toy_data, monkeypatch):
         assert len(lookups) == before, "a draw looked up a document id"
         return batch
 
-    monkeypatch.setattr(Corpus, "index_of", counting_index_of)
+    monkeypatch.setattr(Corpus, "columns", counting_columns)
     monkeypatch.setattr(trainer, "batch_rows", counting_batch_rows)
     monkeypatch.setattr(trainer, "sample_batch", recording_sample_batch)
     _, report = train(MW_CONFIG, train_qs, eval_qs, corpus, ENCODER)
     assert built == [eval_qs, train_qs]
+    assert lookups  # the rows were built through Corpus.columns
     # the eval batches, then one draw per step, all from the two row sets
     assert len(drawn_from) == MW_CONFIG.eval_batches + len(report.steps)
     assert len({id(rows) for rows in drawn_from}) == 2
@@ -413,3 +415,27 @@ class TestAdam:
 def test_config_rejects_a_non_finite_float(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite, got {value!r}"):
         TrainConfig(**{name: float(value)})
+
+
+@pytest.mark.parametrize("warmup_steps, rates", [(0, [0.5, 0.5, 0.5]), (2, [0.25, 0.5, 0.5])])
+def test_lr_warms_up_linearly(warmup_steps, rates):
+    config = TrainConfig(base_lr=0.5, warmup_steps=warmup_steps)
+    assert [lr_at(step, config) for step in (1, 2, 3)] == rates
+
+
+@pytest.mark.parametrize("step", [0, -1])
+def test_lr_needs_a_step_of_at_least_one(step):
+    with pytest.raises(ValueError, match=f"step must be >= 1, got {step}"):
+        lr_at(step, TrainConfig())
+
+
+@pytest.mark.parametrize("grid", [([], [4], [0]), ([0.1], [], [0]), ([0.1], [4], [])])
+def test_ablation_needs_a_value_in_every_dimension(toy_data, grid):
+    corpus, train_qs, eval_qs = toy_data
+    with pytest.raises(ValueError, match="ablation grid must be non-empty in every dimension"):
+        ablation_sweep(*grid, MW_CONFIG, train_qs, eval_qs, corpus, ENCODER)
+
+
+def test_an_unknown_loss_kind_is_rejected():
+    with pytest.raises(ValueError, match=r"loss_kind must be one of \('cl', 'mw'\), got 'hinge'"):
+        TrainConfig(loss_kind="hinge")

@@ -296,7 +296,7 @@ def naive_pool(scores, queries, corpus, top_k) -> tuple[list[list[float]], list[
     each from a full Python sort of the row less its positives."""
     positives, negatives = [], []
     for row, q in zip(scores, queries):
-        cols = [corpus.index_of(d) for d in q.positive_ids]
+        cols = [corpus.ids.index(d) for d in q.positive_ids]
         positives.append([float(row[j]) for j in cols])
         others = sorted((float(v) for j, v in enumerate(row) if j not in cols), reverse=True)
         negatives.append(others[:top_k])
