@@ -21,11 +21,12 @@ Mined and split query sets inherit their parent's rows of those tables.
 This module owns the columns of a score matrix and every selection over
 it: ``Corpus.columns`` is the one map from document ids to columns, and
 ``top_k_columns`` (mining, ranked lists) and ``top_k_scores`` (the
-pooled AUC protocol) walk the rows in blocks (``_row_blocks``). A
-training batch is its rows: ``batch_rows`` checks a split against (B, H)
-and maps its eligible queries, those with at least H hard negatives, to
-corpus positions once, and ``sample_batch`` draws positions in the query
-set and the corpus that index the token tables directly.
+pooled AUC protocol) walk the rows in blocks (``_row_blocks``), scoring
+an encoder's ``ScoreRows`` one block at a time. A training batch is its
+rows: ``batch_rows`` checks a split against (B, H) and maps its eligible
+queries, those with at least H hard negatives, to corpus positions once,
+and ``sample_batch`` draws positions in the query set and the corpus
+that index the token tables directly.
 """
 
 from __future__ import annotations
@@ -41,15 +42,15 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .encoder import prepare_tokens
+from .encoder import BLOCK_ROWS, ScoreRows, prepare_tokens
 from .prng import Xoshiro256StarStar
 
 logger = logging.getLogger(__name__)
 
-# A scorer maps (query set, corpus) to an n_queries x n_docs score matrix.
-# It must be total: every pair gets a finite score. An encoder's scorer
-# (``encoder.make_scorer``) encodes the two collections' cached token tables.
-Scorer = Callable[["QuerySet", "Corpus"], np.ndarray]
+# A scorer maps (query set, corpus) to an n_queries x n_docs score matrix,
+# an array or a ``ScoreRows``, that gives every pair a finite score. An
+# encoder's (``encoder.make_scorer``) scores the cached token tables.
+Scorer = Callable[["QuerySet", "Corpus"], np.ndarray | ScoreRows]
 
 
 def _require_str(value, what: str, *args, empty: bool = True) -> None:
@@ -302,27 +303,24 @@ def save_queries(queries: QuerySet, path: str | Path) -> None:
             f.write(json.dumps(asdict(q), sort_keys=True) + "\n")
 
 
-def score_matrix(queries: QuerySet, corpus: Corpus, scorer: Scorer) -> np.ndarray:
-    """The scorer's n_queries x n_docs matrix, checked for shape."""
-    scores = np.asarray(scorer(queries, corpus), dtype=np.float64)
+def score_matrix(queries: QuerySet, corpus: Corpus, scorer: Scorer) -> np.ndarray | ScoreRows:
+    """The scorer's n_queries x n_docs matrix, checked for shape: a
+    ``ScoreRows`` as it is, scored a block at a time, else a float array."""
+    scores = scorer(queries, corpus)
+    if not isinstance(scores, ScoreRows):
+        scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (len(queries), len(corpus)):
-        raise ValueError(
-            f"scorer returned shape {scores.shape}, "
-            f"expected {(len(queries), len(corpus))}"
-        )
+        raise ValueError(f"scorer returned shape {scores.shape}, "
+                         f"expected {(len(queries), len(corpus))}")
     return scores
 
 
-# Rows per block of both selections: a block's temporaries hold
-# O(_BLOCK_ROWS * n_docs) values, whatever the number of rows.
-_BLOCK_ROWS = 64
-
-
-def _row_blocks(scores: np.ndarray, exclude: Sequence[Sequence[int]] | None) -> list[tuple]:
-    """Per block of ``_BLOCK_ROWS`` rows, ``(start, block, rows, cols)``: its
+def _row_blocks(scores: np.ndarray | ScoreRows, exclude: Sequence[Sequence[int]] | None):
+    """Per block of ``BLOCK_ROWS`` rows, ``(start, block, rows, cols)``: its
     first row, its scores, and the block row and column of each excluded
     cell, in ``exclude`` order. ``exclude[i]`` lists row i's columns, ints
-    in [0, n) (else ValueError), or None none; checked and flattened once."""
+    in [0, n) (else ValueError), or None none; checked and flattened at
+    the call. A block is scored (or sliced) when the walk reaches it."""
     n_rows, n = scores.shape
     counts = [0] * n_rows if exclude is None else [len(s) for s in exclude]
     flat = [] if exclude is None else [j for s in exclude for j in s]
@@ -330,13 +328,13 @@ def _row_blocks(scores: np.ndarray, exclude: Sequence[Sequence[int]] | None) -> 
         raise ValueError(f"exclude holds {bad[0]!r}, not a column index in [0, {n})")
     first = [0, *accumulate(counts)]  # row i's cells are [first[i], first[i + 1])
     rows, cols = np.repeat(np.arange(n_rows), counts), np.array(flat, dtype=np.intp)
-    return [(s, scores[s:s + _BLOCK_ROWS], rows[lo:hi] - s, cols[lo:hi])
-            for s in range(0, n_rows, _BLOCK_ROWS)
-            for lo, hi in [(first[s], first[min(s + _BLOCK_ROWS, n_rows)])]]
+    return ((s, scores[s:s + BLOCK_ROWS], rows[lo:hi] - s, cols[lo:hi])
+            for s in range(0, n_rows, BLOCK_ROWS)
+            for lo, hi in [(first[s], first[min(s + BLOCK_ROWS, n_rows)])])
 
 
 def top_k_columns(
-    scores: np.ndarray,
+    scores: np.ndarray | ScoreRows,
     doc_ids: Sequence[str],
     k: int,
     exclude: Sequence[Sequence[int]] | None = None,
@@ -390,7 +388,7 @@ def top_k_columns(
 
 
 def top_k_scores(
-    scores: np.ndarray, k: int, exclude: Sequence[Sequence[int]]
+    scores: np.ndarray | ScoreRows, k: int, exclude: Sequence[Sequence[int]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(excluded, top)``: the scores of the cells in ``exclude`` (see
     ``_row_blocks``; distinct per row) in order, and row by row the k
@@ -403,7 +401,8 @@ def top_k_scores(
         raise ValueError(f"k must be >= 0, got {k}")
     n_rows, n = scores.shape
     excluded, kept = [], np.empty(n_rows, dtype=np.intp)
-    top = np.empty((n_rows, min(k, n)))  # row i's first kept[i] cells
+    flat = np.empty(n_rows * min(k, n))
+    top = flat.reshape(n_rows, min(k, n))  # row i's first kept[i] cells
     for start, block, rows, cols in _row_blocks(scores, exclude):
         excluded.append(block[rows, cols])
         counts = np.bincount(rows, minlength=len(block))
@@ -420,8 +419,8 @@ def top_k_scores(
                 other.partition(n - c - m, axis=1)
             top[start:start + len(block)][same, :m] = other[:, n - c - m:]
     if (kept < top.shape[1]).any():
-        top = top[np.arange(top.shape[1]) < kept[:, None]]
-    return np.concatenate([np.empty(0), *excluded]), top.ravel()
+        flat = top[np.arange(top.shape[1]) < kept[:, None]]
+    return np.concatenate([np.empty(0), *excluded]), flat
 
 
 def mine_hard_negatives(

@@ -11,11 +11,12 @@ A batch of texts is hashed once into its token table, a plain
 ``scipy.sparse.csr_matrix`` with one row per text; encoding takes that
 table or any row gather of it. ``data.Corpus`` and ``data.QuerySet``
 cache their table per ``hash_dim`` and ``make_scorer`` encodes those, so
-scoring a collection again hashes nothing. A row whose pre-normalization
-vector has norm below ``NORM_FLOOR`` maps to a fixed fallback, the first
-standard basis vector, and receives zero gradient; the fallback is not
-trainable. A text with no tokens has an empty row, pools to exact zeros,
-and so always takes the fallback.
+scoring a collection again hashes nothing, and its ``ScoreRows`` scores
+a block of rows at a time. A row whose pre-normalization vector has norm
+below ``NORM_FLOOR`` maps to a fixed fallback, the first standard basis
+vector, and receives zero gradient; the fallback is not trainable. A
+text with no tokens has an empty row, pools to exact zeros, and so
+always takes the fallback.
 """
 
 from __future__ import annotations
@@ -220,15 +221,41 @@ def init_params(config: EncoderConfig) -> EncoderParams:
     return EncoderParams(config=config, embedding=embedding, projection=projection)
 
 
+BLOCK_ROWS = 64  # rows per block of a score matrix, as scored and as selected from
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreRows:
+    """The score matrix of two encodings, by rows: ``self[a:b]`` is
+    ``queries[a:b] @ docs.T``. BLAS bits depend on the block shape, so
+    ``np.asarray`` stacks the ``BLOCK_ROWS``-row blocks that ``data``'s
+    selections read: a score has the same bits whichever way it is read."""
+
+    queries: np.ndarray
+    docs: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.queries), len(self.docs)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.queries[rows] @ self.docs.T
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:  # numpy casts to dtype
+        scores = np.empty(self.shape)
+        for start in range(0, len(scores), BLOCK_ROWS):
+            scores[start:start + BLOCK_ROWS] = self[start:start + BLOCK_ROWS]
+        return scores
+
+
 def make_scorer(params: EncoderParams):
-    """Similarity scorer over a query set and a corpus: the cosine of the
-    two encodings of their cached token tables (``tokens(hash_dim)``)."""
+    """Similarity scorer over a query set and a corpus: the ``ScoreRows``
+    of the two encodings of their cached token tables (``tokens(hash_dim)``)."""
     hash_dim = params.config.hash_dim
 
-    def scorer(queries, corpus) -> np.ndarray:
-        q = encode_tokens(params, queries.tokens(hash_dim)).vectors
-        d = encode_tokens(params, corpus.tokens(hash_dim)).vectors
-        return q @ d.T
+    def scorer(queries, corpus) -> ScoreRows:
+        return ScoreRows(encode_tokens(params, queries.tokens(hash_dim)).vectors,
+                         encode_tokens(params, corpus.tokens(hash_dim)).vectors)
     return scorer
 
 

@@ -9,7 +9,8 @@ sorts its sides once, and places its sorted positives among its sorted
 negatives once: for each positive, the negatives below it and the
 negatives not above it (two binary searches). U, strict AoC and the ROC
 curve all read that one placement pair, and the histogram the sort. All
-counts are integers below 2^53, so every statistic is exact.
+counts are integers below 2^53, so every statistic is exact. The ROC
+curve counts in place, beside one merged copy of the pool.
 
 Tie conventions: U and AUC give ties half weight, the standard
 Mann-Whitney treatment. ``strict_aoc`` counts only strict inversions
@@ -17,16 +18,17 @@ Mann-Whitney treatment. ``strict_aoc`` counts only strict inversions
 tie-free pools strict_aoc == 1 - auc exactly; with ties they differ by
 half the tie mass.
 
-``evaluate`` is the one evaluation bundle: it takes a precomputed
-n_queries x n_docs score matrix, runs the pooled AUC protocol and the
-depth-10 ranked lists over it, and returns the pool with auc, mrr10,
-ndcg10, precision10 and recall1. The four list metrics read one hit pass:
-per list, the ranks within its top 10 that hold a relevant id. Training,
-ablation, comparison and the CLI all evaluate through it, so each scores
-a query set only once. ``data`` owns every selection over the matrix
-and the mapping of a query's ids to its columns: ``top_k_scores`` picks
-the protocol's pool and ``top_k_columns`` the ranked lists. This module
-only counts.
+``evaluate`` is the one evaluation bundle: it takes one n_queries x
+n_docs score matrix (an array, or a ``ScoreRows`` it scores once), runs
+the pooled AUC protocol and the depth-10 ranked lists over it, and
+returns the pool with auc, mrr10, ndcg10, precision10 and recall1. The
+four list metrics read one hit pass: per list, the ranks within its top
+10 that hold a relevant id. Training, ablation, comparison and the CLI
+all evaluate through it, so each scores a query set only once. ``data``
+owns every selection over the matrix and the mapping of a query's ids to
+its columns: ``top_k_scores`` picks the protocol's pool and
+``top_k_columns`` the ranked lists, one block of rows at a time. This
+module only counts.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Corpus, QuerySet, Scorer, score_matrix, top_k_columns, top_k_scores
+from .encoder import ScoreRows
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -49,18 +52,23 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 class ScorePool:
     """Pooled positive and negative scores. A side may be empty; the rank
     statistics require both. The pool keeps a read-only copy of each side,
-    and computes its sort (``sorted_sides``) and its placements
-    (``placements``) once, on first use; both are read-only too."""
+    or the side itself if it is a read-only 1-D float64 array that owns its
+    memory, as the protocol's are. It computes its sort (``sorted_sides``)
+    and its placements (``placements``) once, on first use; both are
+    read-only too."""
 
     positives: np.ndarray
     negatives: np.ndarray
 
     def __post_init__(self):
         for side in ("positives", "negatives"):
-            values = np.array(getattr(self, side), dtype=np.float64).ravel()
+            values = getattr(self, side)
+            if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+                    and values.ndim == 1 and values.base is None and not values.flags.writeable):
+                values = _read_only(np.array(np.ravel(values), dtype=np.float64))
             if len(values) and not np.isfinite(values).all():
                 raise ValueError(f"{side[:-1]} scores must be finite")
-            object.__setattr__(self, side, _read_only(values))
+            object.__setattr__(self, side, values)
 
     @property
     def n_pos(self) -> int:
@@ -122,20 +130,25 @@ def roc_curve(pool: ScorePool) -> ROCCurve:
     advance both rates jointly, producing a diagonal segment, so the
     trapezoidal area equals ``auc`` including its half-weight ties. One
     merge of the sorted sides gives every point (Fawcett 2006, Alg. 1): the
-    integer counts below the start of each tie group of the merged scores."""
+    integer counts below the start of each tie group, counted in place."""
     pos, neg = pool.sorted_sides
     n_pos, n_neg = pool.n_pos, pool.n_neg
-    at = pool.placements[0] + np.arange(n_pos)  # the positives' places in the merge
-    is_pos = np.zeros(n_pos + n_neg, dtype=bool)
-    is_pos[at] = True
-    merged = np.empty(n_pos + n_neg)
-    merged[at], merged[~is_pos] = pos, neg
-    starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))[::-1]
-    pos_below = np.concatenate(([0], np.cumsum(is_pos)))[starts]
-    # (0, 0), then the rates of scores >= each threshold
+    below = pool.placements[0]
+    merged = np.insert(neg, below, pos)  # each positive before the negatives it ties
+    starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))  # tie groups
+    del merged
+    # positive i (merge place below[i] + i) is below starts[after[i]:]
+    after = np.searchsorted(starts, below + np.arange(n_pos), side="right")
+    pos_below = np.bincount(after, minlength=len(starts) + 1)[:-1]
+    np.cumsum(pos_below, out=pos_below)
+    # (0, 0), then the rates of scores >= each threshold, descending
     points = np.zeros((len(starts) + 1, 2))
-    points[1:, 0] = (n_neg - (starts - pos_below)) / n_neg
-    points[1:, 1] = (n_pos - pos_below) / n_pos
+    fpr, tpr = points[:0:-1].T
+    np.subtract(starts, pos_below, out=starts)  # the negatives below
+    np.subtract(n_neg, starts, out=starts)
+    np.divide(starts, n_neg, out=fpr)
+    np.subtract(n_pos, pos_below, out=pos_below)
+    np.divide(pos_below, n_pos, out=tpr)
     return ROCCurve(points=points)
 
 
@@ -161,7 +174,7 @@ def pooled_auc_protocol(
     positives = [corpus.columns(q.positive_ids) for q in queries]
     if full := [q.id for q, cols in zip(queries, positives) if len(cols) >= scores.shape[1]]:
         raise ValueError(f"query {full[0]!r}: corpus has no non-positive documents")
-    pool = ScorePool(*top_k_scores(scores, top_k, positives))
+    pool = ScorePool(*map(_read_only, top_k_scores(scores, top_k, positives)))
     return pool, auc(pool)
 
 
@@ -218,17 +231,16 @@ def ranked_lists(
 
 
 def evaluate(
-    scores: np.ndarray, queries: QuerySet, corpus: Corpus, top_k: int = 500
+    scores: np.ndarray | ScoreRows, queries: QuerySet, corpus: Corpus, top_k: int = 500
 ) -> tuple[ScorePool, dict]:
-    """The evaluation bundle over one precomputed n_queries x n_docs score
-    matrix: the pooled AUC protocol's pool, plus a dict of ``auc``,
-    ``mrr10``, ``ndcg10``, ``precision10`` and ``recall1`` (the last four
-    from the depth-10 ranked lists)."""
-    def fixed(_queries: QuerySet, _corpus: Corpus) -> np.ndarray:
-        return scores
-
-    pool, auc_value = pooled_auc_protocol(queries, corpus, fixed, top_k=top_k)
-    lists = ranked_lists(queries, corpus, fixed, depth=10)
+    """The evaluation bundle over one n_queries x n_docs score matrix: the
+    pooled AUC protocol's pool, plus a dict of ``auc``, ``mrr10``,
+    ``ndcg10``, ``precision10`` and ``recall1`` (the last four from the
+    depth-10 ranked lists). Both selections read one array, so a
+    ``ScoreRows`` is scored once."""
+    scores = np.asarray(scores, dtype=np.float64)
+    pool, auc_value = pooled_auc_protocol(queries, corpus, lambda *_: scores, top_k=top_k)
+    lists = ranked_lists(queries, corpus, lambda *_: scores, depth=10)
     # nDCG's gains are binary, and its ideal DCG places every relevant
     # document first; every query has a relevant document
     discounts = 1.0 / np.log2(np.arange(2, 12))

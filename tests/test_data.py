@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 import mwlab
 from mwlab import cli, data
 from mwlab.data import (
-    _BLOCK_ROWS,
     Corpus,
     Document,
     Query,
@@ -35,7 +35,7 @@ from mwlab.data import (
     write_csv,
     write_json,
 )
-from mwlab.encoder import EncoderConfig, init_params, make_scorer, prepare_tokens
+from mwlab.encoder import BLOCK_ROWS, EncoderConfig, ScoreRows, init_params, make_scorer, prepare_tokens
 from mwlab.metrics import pooled_auc_protocol, ranked_lists
 from mwlab.prng import Xoshiro256StarStar, derive_seed
 from mwlab.synthetic import SyntheticSpec, make_benchmark
@@ -555,6 +555,79 @@ class TestScoreMatrix:
             score_matrix(queries, small_corpus, lambda qs, c: np.zeros((1, 3)))
 
 
+@pytest.fixture(scope="module")
+def planted_150():
+    return make_benchmark(SyntheticSpec(n_queries=129, n_docs=150, seed=4))
+
+
+def traced_peak(call) -> tuple[object, int]:
+    """``call()``'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockScoring:
+    # an encoder's scores are its ScoreRows' block products, whether a
+    # selection reads the blocks as it walks or the materialised matrix
+    @pytest.mark.parametrize("proj_dim", [2, 16, 32])
+    @pytest.mark.parametrize("n_queries", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                           2 * BLOCK_ROWS + 1])
+    def test_selections_read_the_materialised_matrix_bit_for_bit(self, planted_150, n_queries,
+                                                                  proj_dim):
+        corpus, all_queries = planted_150
+        queries = QuerySet(list(all_queries)[:n_queries])
+        scorer = make_scorer(init_params(EncoderConfig(hash_dim=512, embed_dim=8,
+                                                       proj_dim=proj_dim, seed=2)))
+        rows = scorer(queries, corpus)
+        matrix = np.asarray(rows)
+        blocks = [rows[s:s + BLOCK_ROWS] for s in range(0, n_queries, BLOCK_ROWS)]
+        assert isinstance(rows, ScoreRows) and matrix.tobytes() == np.vstack(blocks).tobytes()
+
+        def fixed(_queries, _corpus):
+            return matrix
+
+        for mined, want in zip(mine_hard_negatives(queries, corpus, scorer, k=20),
+                               mine_hard_negatives(queries, corpus, fixed, k=20)):
+            assert mined.hard_negative_ids == want.hard_negative_ids
+        (pool, value), (want_pool, want_value) = (
+            pooled_auc_protocol(queries, corpus, s, top_k=30) for s in (scorer, fixed))
+        assert pool.positives.tobytes() == want_pool.positives.tobytes()
+        assert pool.negatives.tobytes() == want_pool.negatives.tobytes()
+        assert value == want_value
+        assert ([rl.ranked_ids for rl in ranked_lists(queries, corpus, scorer)]
+                == [rl.ranked_ids for rl in ranked_lists(queries, corpus, fixed)])
+
+    @pytest.fixture(scope="class")
+    def planted_2000(self):
+        corpus, queries = make_benchmark(SyntheticSpec(n_queries=400, n_docs=2000, seed=3))
+        scorer = make_scorer(init_params(EncoderConfig(hash_dim=256, embed_dim=8, proj_dim=4,
+                                                       seed=1)))
+        queries.tokens(256), corpus.tokens(256)  # hashed before tracing
+        return corpus, queries, scorer
+
+    def test_mining_holds_two_blocks_not_the_matrix(self, planted_2000):
+        # the 400 x 2000 matrix is 6.4 MB; the bound is two blocks in
+        # flight plus a block's worth of selection temporaries
+        corpus, queries, scorer = planted_2000
+        bound = 3 * BLOCK_ROWS * len(corpus) * 8
+        assert bound < len(queries) * len(corpus) * 8
+        mined, peak = traced_peak(lambda: mine_hard_negatives(queries, corpus, scorer, k=10))
+        assert all(len(q.hard_negative_ids) == 10 for q in mined)
+        assert peak < bound
+
+    def test_top_k_columns_scores_each_block_as_it_reaches_it(self, planted_2000):
+        # scoring every block before the walk would hold the whole matrix
+        corpus, queries, scorer = planted_2000
+        rows = scorer(queries, corpus)
+        tops, peak = traced_peak(lambda: top_k_columns(rows, corpus.ids, 10))
+        assert [t.tolist() for t in tops] == [
+            t.tolist() for t in top_k_columns(np.asarray(rows), corpus.ids, 10)]
+        assert peak < 3 * BLOCK_ROWS * len(corpus) * 8
+
+
 class TestTopKColumns:
     @pytest.mark.parametrize("k", [1, 4, 17, 30])  # 30 > 20 columns
     def test_matches_full_sort_oracle(self, k):
@@ -635,7 +708,7 @@ class TestTopKColumns:
         # four drawn rows repeat, in turn, over as many rows as three blocks
         n = draw.draw(st.integers(1, 30), label="n")
         n_drawn = draw.draw(st.integers(1, 4), label="drawn rows")
-        n_rows = draw.draw(st.one_of(st.integers(1, 4), st.integers(1, 3 * _BLOCK_ROWS)), label="rows")
+        n_rows = draw.draw(st.one_of(st.integers(1, 4), st.integers(1, 3 * BLOCK_ROWS)), label="rows")
         k = draw.draw(st.integers(0, n + 5), label="k")
         ids = [f"d{i:02d}" for i in draw.draw(st.permutations(range(n)), label="ids")]
         scores = np.array(draw.draw(st.lists(
@@ -659,7 +732,7 @@ class TestTopKScores:
         # rows exclude 0 to n distinct columns, so some keep fewer than k
         # columns and some none; k = 0 keeps nothing; rows reach three blocks
         n = draw.draw(st.integers(1, 12), label="n")
-        n_rows = draw.draw(st.one_of(st.integers(0, 4), st.integers(1, 3 * _BLOCK_ROWS)),
+        n_rows = draw.draw(st.one_of(st.integers(0, 4), st.integers(1, 3 * BLOCK_ROWS)),
                            label="rows")
         k = draw.draw(st.integers(0, n + 2), label="k")
         rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1), label="seed"))

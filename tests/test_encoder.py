@@ -335,6 +335,6 @@ class TestCheckpoint:
         scorer = make_scorer(params)
         queries = QuerySet([Query("q", "hello world", ["a"])])
         corpus = Corpus([Document("a", "hello world"), Document("b", "other text")])
-        scores = scorer(queries, corpus)
+        scores = np.asarray(scorer(queries, corpus))
         assert scores.shape == (1, 2)
         assert scores[0, 0] == pytest.approx(1.0, abs=1e-9)

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwlab import metrics
-from mwlab.data import _BLOCK_ROWS, Corpus, Document, Query, QuerySet
+from mwlab.data import Corpus, Document, Query, QuerySet
+from mwlab.encoder import BLOCK_ROWS, EncoderConfig, ScoreRows, init_params, make_scorer
 from mwlab.metrics import (
     RankedList,
     ScorePool,
@@ -30,12 +31,14 @@ from mwlab.metrics import (
     roc_curve,
     strict_aoc,
 )
+from mwlab.synthetic import SyntheticSpec, make_benchmark
 from util import (
     brute_force_strict_aoc,
     brute_force_u,
     naive_histogram_counts,
     naive_list_metrics,
     naive_mann_whitney_u,
+    naive_merge_roc,
     naive_pool,
     naive_roc_curve,
 )
@@ -111,6 +114,38 @@ class TestCachedSort:
     def test_non_finite_scores_rejected(self, positives, negatives, side):
         with pytest.raises(ValueError, match=f"{side} scores must be finite"):
             ScorePool(positives, negatives)
+
+
+    def test_pool_copies_a_callers_array_and_leaves_it_writeable(self):
+        negatives = np.array([0.2, 0.0, 0.4])
+        pool = ScorePool([0.3], negatives)
+        assert not np.shares_memory(pool.negatives, negatives)
+        assert negatives.flags.writeable
+
+    def test_pool_copies_a_read_only_view_of_a_writeable_array(self):
+        base = np.array([0.2, 0.0, 0.4])
+        view = base[:]
+        view.flags.writeable = False
+        pool = ScorePool([0.3], view)
+        assert not np.shares_memory(pool.negatives, base)
+        base[0] = 9.0
+        np.testing.assert_array_equal(pool.negatives, [0.2, 0.0, 0.4])
+
+    def test_protocol_hands_its_own_arrays_over(self, monkeypatch):
+        selected, select = [], metrics.top_k_scores
+
+        def recorded(*args):
+            selected.extend(select(*args))
+            return selected
+
+        monkeypatch.setattr(metrics, "top_k_scores", recorded)
+        corpus = Corpus([Document(f"d{j}", "t") for j in range(6)])
+        queries = QuerySet([Query(f"q{i}", "q", [f"d{i}"]) for i in range(3)])
+        scores = np.random.default_rng(0).normal(size=(3, 6))
+        pool, _ = pooled_auc_protocol(queries, corpus, lambda qs, c: scores, top_k=2)
+        assert np.shares_memory(pool.positives, selected[0])
+        assert np.shares_memory(pool.negatives, selected[1])
+        assert not (pool.positives.flags.writeable or pool.negatives.flags.writeable)
 
 
 class TestMannWhitneyU:
@@ -244,6 +279,37 @@ class TestRocCurve:
         assert roc_curve(pool).area() == pytest.approx(u_based, abs=1e-12)
 
 
+    @PROPERTY
+    @given(st.data())
+    def test_property_matches_the_merge_oracle(self, draw):
+        # tie-heavy sides over levels that hold both zeros, one positive
+        # alone, and pools whose every score is equal
+        levels = draw.draw(st.lists(st.sampled_from([-0.0, 0.0, -1.0, 0.5, 2.0]) | st.floats(-2, 2),
+                                    min_size=1, max_size=4), label="levels")
+        side = st.lists(st.sampled_from(levels), min_size=1, max_size=40)
+        positives = draw.draw(st.one_of(side, st.lists(st.sampled_from(levels), min_size=1,
+                                                       max_size=1)), label="positives")
+        negatives = draw.draw(side, label="negatives")
+        points = roc_curve(ScorePool(positives, negatives)).points
+        assert points.tolist() == [list(p) for p in naive_merge_roc(positives, negatives)]
+
+    def test_memory_holds_the_points_and_three_counts(self):
+        # beside the 16-byte points, the counts hold at most three int64
+        # arrays of the pool's size
+        rng = np.random.default_rng(0)
+        pool = ScorePool(rng.normal(size=200), rng.normal(size=100_000))
+        pool.placements  # the pool's own sort and placements, cached before tracing
+        n = pool.n_pos + pool.n_neg
+        tracemalloc.start()
+        try:
+            curve = roc_curve(pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(curve.points) == n + 1
+        assert peak < 16 * n + 3 * 8 * n  # the points, and three int64 arrays of the pool's size
+
+
 class TestPooledProtocol:
     def scorer_from_table(self, table, corpus):
         def scorer(queries, corpus):
@@ -295,7 +361,7 @@ class TestPooledProtocol:
         # one block
         n_docs = draw.draw(st.integers(4, 9), label="docs")
         n_queries = draw.draw(st.one_of(st.integers(1, 5),
-                                        st.integers(_BLOCK_ROWS - 1, _BLOCK_ROWS + 6)), label="queries")
+                                        st.integers(BLOCK_ROWS - 1, BLOCK_ROWS + 6)), label="queries")
         top_k = draw.draw(st.integers(1, n_docs), label="top_k")
         levels = np.array(draw.draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
                                     label="levels"))
@@ -321,7 +387,7 @@ class TestPooledProtocol:
         # bound is two blocks in flight (cells and mask) plus four copies of
         # the 400 x 50 pooled negatives
         n_queries, n_docs, top_k = 400, 2000, 50
-        bound = 2 * _BLOCK_ROWS * n_docs * 9 + 4 * n_queries * top_k * 8
+        bound = 2 * BLOCK_ROWS * n_docs * 9 + 4 * n_queries * top_k * 8
         assert bound < n_queries * (n_docs - 1) * 8
         scores = np.random.default_rng(0).normal(size=(n_queries, n_docs))
         corpus = Corpus([Document(f"d{j}", "t") for j in range(n_docs)])
@@ -361,6 +427,25 @@ def test_evaluate_calls_the_protocol_and_the_lists_through_the_module_globals(mo
     queries = QuerySet([Query(f"q{i}", "q", [f"d{i}"]) for i in range(3)])
     evaluate(np.random.default_rng(0).normal(size=(3, 5)), queries, corpus, top_k=2)
     assert calls == [("pooled_auc_protocol", 3), ("ranked_lists", 3)]
+
+
+def test_evaluate_scores_each_row_once(monkeypatch):
+    # two selections read the matrix; a ScoreRows passed through as it is
+    # would score every block once per selection
+    corpus, queries = make_benchmark(SyntheticSpec(n_queries=150, n_docs=200, seed=5))
+    rows = make_scorer(init_params(EncoderConfig(hash_dim=256, embed_dim=8, proj_dim=4)))(
+        queries, corpus)
+    scored, product = [], ScoreRows.__getitem__
+
+    def counted(self, block):
+        scored.extend(range(len(self.queries))[block])
+        return product(self, block)
+
+    monkeypatch.setattr(ScoreRows, "__getitem__", counted)
+    pool, got = evaluate(rows, queries, corpus, top_k=20)
+    assert sorted(scored) == list(range(len(queries)))
+    want_pool, want = evaluate(np.asarray(rows), queries, corpus, top_k=20)
+    assert got == want and pool.negatives.tobytes() == want_pool.negatives.tobytes()
 
 
 def list_metrics(*rankings) -> dict:

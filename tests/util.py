@@ -154,6 +154,20 @@ def naive_roc_curve(pool) -> np.ndarray:
     return points
 
 
+def naive_merge_roc(positives, negatives) -> list[tuple[float, float]]:
+    """ROC points by Fawcett's Algorithm 1: walk the pooled scores in
+    descending order one at a time and, before each new score (``!=``, so
+    -0.0 and 0.0 tie) and at the end, emit the rates counted so far."""
+    walk = sorted([(v, 1) for v in positives] + [(v, 0) for v in negatives],
+                  key=lambda item: -item[0])
+    points, tp, fp, previous = [(0.0, 0.0)], 0, 0, None
+    for value, is_positive in walk:
+        if previous is not None and value != previous:
+            points.append((fp / len(negatives), tp / len(positives)))
+        tp, fp, previous = tp + is_positive, fp + 1 - is_positive, value
+    return points + [(fp / len(negatives), tp / len(positives))]
+
+
 def naive_histogram_counts(values, lo, hi, bins) -> list[int]:
     """Per-bin counts of equal-width bins over [lo, hi], one value at a
     time; the last bin is closed, and a zero width uses the first bin."""
