@@ -257,6 +257,19 @@ def _add_split_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eval-fraction", type=float, default=EVAL_FRACTION, dest="eval_fraction")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that is a float in any spelling (-1e-3, -inf) as
+    a value: argparse alone takes only -1 and -1.5 for negative numbers,
+    and -1e-3 for an unknown option."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mwlab",
@@ -266,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # no flag prefixes: `--seed 3` must not silently mean `--seeds 3`
     sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
+                                parser_class=partial(_Parser, allow_abbrev=False))
 
     p = sub.add_parser("mine", help="attach brute-force hard negatives to queries")
     p.add_argument("--corpus", required=True)

@@ -21,8 +21,12 @@ Mined and split query sets inherit their parent's rows of those tables.
 This module owns the columns of a score matrix and every selection over
 it: ``Corpus.columns`` is the one map from document ids to columns, and
 ``top_k_columns`` (mining, ranked lists) and ``top_k_scores`` (the
-pooled AUC protocol) walk the rows in blocks (``_row_blocks``), scoring
-an encoder's ``ScoreRows`` one block at a time. A training batch is its
+pooled AUC protocol) walk the rows in blocks of ``BLOCK_ROWS`` (``_walk``),
+scoring an encoder's ``ScoreRows`` one block at a time into a buffer the
+calling thread allocated. A walk of at least ``SPLIT_CELLS`` cells and
+two blocks walks its second half of the blocks on a worker thread of its
+own when the process may use two CPUs; each block is the same code on the
+same cells, so no output bit depends on the split. A training batch is its
 rows: ``batch_rows`` checks a split against (B, H) and maps its eligible
 queries, those with at least H hard negatives, to corpus positions once,
 and ``sample_batch`` draws positions in the query set and the corpus
@@ -34,6 +38,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from itertools import accumulate
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -46,6 +53,15 @@ from .encoder import BLOCK_ROWS, ScoreRows, prepare_tokens
 from .prng import Xoshiro256StarStar
 
 logger = logging.getLogger(__name__)
+
+# the CPUs this process may run on, read once: a selection's walk and
+# objectives' MW kernel use a second core only when there are two
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+# fewest cells (rows x columns) for which one walk of top_k_scores or
+# top_k_columns uses a second core. Measured on 2 cores over 5000 columns:
+# the split saves 20-40% from 5M cells (1000 rows) on, swings from -25% to
+# +40% run to run at 3M (600 rows) and costs up to 40% at 0.4M (400 x 1000)
+SPLIT_CELLS = 1 << 22
 
 # A scorer maps (query set, corpus) to an n_queries x n_docs score matrix,
 # an array or a ``ScoreRows``, that gives every pair a finite score. An
@@ -315,22 +331,60 @@ def score_matrix(queries: QuerySet, corpus: Corpus, scorer: Scorer) -> np.ndarra
     return scores
 
 
-def _row_blocks(scores: np.ndarray | ScoreRows, exclude: Sequence[Sequence[int]] | None):
-    """Per block of ``BLOCK_ROWS`` rows, ``(start, block, rows, cols)``: its
-    first row, its scores, and the block row and column of each excluded
+def _row_blocks(shape: tuple[int, int], exclude: Sequence[Sequence[int]] | None) -> list:
+    """Per block of ``BLOCK_ROWS`` rows, ``(start, stop, rows, cols)``: its
+    rows [start, stop), and the block row and column of each excluded
     cell, in ``exclude`` order. ``exclude[i]`` lists row i's columns, ints
-    in [0, n) (else ValueError), or None none; checked and flattened at
-    the call. A block is scored (or sliced) when the walk reaches it."""
-    n_rows, n = scores.shape
+    in [0, n) (else ValueError), or None none."""
+    n_rows, n = shape
     counts = [0] * n_rows if exclude is None else [len(s) for s in exclude]
     flat = [] if exclude is None else [j for s in exclude for j in s]
     if bad := [j for j in flat if not 0 <= j < n or j % 1]:
         raise ValueError(f"exclude holds {bad[0]!r}, not a column index in [0, {n})")
     first = [0, *accumulate(counts)]  # row i's cells are [first[i], first[i + 1])
     rows, cols = np.repeat(np.arange(n_rows), counts), np.array(flat, dtype=np.intp)
-    return ((s, scores[s:s + BLOCK_ROWS], rows[lo:hi] - s, cols[lo:hi])
-            for s in range(0, n_rows, BLOCK_ROWS)
-            for lo, hi in [(first[s], first[min(s + BLOCK_ROWS, n_rows)])])
+    return [(s, e, rows[first[s]:first[e]] - s, cols[first[s]:first[e]])
+            for s in range(0, n_rows, BLOCK_ROWS) for e in [min(s + BLOCK_ROWS, n_rows)]]
+
+
+def _walk(scores: np.ndarray | ScoreRows, blocks: list, select: Callable,
+          scratch: Callable = lambda rows: ()) -> list:
+    """``select(start, block, rows, cols, *buffers)`` for each of
+    ``_row_blocks``' blocks, in block order, where ``buffers`` are the
+    walker's ``scratch(rows)`` for blocks of up to that many rows. An
+    array's block is a view; a ``ScoreRows`` block is scored into the
+    walker's block buffer when the walk reaches it.
+
+    A walk of ``SPLIT_CELLS`` or more cells and two or more blocks, when
+    the process may use two CPUs, runs its second half of the blocks on a
+    one-thread executor of its own while the calling thread walks the
+    first half, as ``objectives``' MW kernel splits its pairs. The calling
+    thread allocates both walkers' buffers, since a thread's malloc arena
+    keeps what it freed, and waits for the worker before it returns or
+    raises. Each block is the same code on the same cells, so no bit
+    depends on the split."""
+    n_rows, n = scores.shape
+    split = len(blocks) >= 2 and n_rows * n >= SPLIT_CELLS and CPUS >= 2
+    half = (len(blocks) + 1) // 2
+    b = min(BLOCK_ROWS, n_rows)
+    walkers = [(np.empty((b, n) if isinstance(scores, ScoreRows) else 0), scratch(b))
+               for _ in range(1 + split)]
+
+    def walk(part: list, buffer: np.ndarray, buffers: tuple) -> list:
+        return [select(start, scores.product(slice(start, stop), out=buffer[:stop - start])
+                       if isinstance(scores, ScoreRows) else scores[start:stop],
+                       rows, cols, *buffers)
+                for start, stop, rows, cols in part]
+
+    if not split:
+        return walk(blocks, *walkers[0])
+    # leaving the block waits for the worker, which writes into the
+    # caller's outputs, also when the first half raises
+    with ThreadPoolExecutor(1) as pool:
+        # in the caller's context, so its numpy error state holds there too
+        second = pool.submit(copy_context().run, walk, blocks[half:], *walkers[1])
+        first = walk(blocks[:half], *walkers[0])
+    return first + second.result()
 
 
 def top_k_columns(
@@ -358,33 +412,45 @@ def top_k_columns(
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     n_rows, n = scores.shape
-    blocks = _row_blocks(scores, exclude)
+    blocks = _row_blocks(scores.shape, exclude)
     if k == 0 or n == 0:
         return [np.empty(0, dtype=np.intp) for _ in range(n_rows)]
     # rank of each column when ids are sorted ascending: the tie key
     id_rank = np.argsort(np.argsort(np.array(doc_ids), kind="stable"), kind="stable")
-    out = []
-    for _, block, skip_rows, skip_cols in blocks:
+    # g groups of w columns, j mod g, over the first w * g columns: g >= m
+    # for every m <= n, and wider groups make the maxima cheaper but the
+    # bound looser
+    w = max(1, math.isqrt(n // (k + max(map(len, exclude or [[]])))))
+    g = n // w
+
+    top = np.empty((n_rows, min(k, n)), dtype=np.intp)  # row i's first kept[i] columns
+    kept = np.empty(n_rows, dtype=np.intp)
+
+    def select(start, block, skip_rows, skip_cols, group_max, cand) -> None:
         b = len(block)
         m_block = k + np.bincount(skip_rows, minlength=b)
-        # g groups of w columns, j mod g, over the first w * g columns:
-        # g >= m for every m <= n, and wider groups make the maxima cheaper
-        # but the bound looser
-        w = max(1, math.isqrt(n // int(m_block.max())))
-        g = n // w
-        group_max = block[:, :w * g].reshape(b, w, g).max(axis=1)
+        group_max = block[:, :w * g].reshape(b, w, g).max(axis=1, out=group_max[:b])
         at = g - np.minimum(m_block, g)  # m > g only when w = 1 and m > n: every column
-        group_max.partition(np.unique(at), axis=1)
-        cand = block >= group_max[np.arange(b), at][:, None]
+        # a set: np.unique of even a few ints allocates about 0.5 MB
+        group_max.partition(sorted(set(at.tolist())), axis=1)
+        cand = np.greater_equal(block, group_max[np.arange(b), at][:, None], out=cand[:b])
         cand[skip_rows, skip_cols] = False
-        flat = np.flatnonzero(cand)
-        rows, cols = np.divmod(flat, n)
+        rows, cols = np.divmod(np.flatnonzero(cand), n)
         # np.unique counts -0.0 and +0.0 as one value, as the order does
         _, rank = np.unique(-block[rows, cols], return_inverse=True)
-        cols = cols[np.argsort((rows * len(flat) + rank) * n + id_rank[cols])]
-        ends = np.cumsum(np.bincount(rows, minlength=b)).tolist()
-        out += [cols[s:min(e, s + k)] for s, e in zip([0] + ends, ends)]
-    return out
+        cols = cols[np.argsort((rows * len(cols) + rank) * n + id_rank[cols])]
+        counts = np.bincount(rows, minlength=b)
+        kept[start:start + b] = np.minimum(counts, k)
+        if len(cols):  # row i's sorted candidates start at firsts[i]; keep kept[i]
+            firsts = np.cumsum(counts) - counts
+            at = np.minimum(firsts[:, None] + np.arange(top.shape[1]), len(cols) - 1)
+            top[start:start + b] = cols[at]
+
+    def scratch(rows: int) -> tuple[np.ndarray, np.ndarray]:
+        return np.empty((rows, g)), np.empty((rows, n), dtype=bool)
+
+    _walk(scores, blocks, select, scratch)
+    return [row[:m] for row, m in zip(top, kept.tolist())]
 
 
 def top_k_scores(
@@ -393,31 +459,48 @@ def top_k_scores(
     """``(excluded, top)``: the scores of the cells in ``exclude`` (see
     ``_row_blocks``; distinct per row) in order, and row by row the k
     highest of each row's other scores, all when fewer are left; k < 0
-    raises ValueError. A block's rows that exclude as many columns go
-    through one mask to one ``partition(axis=1)``, which runs the same
-    select as a partition of each row's other cells alone: the order does
-    not depend on the block size, and no row copy outlives its block."""
+    raises ValueError. The block's rows that exclude as many columns go to
+    one ``partition(axis=1)`` over their other cells, in column order:
+    the same select as a partition of each row's other cells alone, so the
+    order does not depend on the block size. A ``ScoreRows`` block, the
+    walker's own buffer, has each row shifted left over its excluded cells
+    in place; an array's block, the caller's, is gathered through a mask."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     n_rows, n = scores.shape
-    excluded, kept = [], np.empty(n_rows, dtype=np.intp)
+    blocks = _row_blocks(scores.shape, exclude)
+    kept = np.empty(n_rows, dtype=np.intp)
     flat = np.empty(n_rows * min(k, n))
     top = flat.reshape(n_rows, min(k, n))  # row i's first kept[i] cells
-    for start, block, rows, cols in _row_blocks(scores, exclude):
-        excluded.append(block[rows, cols])
+    shift = isinstance(scores, ScoreRows)
+
+    def select(start, block, rows, cols) -> np.ndarray:
+        excluded = block[rows, cols]
         counts = np.bincount(rows, minlength=len(block))
         kept[start:start + len(block)] = np.minimum(k, n - counts)
-        for c in np.unique(counts).tolist():
+        cells = sorted(zip(rows.tolist(), cols.tolist())) + [(-1, n)] if shift else []
+        gone = 0  # cells already shifted out of this row
+        for (i, j), (after_i, after_j) in zip(cells, cells[1:]):
+            end = after_j if after_i == i else n
+            block[i, j - gone:end - gone - 1] = block[i, j + 1:end]
+            gone = gone + 1 if after_i == i else 0
+        for c in sorted(set(counts.tolist())):
             if not (m := min(k, n - c)):
                 continue
             same = counts == c
-            is_other = np.zeros(block.shape, dtype=bool)
-            is_other[same] = True
-            is_other[rows, cols] = False
-            other = block[is_other].reshape(-1, n - c)
+            if shift:
+                other = block[:, :n - c] if same.all() else block[same, :n - c]
+            else:
+                is_other = np.zeros(block.shape, dtype=bool)
+                is_other[same] = True
+                is_other[rows, cols] = False
+                other = block[is_other].reshape(-1, n - c)
             if m < n - c:
                 other.partition(n - c - m, axis=1)
             top[start:start + len(block)][same, :m] = other[:, n - c - m:]
+        return excluded
+
+    excluded = _walk(scores, blocks, select)
     if (kept < top.shape[1]).any():
         flat = top[np.arange(top.shape[1]) < kept[:, None]]
     return np.concatenate([np.empty(0), *excluded]), flat
@@ -430,21 +513,23 @@ def mine_hard_negatives(
 
     Ties are broken by ascending document id so the result is identical
     across platforms. Queries with fewer than k available negatives get
-    all of them and a logged warning. The input QuerySet is not modified.
+    all of them, and the call logs one warning that counts them and names
+    the first. The input QuerySet is not modified.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     scores = score_matrix(queries, corpus, scorer)
     doc_ids = corpus.ids
     positives = [corpus.columns(q.positive_ids) for q in queries]
-    mined = []
+    mined, short = [], []
     for q, chosen in zip(queries, top_k_columns(scores, doc_ids, k, exclude=positives)):
         if len(chosen) < k:
-            logger.warning(
-                "query %r: only %d negatives available (requested %d)",
-                q.id, len(chosen), k,
-            )
+            short.append((q.id, len(chosen)))
         mined.append(replace(q, hard_negative_ids=[doc_ids[j] for j in chosen.tolist()]))
+    if short:
+        logger.warning("%d of %d queries have fewer than the %d negatives requested; "
+                       "the first, %r, has only %d negatives available",
+                       len(short), len(queries), k, *short[0])
     result = QuerySet(mined)
     result._tokens.update(queries._tokens)  # the same texts in the same order
     return result

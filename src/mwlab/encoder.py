@@ -239,7 +239,11 @@ class ScoreRows:
         return len(self.queries), len(self.docs)
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        return self.queries[rows] @ self.docs.T
+        return self.product(rows)
+
+    def product(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """``self[rows]``, written into ``out`` when given: the same bits."""
+        return np.matmul(self.queries[rows], self.docs.T, out=out)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:  # numpy casts to dtype
         scores = np.empty(self.shape)

@@ -10,7 +10,8 @@ negatives once: for each positive, the negatives below it and the
 negatives not above it (two binary searches). U, strict AoC and the ROC
 curve all read that one placement pair, and the histogram the sort. All
 counts are integers below 2^53, so every statistic is exact. The ROC
-curve counts in place, beside one merged copy of the pool.
+curve writes its counts into its points in place, and the histogram
+counts each sorted side from one guess per bin edge.
 
 Tie conventions: U and AUC give ties half weight, the standard
 Mann-Whitney treatment. ``strict_aoc`` counts only strict inversions
@@ -33,6 +34,7 @@ module only counts.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -128,27 +130,36 @@ class ROCCurve:
 def roc_curve(pool: ScorePool) -> ROCCurve:
     """Sweep thresholds over the distinct scores, descending. Tied scores
     advance both rates jointly, producing a diagonal segment, so the
-    trapezoidal area equals ``auc`` including its half-weight ties. One
-    merge of the sorted sides gives every point (Fawcett 2006, Alg. 1): the
-    integer counts below the start of each tie group, counted in place."""
+    trapezoidal area equals ``auc`` including its half-weight ties. The
+    sorted sides give every point (Fawcett 2006, Alg. 1): a tie group is a
+    run of equal negatives or a run of positives that ties no negative,
+    and its integer counts below are written into the points in place."""
     pos, neg = pool.sorted_sides
     n_pos, n_neg = pool.n_pos, pool.n_neg
-    below = pool.placements[0]
-    merged = np.insert(neg, below, pos)  # each positive before the negatives it ties
-    starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))  # tie groups
-    del merged
-    # positive i (merge place below[i] + i) is below starts[after[i]:]
-    after = np.searchsorted(starts, below + np.arange(n_pos), side="right")
-    pos_below = np.bincount(after, minlength=len(starts) + 1)[:-1]
-    np.cumsum(pos_below, out=pos_below)
+    below, not_above = pool.placements
+    starts = np.empty(n_neg, dtype=bool)
+    starts[0] = True
+    np.not_equal(neg[1:], neg[:-1], out=starts[1:])
+    neg_starts = np.flatnonzero(starts)  # the negatives below each run of negatives
+    del starts
+    # the first positive of each run of positives that ties no negative
+    own = np.flatnonzero((below == not_above) & np.concatenate(([True], pos[1:] != pos[:-1])))
+    # each positive's group: the groups of both kinds below it
+    group = np.searchsorted(neg_starts, below) + np.searchsorted(pos[own], pos)
+    groups = len(neg_starts) + len(own)
     # (0, 0), then the rates of scores >= each threshold, descending
-    points = np.zeros((len(starts) + 1, 2))
-    fpr, tpr = points[:0:-1].T
-    np.subtract(starts, pos_below, out=starts)  # the negatives below
-    np.subtract(n_neg, starts, out=starts)
-    np.divide(starts, n_neg, out=fpr)
-    np.subtract(n_pos, pos_below, out=pos_below)
-    np.divide(pos_below, n_pos, out=tpr)
+    points = np.zeros((groups + 1, 2))
+    fpr, tpr = points[:0:-1].T  # group j's rates
+    of_negatives = np.ones(groups, dtype=bool)
+    of_negatives[group[own]] = False
+    fpr[of_negatives] = neg_starts  # the negatives below each group
+    fpr[group[own]] = below[own]
+    np.subtract(n_neg, fpr, out=fpr)
+    np.divide(fpr, n_neg, out=fpr)
+    np.add.at(tpr, group[group + 1 < groups] + 1, 1.0)
+    np.cumsum(tpr, out=tpr)  # the positives below each group
+    np.subtract(n_pos, tpr, out=tpr)
+    np.divide(tpr, n_pos, out=tpr)
     return ROCCurve(points=points)
 
 
@@ -287,7 +298,12 @@ class Histogram:
 
 def histogram(pool: ScorePool, bins: int) -> Histogram:
     """Bin both sides over [min, max] of the union. A degenerate range
-    (all scores identical) puts everything in the first bin."""
+    (all scores identical) puts everything in the first bin.
+
+    A score's bin, min(floor((v - lo) / width), bins - 1), only grows with
+    v, so each bin of a sorted side is a run: each edge's ``searchsorted``
+    guess at where a run starts is checked by that formula at the guess and
+    just before it, and only a wrong guess is bisected."""
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     if pool.n_pos == 0 and pool.n_neg == 0:
@@ -297,12 +313,20 @@ def histogram(pool: ScorePool, bins: int) -> Histogram:
     edges = np.linspace(lo, hi, bins + 1)
     width = (hi - lo) / bins
 
-    def side_counts(values: np.ndarray) -> np.ndarray:
-        idx = np.floor((values - lo) / width) if width else np.zeros(len(values))
-        return np.bincount(np.clip(idx.astype(np.int64), 0, bins - 1), minlength=bins)
+    def bin_of(values):
+        return np.minimum(np.floor((values - lo) / width), bins - 1)
 
-    return Histogram(
-        edges=edges,
-        pos_counts=side_counts(pool.positives),
-        neg_counts=side_counts(pool.negatives),
-    )
+    def side_counts(values: np.ndarray) -> np.ndarray:
+        n = len(values)
+        if not (width and n):
+            return np.bincount(np.zeros(n, dtype=np.int64), minlength=bins)
+        later = np.arange(1, bins)  # starts[b - 1]: the first value in bin b or later
+        starts = np.searchsorted(values, edges[1:-1])
+        right = (((starts == n) | (bin_of(values[np.minimum(starts, n - 1)]) >= later))
+                 & ((starts == 0) | (bin_of(values[starts - 1]) < later)))
+        for b in later[~right].tolist():
+            starts[b - 1] = bisect_left(values, b, key=bin_of)
+        return np.diff(starts, prepend=0, append=n)
+
+    pos, neg = pool.sorted_sides
+    return Histogram(edges=edges, pos_counts=side_counts(pos), neg_counts=side_counts(neg))

@@ -29,19 +29,22 @@ bit-identical to the unfused formula, the value (the sum of the per-row
 softplus sums) matches it to rounding, and no bit depends on the tiling.
 
 A call of at least ``MW_SPLIT_PAIRS`` pairs whose row is wider than one
-tile runs on two cores when the process may use two: it starts a
-one-thread executor of its own, whose worker walks the root node's right
-subtree while the calling thread walks the left one, each with its own
-scratch buffers, and the two halves' row sums are added as any node's
-children's are. The call waits for its worker before it returns or
-raises, so no thread, lock or executor outlives it. numpy's ufuncs
-release the GIL, so the halves overlap. The split is at the root because
-that is one hand-off per call: every row sum is still the same node sums
-added in the same order, each column of the sigmoid sums is written by
-one thread in row order, and memory grows by one buffer set, not by a
-row-sum array per tile. Smaller calls stay on one thread, where the
-hand-off would cost more than it saves. So no bit depends on the core
-count either.
+tile runs on two cores when the process may use two (``data.CPUS``, the
+one reading of the usable CPU count). It splits as ``data``'s selections
+split their walks over score blocks, the lab's other two-core site: it
+starts a one-thread executor of its own, whose worker runs private code
+on its half in the caller's context while the calling thread runs the
+other half, each with scratch buffers the calling thread allocated. Here
+the worker walks the root node's right subtree, and the two halves' row
+sums are added as any node's children's are. The call waits for its
+worker before it returns or raises, so no thread, lock or executor
+outlives it. numpy's ufuncs release the GIL, so the halves overlap. The
+split is at the root because that is one hand-off per call: every row
+sum is still the same node sums added in the same order, each column of
+the sigmoid sums is written by one thread in row order, and memory grows
+by one buffer set, not by a row-sum array per tile. Smaller calls stay
+on one thread, where the hand-off would cost more than it saves. So no
+bit depends on the core count either.
 
 ``mw_value`` is ``mw_loss``'s value alone: the same softplus passes
 without the sigmoid ones and without the column sums.
@@ -49,7 +52,6 @@ without the sigmoid ones and without the column sums.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass
@@ -57,6 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import CPUS
 from .metrics import ScorePool, strict_aoc
 from .prng import Xoshiro256StarStar
 from .scoring import ScoreBatch
@@ -70,8 +73,6 @@ MW_TILE_COLS = 4096
 # 2 cores: the split costs 2% at 195,584 pairs (B=32, H=5) and saves 6% at
 # 261,120, 15-30% from 510,400 on and 24% at 16.8M (B=128, H=7)
 MW_SPLIT_PAIRS = 1 << 19
-
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 @dataclass
@@ -140,7 +141,7 @@ def _mw_pair_sums(
     size = min(len(pos) * width, max(MW_BLOCK_PAIRS, width))
     buffers = [np.empty(size) for _ in range(4)]
     sigmoid_cols = np.zeros(n) if sigmoid else None
-    if len(pos) * n >= MW_SPLIT_PAIRS and n > width and _CPUS >= 2:
+    if len(pos) * n >= MW_SPLIT_PAIRS and n > width and CPUS >= 2:
         mid = _tree_mid(0, n)
         # leaving the block waits for the worker, which writes into
         # sigmoid_cols, also when the left half raises

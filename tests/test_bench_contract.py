@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from util import force_split
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -113,7 +115,7 @@ def test_split_mw_kernel_keeps_the_trace(bench, tmp_path, monkeypatch):
     job = workloads.WORKLOADS["train-wide-mw"]
     # the toy batch (B=8, H=3) has rows of 248 negatives: tiles of 120 and 128
     monkeypatch.setattr(objectives, "MW_TILE_COLS", 128)
-    monkeypatch.setattr(objectives, "_CPUS", 2)
+    monkeypatch.setattr(objectives, "CPUS", 2)
     monkeypatch.setattr(objectives, "MW_SPLIT_PAIRS", 10**12)
     serial = trace_toy(instrument, job, tmp_path / "serial")[0].log
     monkeypatch.setattr(objectives, "MW_SPLIT_PAIRS", 0)
@@ -138,3 +140,21 @@ def test_split_mw_kernel_keeps_the_trace(bench, tmp_path, monkeypatch):
     counts = {name: calls for name, (calls, _, _) in split.self_times().items()}
     assert counts == {name: calls for name, (calls, _, _) in serial.self_times().items()}
     assert counts["objectives.mw_loss"] > 0 and counts["objectives.mw_value"] > 0
+
+
+def test_split_walks_keep_the_trace(bench, tmp_path, monkeypatch):
+    # the selections' worker, like the MW kernel's, runs private code and
+    # block products only: a split job traces as the serial one does
+    instrument, workloads = bench
+    job = workloads.WORKLOADS["eval-large"]
+    force_split(monkeypatch, on=False)
+    serial = trace_toy(instrument, job, tmp_path / "serial")[0].log
+    # the toy's 80 queries are two blocks: mining, the protocol and the
+    # lists each split once
+    started = force_split(monkeypatch, on=True)
+    split = trace_toy(instrument, job, tmp_path / "split")[0].log
+    assert len(started) >= 3
+    assert split.names == serial.names and split.parents == serial.parents
+    counts = {name: calls for name, (calls, _, _) in split.self_times().items()}
+    assert counts == {name: calls for name, (calls, _, _) in serial.self_times().items()}
+    assert counts["data.mine_hard_negatives"] == 1 and counts["metrics.ranked_lists"] > 0

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -39,7 +40,7 @@ from mwlab.encoder import BLOCK_ROWS, EncoderConfig, ScoreRows, init_params, mak
 from mwlab.metrics import pooled_auc_protocol, ranked_lists
 from mwlab.prng import Xoshiro256StarStar, derive_seed
 from mwlab.synthetic import SyntheticSpec, make_benchmark
-from util import naive_top_k
+from util import force_split, naive_top_k
 
 
 def write_jsonl(path, rows):
@@ -530,6 +531,25 @@ class TestMining:
         assert sorted(mined[0].hard_negative_ids) == ["d2", "d3", "d4"]
         assert any("only 3 negatives" in r.getMessage() for r in caplog.records)
 
+    def test_short_queries_log_one_warning(self, small_corpus, caplog):
+        # one line per call, not one per short query
+        def scorer(queries, corpus):
+            return np.ones((len(queries), len(corpus)))
+
+        queries = QuerySet([Query("q0", "x", ["d1"]), Query("q1", "x", ["d1", "d2"]),
+                            Query("q2", "x", ["d3"])])
+        with caplog.at_level("WARNING"):
+            mine_hard_negatives(queries, small_corpus, scorer, k=3)
+        assert [r.getMessage() for r in caplog.records] == [
+            "1 of 3 queries have fewer than the 3 negatives requested; "
+            "the first, 'q1', has only 2 negatives available"]
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            mine_hard_negatives(queries, small_corpus, scorer, k=4)
+        assert [r.getMessage() for r in caplog.records] == [
+            "3 of 3 queries have fewer than the 4 negatives requested; "
+            "the first, 'q0', has only 3 negatives available"]
+
     def test_matches_full_sort_brute_force(self):
         rng = np.random.default_rng(11)
         corpus = Corpus([Document(f"d{i:03d}", f"t{i}") for i in range(60)])
@@ -558,6 +578,15 @@ class TestScoreMatrix:
 @pytest.fixture(scope="module")
 def planted_150():
     return make_benchmark(SyntheticSpec(n_queries=129, n_docs=150, seed=4))
+
+
+@pytest.fixture(scope="module")
+def planted_2000():
+    corpus, queries = make_benchmark(SyntheticSpec(n_queries=400, n_docs=2000, seed=3))
+    scorer = make_scorer(init_params(EncoderConfig(hash_dim=256, embed_dim=8, proj_dim=4,
+                                                   seed=1)))
+    queries.tokens(256), corpus.tokens(256)  # hashed before tracing
+    return corpus, queries, scorer
 
 
 def traced_peak(call) -> tuple[object, int]:
@@ -600,14 +629,6 @@ class TestBlockScoring:
         assert ([rl.ranked_ids for rl in ranked_lists(queries, corpus, scorer)]
                 == [rl.ranked_ids for rl in ranked_lists(queries, corpus, fixed)])
 
-    @pytest.fixture(scope="class")
-    def planted_2000(self):
-        corpus, queries = make_benchmark(SyntheticSpec(n_queries=400, n_docs=2000, seed=3))
-        scorer = make_scorer(init_params(EncoderConfig(hash_dim=256, embed_dim=8, proj_dim=4,
-                                                       seed=1)))
-        queries.tokens(256), corpus.tokens(256)  # hashed before tracing
-        return corpus, queries, scorer
-
     def test_mining_holds_two_blocks_not_the_matrix(self, planted_2000):
         # the 400 x 2000 matrix is 6.4 MB; the bound is two blocks in
         # flight plus a block's worth of selection temporaries
@@ -626,6 +647,66 @@ class TestBlockScoring:
         assert [t.tolist() for t in tops] == [
             t.tolist() for t in top_k_columns(np.asarray(rows), corpus.ids, 10)]
         assert peak < 3 * BLOCK_ROWS * len(corpus) * 8
+
+
+class TestSplitWalk:
+    # the second half of a walk's blocks runs on a worker thread; every
+    # output must keep its bits, and the call must leave no thread behind
+
+    @staticmethod
+    def selections(scores, ids, exclude) -> list[bytes]:
+        excluded, top = top_k_scores(scores, 5, exclude)
+        return [excluded.tobytes(), top.tobytes(),
+                *(t.tobytes() for t in top_k_columns(scores, ids, 4, exclude=exclude)),
+                *(t.tobytes() for t in top_k_columns(scores, ids, 3))]
+
+    # 1, 2 and 3 blocks; 2 * BLOCK_ROWS + 1 leaves a last block of one row
+    @pytest.mark.parametrize("n_rows", [BLOCK_ROWS, BLOCK_ROWS + 5, 2 * BLOCK_ROWS + 1,
+                                        3 * BLOCK_ROWS])
+    @pytest.mark.parametrize("kind", ["array", "rows"])
+    def test_split_and_serial_walks_are_byte_equal(self, monkeypatch, n_rows, kind):
+        rng = np.random.default_rng(n_rows)
+        n = 40
+        # small integer encodings: every score is one of a few integers
+        rows = ScoreRows(rng.integers(-1, 2, (n_rows, 3)).astype(float),
+                         rng.integers(-1, 2, (n, 3)).astype(float))
+        scores = rows if kind == "rows" else np.asarray(rows)
+        ids = [f"d{j:02d}" for j in rng.permutation(n)]
+        exclude = [rng.choice(n, rng.integers(0, 4), replace=False).tolist() for _ in range(n_rows)]
+        force_split(monkeypatch, on=False)
+        # the array's walk gathers each row's other cells; a ScoreRows
+        # walk shifts them in its own buffer
+        serial = self.selections(np.asarray(rows), ids, exclude)
+        assert self.selections(scores, ids, exclude) == serial
+        started = force_split(monkeypatch, on=True)
+        assert self.selections(scores, ids, exclude) == serial
+        # three walks per call, each split when it has two blocks or more
+        assert len(started) == (3 if n_rows > BLOCK_ROWS else 0)
+
+    # of three blocks, the calling thread walks the first two and the
+    # worker the third
+    @pytest.mark.parametrize("failing", [0, 2 * BLOCK_ROWS])
+    def test_a_block_that_raises_raises_the_same_and_leaves_no_thread(self, monkeypatch,
+                                                                       failing):
+        class Failing(ScoreRows):
+            def product(self, rows, out=None):
+                if rows.start == failing:
+                    raise ValueError(f"block at row {rows.start}")
+                return super().product(rows, out)
+
+        rng = np.random.default_rng(0)
+        scores = Failing(rng.normal(size=(3 * BLOCK_ROWS, 4)), rng.normal(size=(30, 4)))
+        started = force_split(monkeypatch, on=True)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=f"^block at row {failing}$"):
+            top_k_scores(scores, 5, [[0]] * len(scores.queries))
+        assert len(started) == 1 and threading.active_count() == threads
+
+    def test_the_memory_bounds_hold_split(self, monkeypatch, planted_2000):
+        started = force_split(monkeypatch, on=True)
+        TestBlockScoring().test_mining_holds_two_blocks_not_the_matrix(planted_2000)
+        TestBlockScoring().test_top_k_columns_scores_each_block_as_it_reaches_it(planted_2000)
+        assert len(started) == 3
 
 
 class TestTopKColumns:

@@ -35,6 +35,7 @@ from mwlab.synthetic import SyntheticSpec, make_benchmark
 from util import (
     brute_force_strict_aoc,
     brute_force_u,
+    force_split,
     naive_histogram_counts,
     naive_list_metrics,
     naive_mann_whitney_u,
@@ -401,6 +402,12 @@ class TestPooledProtocol:
         assert pool.n_neg == n_queries * top_k
         assert peak < bound
 
+    def test_memory_stays_within_two_blocks_split(self, monkeypatch):
+        # each walker holds its own block
+        started = force_split(monkeypatch, on=True)
+        self.test_memory_stays_within_two_blocks()
+        assert len(started) == 1
+
     def test_no_nonpositive_documents_rejected(self):
         corpus = Corpus([Document("d0", "t")])
         queries = QuerySet([Query("q", "q", ["d0"])])
@@ -554,6 +561,20 @@ class TestRankedMetrics:
 
 
 class TestHistogram:
+    @pytest.mark.parametrize("bins", [3, 7, 50, 97])
+    def test_scores_on_and_beside_the_edges_match_the_naive_counts(self, bins):
+        # a score a step from an edge can sit in the other bin than the
+        # edge's searchsorted guess puts it
+        rng = np.random.default_rng(bins)
+        lo, hi = -1.3, 2.9
+        edges = np.linspace(lo, hi, bins + 1)
+        near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        near = near[(near >= lo) & (near <= hi)]
+        pool = ScorePool(rng.choice(near, 40), [lo, hi, *rng.choice(near, 400)])
+        hist = histogram(pool, bins)
+        assert hist.pos_counts.tolist() == naive_histogram_counts(pool.positives, lo, hi, bins)
+        assert hist.neg_counts.tolist() == naive_histogram_counts(pool.negatives, lo, hi, bins)
+
     def test_one_sided_two_bins(self):
         hist = histogram(ScorePool([0.0, 1.0], []), bins=2)
         np.testing.assert_array_equal(hist.pos_counts, [1, 1])

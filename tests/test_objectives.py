@@ -262,7 +262,7 @@ class TestMwLossMatchesUnfused:
         want = naive_mw_pair_sums(pos, neg, 0.05)
         for split, cpus in SPLIT_SETTINGS:
             monkeypatch.setattr(objectives, "MW_SPLIT_PAIRS", split)
-            monkeypatch.setattr(objectives, "_CPUS", cpus)
+            monkeypatch.setattr(objectives, "CPUS", cpus)
             assert_matches_unfused(ScoreBatch(sim=sim, tau=0.05))
             got = objectives._mw_pair_sums(pos, neg, 0.05)
             for out, ref in zip(got, want):
@@ -284,7 +284,7 @@ class TestMwLossMatchesUnfused:
             for (split, cpus), tile, block in itertools.product(
                     SPLIT_SETTINGS, (1, 7, 100, 128, 200, 1000, 10**6), (1, 7, 200, 10**6)):
                 monkeypatch.setattr(objectives, "MW_SPLIT_PAIRS", split)
-                monkeypatch.setattr(objectives, "_CPUS", cpus)
+                monkeypatch.setattr(objectives, "CPUS", cpus)
                 monkeypatch.setattr(objectives, "MW_TILE_COLS", tile)
                 monkeypatch.setattr(objectives, "MW_BLOCK_PAIRS", block)
                 out = mw_loss(sb)
@@ -304,7 +304,7 @@ def root_mid(n):
 def split_always(monkeypatch):
     """Every call with a row wider than a tile splits."""
     monkeypatch.setattr(objectives, "MW_SPLIT_PAIRS", 0)
-    monkeypatch.setattr(objectives, "_CPUS", 2)
+    monkeypatch.setattr(objectives, "CPUS", 2)
 
 
 @pytest.fixture
@@ -409,7 +409,7 @@ class TestMwSplit:
         assert errors == []
 
     def test_one_cpu_never_makes_the_pool(self, split_always, tile_threads, monkeypatch):
-        monkeypatch.setattr(objectives, "_CPUS", 1)
+        monkeypatch.setattr(objectives, "CPUS", 1)
         pos, neg = self.pair()
         got = objectives._mw_pair_sums(pos, neg, 0.05)
         assert len(tile_threads) > 1
@@ -418,7 +418,7 @@ class TestMwSplit:
             np.testing.assert_array_equal(a, b)
 
     def test_below_threshold_stays_serial(self, tile_threads, monkeypatch):
-        monkeypatch.setattr(objectives, "_CPUS", 2)
+        monkeypatch.setattr(objectives, "CPUS", 2)
         # B=32, H=5 is the default TrainConfig's batch: 195,584 pairs
         sb = random_score_batch(np.random.default_rng(20), b=32, h=5, tau=0.05)
         assert 32 * 32 * (6 * 32 - 1) < objectives.MW_SPLIT_PAIRS

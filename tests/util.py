@@ -12,12 +12,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mwlab import data
 from mwlab.encoder import encode_tokens, prepare_tokens
 from mwlab.scoring import ScoreBatch
 from mwlab.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 MASK64 = (1 << 64) - 1
+
+
+def force_split(monkeypatch, on: bool) -> list:
+    """Make every walk of two or more blocks in ``data``'s selections split
+    (``on``) or stay on the calling thread, whatever the machine's CPU
+    count. Returns the list that gets one entry per executor started."""
+    started = []
+
+    class Counted(data.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(data, "CPUS", 2)
+    monkeypatch.setattr(data, "SPLIT_CELLS", 0 if on else 2**62)
+    monkeypatch.setattr(data, "ThreadPoolExecutor", Counted)
+    return started
 
 
 def reference_splitmix64_sequence(seed: int, n: int) -> list[int]:
