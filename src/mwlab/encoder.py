@@ -11,12 +11,12 @@ A batch of texts is hashed once into its token table, a plain
 ``scipy.sparse.csr_matrix`` with one row per text; encoding takes that
 table or any row gather of it. ``data.Corpus`` and ``data.QuerySet``
 cache their table per ``hash_dim`` and ``make_scorer`` encodes those, so
-scoring a collection again hashes nothing, and its ``ScoreRows`` scores
-a block of rows at a time. A row whose pre-normalization vector has norm
-below ``NORM_FLOOR`` maps to a fixed fallback, the first standard basis
-vector, and receives zero gradient; the fallback is not trainable. A
-text with no tokens has an empty row, pools to exact zeros, and so
-always takes the fallback.
+scoring a collection again hashes nothing, and every retrieval score is
+a block product of its ``ScoreRows``. A row whose pre-normalization
+vector has norm below ``NORM_FLOOR`` maps to a fixed fallback, the first
+standard basis vector, and receives zero gradient; the fallback is not
+trainable. A text with no tokens has an empty row, pools to exact
+zeros, and so always takes the fallback.
 """
 
 from __future__ import annotations
@@ -226,10 +226,11 @@ BLOCK_ROWS = 64  # rows per block of a score matrix, as scored and as selected f
 
 @dataclass(frozen=True, eq=False)
 class ScoreRows:
-    """The score matrix of two encodings, by rows: ``self[a:b]`` is
-    ``queries[a:b] @ docs.T``. BLAS bits depend on the block shape, so
-    ``np.asarray`` stacks the ``BLOCK_ROWS``-row blocks that ``data``'s
-    selections read: a score has the same bits whichever way it is read."""
+    """The score matrix of two encodings, by rows. Its one product,
+    ``product(slice(a, b))``, is ``queries[a:b] @ docs.T``, and every
+    retrieval score is one of its ``BLOCK_ROWS``-row blocks: BLAS bits
+    depend on the block shape, so ``np.asarray`` writes the blocks that
+    ``data``'s selections read, the same bits whichever way they are read."""
 
     queries: np.ndarray
     docs: np.ndarray
@@ -238,17 +239,15 @@ class ScoreRows:
     def shape(self) -> tuple[int, int]:
         return len(self.queries), len(self.docs)
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        return self.product(rows)
-
     def product(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
-        """``self[rows]``, written into ``out`` when given: the same bits."""
+        """The scores of ``queries[rows]``, written into ``out`` when given."""
         return np.matmul(self.queries[rows], self.docs.T, out=out)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:  # numpy casts to dtype
         scores = np.empty(self.shape)
         for start in range(0, len(scores), BLOCK_ROWS):
-            scores[start:start + BLOCK_ROWS] = self[start:start + BLOCK_ROWS]
+            block = slice(start, start + BLOCK_ROWS)
+            self.product(block, out=scores[block])
         return scores
 
 

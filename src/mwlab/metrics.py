@@ -25,9 +25,10 @@ the pooled AUC protocol and the depth-10 ranked lists over it, and
 returns the pool with auc, mrr10, ndcg10, precision10 and recall1. The
 four list metrics read one hit pass: per list, the ranks within its top
 10 that hold a relevant id. Training, ablation, comparison and the CLI
-all evaluate through it, so each scores a query set only once. ``data``
-owns every selection over the matrix and the mapping of a query's ids to
-its columns: ``top_k_scores`` picks the protocol's pool and
+all hand it the ``ScoreRows`` of ``encoder.make_scorer``, so each scores
+a query set once, in that ``ScoreRows``' block products. ``data`` owns
+every selection over the matrix and the mapping of a query's ids to its
+columns: ``top_k_scores`` picks the protocol's pool and
 ``top_k_columns`` the ranked lists, one block of rows at a time. This
 module only counts.
 """

@@ -15,10 +15,11 @@ Each split's ``data.batch_rows`` (its eligible queries and their corpus
 rows) is built once per run, before the first draw; ``data.sample_batch``
 draws a batch from it as query-split and corpus positions, so a batch is
 a row gather of those tables, not a fresh tokenization or id lookup. An
-evaluation encodes the eval split and the corpus once: each fixed eval
-batch takes its rows of those vectors, and their score matrix goes to
-``metrics.evaluate``. Adam updates in place through scratch buffers and
-is bit-identical to its textbook formula.
+evaluation scores the eval split through ``encoder.make_scorer``, as a
+checkpoint is scored: the fixed eval batches are rows of the
+``ScoreRows``' two encodings, and ``metrics.evaluate`` reads its block
+products. Adam updates in place through scratch buffers and is
+bit-identical to its textbook formula.
 
 Steps and Adam run on a sub-table of exactly max(1, |R|) rows, no padding:
 the rows R the corpus and train split hash to, ascending. Every batch
@@ -257,15 +258,16 @@ def train(
     Before any other work, each split's batch rows are built once and the
     fixed eval batches and the first training batch are drawn from them,
     so a split too small for (B, H) raises a ``ValueError`` naming it.
-    The corpus, the train split and the eval split then give their cached
-    positional token tables.
+    The corpus and the train split then give their cached positional
+    token tables; the eval split gives its own at the first evaluation.
 
     Steps and Adam run on the sub-table of the module docstring. Every
-    evaluation first writes it back into the full parameters, which
-    encode the eval split and the corpus once; the fixed eval batches
-    are rows of those two encodings. A run ends with an evaluation. A
-    non-finite loss or gradient raises ``TrainingDiverged`` naming the
-    loss kind, the step and tau.
+    evaluation first writes it back into the full parameters and scores
+    the eval split with their ``make_scorer``: its metrics have the bits
+    ``mwlab evaluate`` reads from the checkpoint, and the fixed eval
+    batches are rows of the ``ScoreRows``' two encodings. A run ends with
+    an evaluation. A non-finite loss or gradient raises
+    ``TrainingDiverged`` naming the loss kind, the step and tau.
     """
     steps_per_epoch = max(1, -(-len(train_queries) // config.B))
     max_steps = config.max_epochs * steps_per_epoch
@@ -293,20 +295,16 @@ def train(
             report.write(out_path)
         return params, report
 
-    hash_dim = encoder_config.hash_dim
-    corpus_tokens = corpus.tokens(hash_dim)
-    train_tokens = train_queries.tokens(hash_dim)
-    eval_tokens = eval_queries.tokens(hash_dim)
-    rows, sub, (sub_corpus, sub_train) = _sub_table(params, [corpus_tokens, train_tokens])
+    tables = [c.tokens(encoder_config.hash_dim) for c in (corpus, train_queries)]
+    rows, sub, (sub_corpus, sub_train) = _sub_table(params, tables)
     state = OptimizerState.for_params(sub)
 
     def run_eval(step: int) -> EvalRecord:
         params.embedding[rows] = sub.embedding[:len(rows)]
-        q_vecs = enc.encode_tokens(params, eval_tokens).vectors
-        d_vecs = enc.encode_tokens(params, corpus_tokens).vectors
-        losses = [eval_value(score_batch(q_vecs[q], d_vecs[p], config.tau))
+        scores = enc.make_scorer(params)(eval_queries, corpus)
+        losses = [eval_value(score_batch(scores.queries[q], scores.docs[p], config.tau))
                   for q, p in eval_rows]
-        _, metrics = evaluate(q_vecs @ d_vecs.T, eval_queries, corpus, top_k=config.eval_top_k)
+        _, metrics = evaluate(scores, eval_queries, corpus, top_k=config.eval_top_k)
         return EvalRecord(
             step=step,
             eval_loss=float(np.mean(losses)),

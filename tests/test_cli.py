@@ -99,25 +99,39 @@ def test_train_with_short_train_split_exits_2(tmp_path, capsys):
 
 
 def test_evaluate_on_best_checkpoint_reproduces_in_run_eval(tmp_path):
+    # (queries, docs, train fraction, eval fraction, proj_dim): 6 eval
+    # queries score in one block, 65 in two
+    for n_queries, n_docs, train_fraction, eval_fraction, proj_dim in [
+            (60, 120, 0.8, 0.1, 4), (130, 150, 0.4, 0.5, 32)]:
+        reproduce_in_run_eval(tmp_path / f"q{n_queries}", n_queries, n_docs,
+                              train_fraction, eval_fraction, proj_dim)
+
+
+def reproduce_in_run_eval(tmp_path, n_queries, n_docs, train_fraction, eval_fraction, proj_dim):
+    """Train through the CLI, then check that ``mwlab evaluate`` on the best
+    checkpoint reads the metrics its evals.csv row recorded."""
+    tmp_path.mkdir()
     seed = 2
-    provider = synthetic_provider(SyntheticSpec(n_queries=60, n_docs=120))
+    provider = synthetic_provider(SyntheticSpec(n_queries=n_queries, n_docs=n_docs))
     corpus, queries = provider(seed)
     corpus_path, queries_path = write_inputs(tmp_path, corpus, queries)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "B": 4, "H": 0, "base_lr": 0.05, "warmup_steps": 2, "max_epochs": 3,
-        "eval_every": 4, "eval_top_k": 20, "hash_dim": 256, "embed_dim": 8, "proj_dim": 4,
+        "eval_every": 4, "eval_top_k": 20, "hash_dim": 256, "embed_dim": 8, "proj_dim": proj_dim,
     }))
     run = tmp_path / "run"
     assert cli.main(["train", "--corpus", corpus_path, "--queries", queries_path,
-                     "--config", str(config), "--out", str(run),
-                     "--seed", str(seed)]) == 0
+                     "--config", str(config), "--out", str(run), "--seed", str(seed),
+                     "--train-fraction", str(train_fraction),
+                     "--eval-fraction", str(eval_fraction)]) == 0
     best = json.loads((run / "report.json").read_text())["best_checkpoint_step"]
     with open(run / "evals.csv", encoding="utf-8") as f:
         row = next(r for r in csv.DictReader(f) if int(r["step"]) == best)
 
     # the eval split train used, as cmd_train derives it
-    _, eval_qs, _ = split_queries(queries, SplitSpec(0.8, 0.1, seed=derive_seed(seed, 12)))
+    _, eval_qs, _ = split_queries(
+        queries, SplitSpec(train_fraction, eval_fraction, seed=derive_seed(seed, 12)))
     eval_path = tmp_path / "eval.jsonl"
     save_queries(eval_qs, eval_path)
     out = tmp_path / "eval_out"
@@ -127,6 +141,7 @@ def test_evaluate_on_best_checkpoint_reproduces_in_run_eval(tmp_path):
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["auc"] == float(row["auc"])
     assert metrics["mrr_at_10"] == float(row["mrr10"])
+    assert metrics["ndcg_at_10"] == float(row["ndcg10"])
 
 
 def test_mine_with_non_string_text_exits_2(tmp_path, capsys):

@@ -241,6 +241,38 @@ def test_no_module_imports_another_modules_private_name():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def matrix_products(source: str) -> list[str]:
+    """Lines of Python source with a ``@`` product (``a @ b``, ``a @= b``)
+    or a ``matmul`` call (``np.matmul(a, b)``, ``matmul(a, b)``)."""
+    found = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+             or isinstance(node, ast.Call) and "matmul" in (getattr(node.func, "attr", None),
+                                                           getattr(node.func, "id", None))]
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in sorted(found, key=lambda n: n.lineno)]
+
+
+def test_the_matrix_product_scan_finds_each_kind():
+    source = """
+s = q @ d.T
+s @= w
+np.matmul(q, d.T, out=s)
+matmul(q, d)
+np.dot(q, d)
+x = "q @ d"
+"""
+    assert matrix_products(source) == [
+        "2: q @ d.T", "3: s @= w", "4: np.matmul(q, d.T, out=s)", "5: matmul(q, d)"]
+
+
+def test_only_encoder_and_scoring_multiply_matrices():
+    # a score is one of ScoreRows' block products (or a training batch's
+    # score_batch): no other module spells its own product
+    src = Path(mwlab.__file__).parent
+    found = {path.name: matrix_products(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py")) if path.stem not in ("encoder", "scoring")}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
 class TestFieldTypes:
     @pytest.mark.parametrize("doc_id, text", [(7, "t"), (None, "t"), ("d1", 5), ("d1", ["t"])])
     def test_document_rejects_non_string(self, doc_id, text):
@@ -612,7 +644,7 @@ class TestBlockScoring:
                                                        proj_dim=proj_dim, seed=2)))
         rows = scorer(queries, corpus)
         matrix = np.asarray(rows)
-        blocks = [rows[s:s + BLOCK_ROWS] for s in range(0, n_queries, BLOCK_ROWS)]
+        blocks = [rows.product(slice(s, s + BLOCK_ROWS)) for s in range(0, n_queries, BLOCK_ROWS)]
         assert isinstance(rows, ScoreRows) and matrix.tobytes() == np.vstack(blocks).tobytes()
 
         def fixed(_queries, _corpus):

@@ -442,13 +442,13 @@ def test_evaluate_scores_each_row_once(monkeypatch):
     corpus, queries = make_benchmark(SyntheticSpec(n_queries=150, n_docs=200, seed=5))
     rows = make_scorer(init_params(EncoderConfig(hash_dim=256, embed_dim=8, proj_dim=4)))(
         queries, corpus)
-    scored, product = [], ScoreRows.__getitem__
+    scored, product = [], ScoreRows.product
 
-    def counted(self, block):
+    def counted(self, block, out=None):
         scored.extend(range(len(self.queries))[block])
-        return product(self, block)
+        return product(self, block, out)
 
-    monkeypatch.setattr(ScoreRows, "__getitem__", counted)
+    monkeypatch.setattr(ScoreRows, "product", counted)
     pool, got = evaluate(rows, queries, corpus, top_k=20)
     assert sorted(scored) == list(range(len(queries)))
     want_pool, want = evaluate(np.asarray(rows), queries, corpus, top_k=20)

@@ -16,6 +16,7 @@ from mwlab.encoder import (
     EncoderConfig,
     EncoderGrads,
     EncoderParams,
+    ScoreRows,
     encode_backward,
     init_params,
     load_checkpoint,
@@ -263,6 +264,37 @@ GOLDEN = {
     ("token-free", "cl"): "191da9d089163fddc61c85342e1f21e80cb5af96157ccfef143e1610644c4223",
     ("token-free", "mw"): "99ef5fbc5e6c26a225230de4dbcdf7c3fe7cf0e20c55b5b42f79185876f47404",
 }
+
+
+@pytest.fixture(scope="module")
+def planted_split():
+    corpus, queries = make_benchmark(SyntheticSpec(n_queries=150, n_docs=150, seed=4))
+    return corpus, QuerySet(list(queries)[:21]), list(queries)[21:]
+
+
+@pytest.mark.parametrize("proj_dim", [4, 16, 32])
+@pytest.mark.parametrize("n_eval", [63, 65, 129])
+def test_evaluation_scores_through_make_scorer(planted_split, monkeypatch, n_eval, proj_dim):
+    # the in-run metrics read the bits `mwlab evaluate` reads from the
+    # checkpoint: make_scorer's block products, here in 1, 2 and 3 blocks
+    corpus, train_qs, rest = planted_split
+    eval_qs = QuerySet(rest[:n_eval])
+    handed, evaluate = [], trainer.evaluate
+
+    def recording_evaluate(scores, *args, **kwargs):
+        handed.append(scores)
+        return evaluate(scores, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "evaluate", recording_evaluate)
+    # 3 steps, one evaluation at the last: the returned params are the evaluated ones
+    config = TrainConfig(B=8, H=0, base_lr=0.05, warmup_steps=1, max_epochs=1,
+                         eval_every=100, eval_top_k=30, seed=3)
+    encoder = EncoderConfig(hash_dim=512, embed_dim=8, proj_dim=proj_dim, seed=2)
+    params, report = train(config, train_qs, eval_qs, corpus, encoder)
+    assert [r.step for r in report.evals] == [3] and len(handed) == 1
+    want = np.asarray(make_scorer(params)(eval_qs, corpus))
+    assert np.asarray(handed[0]).tobytes() == want.tobytes()
+    assert isinstance(handed[0], ScoreRows)
 
 
 def retext(queries, text_of) -> QuerySet:
