@@ -6,7 +6,8 @@ no images are rendered. Every command is deterministic given --seed and
 read-only on its inputs apart from the declared outputs.
 
 Exit codes: 0 success, 1 a checked bound or assertion failed, 2 usage or
-IO error, or a training run that diverged.
+IO error, or a training run that diverged; a successful command writes
+nothing to stderr.
 """
 
 from __future__ import annotations

@@ -36,7 +36,6 @@ that index the token tables directly.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -51,8 +50,6 @@ import scipy.sparse as sp
 
 from .encoder import BLOCK_ROWS, ScoreRows, prepare_tokens
 from .prng import Xoshiro256StarStar
-
-logger = logging.getLogger(__name__)
 
 # the CPUs this process may run on, read once: a selection's walk and
 # objectives' MW kernel use a second core only when there are two
@@ -513,23 +510,16 @@ def mine_hard_negatives(
 
     Ties are broken by ascending document id so the result is identical
     across platforms. Queries with fewer than k available negatives get
-    all of them, and the call logs one warning that counts them and names
-    the first. The input QuerySet is not modified.
+    all of them. The input QuerySet is not modified.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     scores = score_matrix(queries, corpus, scorer)
     doc_ids = corpus.ids
     positives = [corpus.columns(q.positive_ids) for q in queries]
-    mined, short = [], []
+    mined = []
     for q, chosen in zip(queries, top_k_columns(scores, doc_ids, k, exclude=positives)):
-        if len(chosen) < k:
-            short.append((q.id, len(chosen)))
         mined.append(replace(q, hard_negative_ids=[doc_ids[j] for j in chosen.tolist()]))
-    if short:
-        logger.warning("%d of %d queries have fewer than the %d negatives requested; "
-                       "the first, %r, has only %d negatives available",
-                       len(short), len(queries), k, *short[0])
     result = QuerySet(mined)
     result._tokens.update(queries._tokens)  # the same texts in the same order
     return result

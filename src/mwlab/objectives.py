@@ -104,8 +104,6 @@ def cl_loss(scores: ScoreBatch) -> LossOutput:
     minus the one-hot positive, scaled by 1/(B*tau), placed on row i.
     """
     b, m = scores.sim.shape
-    if m < 2:
-        raise ValueError("each query needs at least one negative score")
     z = scores.sim / scores.tau
     z_max = z.max(axis=1, keepdims=True)
     shifted = z - z_max
@@ -227,7 +225,8 @@ def mw_loss(scores: ScoreBatch) -> LossOutput:
     formula; ``value`` sums the row sums; neither depends on the
     tiling or the split.
     """
-    mask, neg = _pooled_negatives(scores)
+    mask = scores.offdiag_mask()
+    neg = scores.sim[mask]
     b = scores.sim.shape[0]
     softplus_rows, sigmoid_rows, sigmoid_cols = _mw_pair_sums(
         scores.positives, neg, scores.tau
@@ -244,17 +243,9 @@ def mw_value(scores: ScoreBatch) -> float:
     """``mw_loss(scores).value``, bit for bit, without the gradient: the
     kernel makes only the softplus sums, skipping the sigmoid passes and
     the column sums, for callers that keep the value alone."""
-    _, neg = _pooled_negatives(scores)
+    neg = scores.sim[scores.offdiag_mask()]
     softplus_rows, _, _ = _mw_pair_sums(scores.positives, neg, scores.tau, sigmoid=False)
     return _check_value(float(softplus_rows.sum() / scores.sim.shape[0]))
-
-
-def _pooled_negatives(scores: ScoreBatch) -> tuple[np.ndarray, np.ndarray]:
-    """(off-diagonal mask, the row-major multiset of all negative cells)."""
-    if scores.sim.shape[1] < 2:
-        raise ValueError("the pooled negative set is empty")
-    mask = scores.offdiag_mask()
-    return mask, scores.sim[mask]
 
 
 def check_tau(tau: float) -> None:

@@ -38,6 +38,8 @@ class ScoreBatch:
             raise ValueError(
                 f"column count {m} is not B + H*B for B={b} and integer H"
             )
+        if m < 2:
+            raise ValueError("a batch needs at least one negative cell")
 
     @property
     def B(self) -> int:

@@ -438,11 +438,37 @@ def test_lemma2_check_passes(capsys):
     (["compare", "--seed", "3"], 2),
 ])
 def test_python_dash_m_mwlab_exits_with_the_cli_code(argv, code):
+    run = python_dash_m_mwlab(argv)
+    assert run.returncode == code, run.stderr
+
+
+def python_dash_m_mwlab(argv) -> subprocess.CompletedProcess:
+    """``python -m mwlab argv`` in a fresh process, so stderr holds all
+    the run wrote there, logging's last-resort handler included."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-m", "mwlab", *argv], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
-    assert run.returncode == code, run.stderr
+    return subprocess.run([sys.executable, "-m", "mwlab", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+def test_mine_short_of_k_reports_the_shortfall_on_stdout_alone(tmp_path):
+    provider = synthetic_provider(SyntheticSpec(n_queries=5, n_docs=20))
+    corpus_path, queries_path = write_inputs(tmp_path, *provider(0))
+    run = python_dash_m_mwlab(["mine", "--corpus", corpus_path, "--queries", queries_path,
+                               "--out", str(tmp_path / "mined.jsonl"), "--top-k", "30"])
+    assert (run.returncode, run.stderr) == (0, "")
+    assert "(5 with fewer than 30 negatives)" in run.stdout
+
+
+def test_compare_mining_short_of_k_keeps_stderr_empty(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "B": 4, "H": 2, "max_epochs": 1, "eval_every": 3, "warmup_steps": 2, "eval_batches": 1,
+        "eval_top_k": 20, "hash_dim": 1024, "embed_dim": 16, "proj_dim": 8}))
+    run = python_dash_m_mwlab(["compare", "--synthetic", "--synth-queries", "60",
+                               "--synth-docs", "60", "--mine-k", "70", "--seeds", "0",
+                               "--config", str(config), "--out", str(tmp_path / "cmp")])
+    assert (run.returncode, run.stderr) == (0, "")
 
 
 def test_lemma2_check_exits_1_when_the_bound_fails(monkeypatch, capsys):
