@@ -16,6 +16,7 @@ the binary checkpoint.
 A ``Corpus`` or ``QuerySet`` hashes its texts once per ``hash_dim``
 (``tokens``) and keeps that table until it grows, so mining, every
 training run and every evaluation of one collection share one table.
+A ``Corpus`` keeps the tie key of its columns, ``id_ranks``, the same way.
 Mined and split query sets inherit their parent's rows of those tables.
 
 This module owns the columns of a score matrix and every selection over
@@ -42,6 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from itertools import accumulate
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -120,8 +122,8 @@ class Query:
             raise ValueError(f"query {self.id!r}: ids {both} are both positive and hard negative")
 
 
-def _read_only(table: sp.csr_matrix) -> sp.csr_matrix:
-    for array in (table.data, table.indices, table.indptr):
+def _read_only(table: sp.csr_matrix | np.ndarray) -> sp.csr_matrix | np.ndarray:
+    for array in (table.data, table.indices, table.indptr) if sp.issparse(table) else [table]:
         array.flags.writeable = False
     return table
 
@@ -149,6 +151,7 @@ class _Collection:
         self._by_id[item.id] = len(self._items)
         self._items.append(item)
         self._tokens.clear()
+        self.__dict__.pop("id_ranks", None)  # a Corpus's cached tie key
 
     def __len__(self) -> int:
         return len(self._items)
@@ -179,9 +182,14 @@ class _Collection:
 
 
 class Corpus(_Collection):
-    """An ordered, id-indexed collection of documents."""
+    """An ordered, id-indexed collection of documents that owns their tie key."""
 
     kind = "document"
+
+    @cached_property
+    def id_ranks(self) -> np.ndarray:
+        """The tie key: each column's id rank, ascending. Read-only, cached until ``add``."""
+        return _read_only(np.argsort(np.argsort(np.array(self.ids), kind="stable"), kind="stable"))
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._by_id
@@ -386,14 +394,15 @@ def _walk(scores: np.ndarray | ScoreRows, blocks: list, select: Callable,
 
 def top_k_columns(
     scores: np.ndarray | ScoreRows,
-    doc_ids: Sequence[str],
+    id_ranks: np.ndarray,
     k: int,
     exclude: Sequence[Sequence[int]] | None = None,
 ) -> list[np.ndarray]:
     """Per row, the columns of its k best documents, best first: descending
-    score, ties by ascending document id. Row i skips the columns in
-    ``exclude[i]`` (see ``_row_blocks``), where a repeat counts once; a row
-    with fewer than k columns left returns them all. A negative k raises
+    score, ties by ascending document id, as ranked by the corpus's cached
+    ``id_ranks`` (one per column, else ValueError). Row i skips the columns
+    in ``exclude[i]`` (see ``_row_blocks``), where a repeat counts once; a
+    row with fewer than k columns left returns them all. A negative k raises
     ValueError; k = 0 gives empty rows.
 
     A block sorts only its candidates. With m = k + |exclude[i]|, row i's
@@ -402,18 +411,18 @@ def top_k_columns(
     bound, so the m best columns do, and ties at it stay in. One compare
     takes a block's candidates, with its excluded cells cleared, and one
     sort orders them on a unique int64 key: row, then the rank of the
-    negated score, then the id rank. Unique ids make the order total, so
+    negated score, then the id rank. Distinct id ranks make it total, so
     each row's sorted candidates begin with its k best columns. An
     all-equal row sorts every column.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     n_rows, n = scores.shape
+    if len(id_ranks) != n:
+        raise ValueError(f"id_ranks holds {len(id_ranks)} ranks for {n} columns")
     blocks = _row_blocks(scores.shape, exclude)
     if k == 0 or n == 0:
         return [np.empty(0, dtype=np.intp) for _ in range(n_rows)]
-    # rank of each column when ids are sorted ascending: the tie key
-    id_rank = np.argsort(np.argsort(np.array(doc_ids), kind="stable"), kind="stable")
     # g groups of w columns, j mod g, over the first w * g columns: g >= m
     # for every m <= n, and wider groups make the maxima cheaper but the
     # bound looser
@@ -435,7 +444,7 @@ def top_k_columns(
         rows, cols = np.divmod(np.flatnonzero(cand), n)
         # np.unique counts -0.0 and +0.0 as one value, as the order does
         _, rank = np.unique(-block[rows, cols], return_inverse=True)
-        cols = cols[np.argsort((rows * len(cols) + rank) * n + id_rank[cols])]
+        cols = cols[np.argsort((rows * len(cols) + rank) * n + id_ranks[cols])]
         counts = np.bincount(rows, minlength=b)
         kept[start:start + b] = np.minimum(counts, k)
         if len(cols):  # row i's sorted candidates start at firsts[i]; keep kept[i]
@@ -517,10 +526,9 @@ def mine_hard_negatives(
     scores = score_matrix(queries, corpus, scorer)
     doc_ids = corpus.ids
     positives = [corpus.columns(q.positive_ids) for q in queries]
-    mined = []
-    for q, chosen in zip(queries, top_k_columns(scores, doc_ids, k, exclude=positives)):
-        mined.append(replace(q, hard_negative_ids=[doc_ids[j] for j in chosen.tolist()]))
-    result = QuerySet(mined)
+    tops = top_k_columns(scores, corpus.id_ranks, k, positives)
+    result = QuerySet([replace(q, hard_negative_ids=[doc_ids[j] for j in top.tolist()])
+                       for q, top in zip(queries, tops)])
     result._tokens.update(queries._tokens)  # the same texts in the same order
     return result
 

@@ -235,7 +235,7 @@ def ranked_lists(
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     doc_ids = corpus.ids
-    tops = top_k_columns(score_matrix(queries, corpus, scorer), doc_ids, depth)
+    tops = top_k_columns(score_matrix(queries, corpus, scorer), corpus.id_ranks, depth)
     return [
         RankedList(ranked_ids=[doc_ids[j] for j in top.tolist()], relevant_ids=set(q.positive_ids))
         for q, top in zip(queries, tops)

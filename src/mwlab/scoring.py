@@ -32,6 +32,8 @@ class ScoreBatch:
         if not 0 < self.tau < np.inf:
             raise ValueError(f"temperature must be positive and finite, got {self.tau}")
         b, m = self.sim.shape
+        if b == 0:
+            raise ValueError(f"sim of shape {self.sim.shape} has no rows: a batch needs B >= 1")
         if m < b:
             raise ValueError(f"sim needs at least B={b} columns, got {m}")
         if (m - b) % b != 0:

@@ -1,8 +1,9 @@
 """The benchmark in bench/ probes mwlab functions by name; a refactor
 that removes or renames one must fail here, not at benchmark time. Its
 toy jobs also guard the hash budget (each text is hashed once, so the
-traced reuse ratio is 1), pass the benchmark's own output checks, and
-between them call every function a per-layer metric names."""
+traced reuse ratio is 1) and the rank budget (each corpus ranks its ids
+once), pass the benchmark's own output checks, and between them call
+every function a per-layer metric names."""
 
 import json
 import sys
@@ -45,13 +46,24 @@ def trace_toy(instrument, job, tmp_path):
 
 @pytest.fixture(scope="module")
 def toy_traces(tmp_path_factory):
-    """name -> (job, instrument, output) of each toy workload, traced once."""
+    """name -> (job, instrument, output, reads) of each toy workload, traced
+    once, where ``reads`` lists (corpus, key) for each read of a
+    ``Corpus.id_ranks``."""
+    from mwlab import data
+
+    cached = data.Corpus.id_ranks
     with pytest.MonkeyPatch.context() as monkeypatch:
         instrument, workloads = import_bench(monkeypatch)
         traces = {}
         for name in TOY_WORKLOADS:
-            job = workloads.WORKLOADS[name]
-            traces[name] = (job, *trace_toy(instrument, job, tmp_path_factory.mktemp(name)))
+            job, reads = workloads.WORKLOADS[name], []
+
+            def read(corpus, reads=reads):
+                reads.append((corpus, cached.__get__(corpus, data.Corpus)))
+                return reads[-1][1]
+
+            monkeypatch.setattr(data.Corpus, "id_ranks", property(read))
+            traces[name] = (job, *trace_toy(instrument, job, tmp_path_factory.mktemp(name)), reads)
         yield traces
 
 
@@ -83,7 +95,7 @@ def test_every_per_layer_metric_is_live_in_some_toy_workload(bench, toy_traces):
     # the toy workloads call all of them (roc_curve only in eval-large, and
     # train-wide-mw never calls cl_loss)
     instrument, _ = bench
-    called = {name for _, inst, _ in toy_traces.values() for name in inst.log.self_times()}
+    called = {name for _, inst, _, _ in toy_traces.values() for name in inst.log.self_times()}
     quals = set(per_layer_quals(instrument))
     assert {"metrics.roc_curve", "objectives.cl_loss"} <= quals
     assert sorted(quals - called) == []
@@ -93,7 +105,7 @@ def test_every_per_layer_metric_is_live_in_some_toy_workload(bench, toy_traces):
 
 @pytest.mark.parametrize("name", TOY_WORKLOADS)
 def test_toy_workload_hashes_each_text_once(toy_traces, name):
-    job, inst, out = toy_traces[name]
+    job, inst, out, _ = toy_traces[name]
     # the checks measure.run_job makes on every job: exact U and ROC area
     # against AUC (eval-large), the Lemma 2 bound (train-wide-mw)
     assert job.check(out, inst.probe) == []
@@ -102,6 +114,20 @@ def test_toy_workload_hashes_each_text_once(toy_traces, name):
     # splits inherit their parent's rows. When they hashed again the toy
     # eval-large ratio was 1.34, and 3.77 when every consumer hashed again.
     assert c.texts_hashed / len(c.distinct_texts) <= 1.0
+
+
+@pytest.mark.parametrize("name", TOY_WORKLOADS)
+def test_toy_workload_ranks_each_corpus_once(toy_traces, name):
+    _, inst, _, reads = toy_traces[name]
+    # mining and every ranked list read the corpus's cached tie key ...
+    calls = inst.log.self_times()
+    assert len(reads) == calls["data.mine_hard_negatives"][0] + calls["metrics.ranked_lists"][0]
+    assert len(reads) >= 2
+    # ... and each corpus built its key once: every read returns one object
+    keys = {}
+    for corpus, key in reads:
+        keys.setdefault(id(corpus), set()).add(id(key))
+    assert [len(built) for built in keys.values()] == [1] * len(keys)
 
 
 def test_split_mw_kernel_keeps_the_trace(bench, tmp_path, monkeypatch):

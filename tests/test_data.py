@@ -40,7 +40,7 @@ from mwlab.encoder import BLOCK_ROWS, EncoderConfig, ScoreRows, init_params, mak
 from mwlab.metrics import pooled_auc_protocol, ranked_lists
 from mwlab.prng import Xoshiro256StarStar, derive_seed
 from mwlab.synthetic import SyntheticSpec, make_benchmark
-from util import force_split, naive_top_k
+from util import force_split, id_ranks, naive_top_k, top_k_columns_by_id
 
 
 def write_jsonl(path, rows):
@@ -506,6 +506,40 @@ class TestTokenCache:
             getattr(collection(kind).tokens(64), attr)[0] = 0
 
 
+# column order is numeric; code-point order puts d10-d12 between d1 and d2
+TIE_IDS = [f"d{i}" for i in range(13)]
+
+
+class TestIdRanks:
+    # the tie key a corpus caches for every top_k_columns over its columns
+    def test_equals_the_per_call_ranking_of_the_ids(self):
+        corpus = Corpus([Document(d, "t") for d in TIE_IDS])
+        per_call = np.argsort(np.argsort(np.array(corpus.ids), kind="stable"), kind="stable")
+        assert corpus.id_ranks.tolist() == per_call.tolist() == id_ranks(TIE_IDS).tolist()
+        assert corpus.id_ranks.tolist() == [0, 1, 5, 6, 7, 8, 9, 10, 11, 12, 2, 3, 4]
+        assert Corpus().id_ranks.tolist() == []
+
+    def test_is_read_only_and_the_same_object_on_every_read(self):
+        corpus = Corpus([Document(d, "t") for d in TIE_IDS])
+        key = corpus.id_ranks
+        assert corpus.id_ranks is key and corpus.id_ranks is key
+        with pytest.raises(ValueError, match="read-only"):
+            key[0] = 3
+
+    def test_add_ranks_every_id_again(self):
+        corpus = Corpus([Document(d, "t") for d in TIE_IDS])
+        before = corpus.id_ranks
+        corpus.add(Document("c", "t"))  # sorts before every "d..." id
+        assert corpus.id_ranks is not before
+        assert corpus.id_ranks.tolist() == [r + 1 for r in before.tolist()] + [0]
+        assert corpus.id_ranks.tolist() == id_ranks(corpus.ids).tolist()
+
+    @pytest.mark.parametrize("length", [4, 6])
+    def test_a_key_of_another_length_is_rejected(self, length):
+        with pytest.raises(ValueError, match=f"^id_ranks holds {length} ranks for 5 columns$"):
+            top_k_columns(np.zeros((2, 5)), np.arange(length), 1)
+
+
 def children(how, queries):
     """The query sets derived from ``queries``: its three splits, or its
     mined set (a constant scorer, so mining itself hashes nothing)."""
@@ -698,9 +732,9 @@ class TestBlockScoring:
         # scoring every block before the walk would hold the whole matrix
         corpus, queries, scorer = planted_2000
         rows = scorer(queries, corpus)
-        tops, peak = traced_peak(lambda: top_k_columns(rows, corpus.ids, 10))
+        tops, peak = traced_peak(lambda: top_k_columns(rows, corpus.id_ranks, 10))
         assert [t.tolist() for t in tops] == [
-            t.tolist() for t in top_k_columns(np.asarray(rows), corpus.ids, 10)]
+            t.tolist() for t in top_k_columns(np.asarray(rows), corpus.id_ranks, 10)]
         assert peak < 3 * BLOCK_ROWS * len(corpus) * 8
 
 
@@ -712,8 +746,8 @@ class TestSplitWalk:
     def selections(scores, ids, exclude) -> list[bytes]:
         excluded, top = top_k_scores(scores, 5, exclude)
         return [excluded.tobytes(), top.tobytes(),
-                *(t.tobytes() for t in top_k_columns(scores, ids, 4, exclude=exclude)),
-                *(t.tobytes() for t in top_k_columns(scores, ids, 3))]
+                *(t.tobytes() for t in top_k_columns_by_id(scores, ids, 4, exclude=exclude)),
+                *(t.tobytes() for t in top_k_columns_by_id(scores, ids, 3))]
 
     # 1, 2 and 3 blocks; 2 * BLOCK_ROWS + 1 leaves a last block of one row
     @pytest.mark.parametrize("n_rows", [BLOCK_ROWS, BLOCK_ROWS + 5, 2 * BLOCK_ROWS + 1,
@@ -773,8 +807,8 @@ class TestTopKColumns:
         scores = rng.integers(0, 4, size=(12, n)) / 4.0  # few values: many ties
         exclude = [rng.choice(n, size=rng.integers(0, 5), replace=False).tolist()
                    for _ in range(len(scores))]
-        excluded = top_k_columns(scores, ids, k, exclude=exclude)
-        full = top_k_columns(scores, ids, k)
+        excluded = top_k_columns_by_id(scores, ids, k, exclude=exclude)
+        full = top_k_columns_by_id(scores, ids, k)
         for i, row in enumerate(scores):
             assert excluded[i].tolist() == naive_top_k(row, ids, k, exclude[i])
             assert full[i].tolist() == naive_top_k(row, ids, k)
@@ -805,8 +839,8 @@ class TestTopKColumns:
             rng.choice(n, size=min(k + 5, n), replace=False).tolist(),  # |exclude| > k
             rng.choice(n, size=3, replace=False).tolist(),
         ]
-        excluded = top_k_columns(scores, ids, k, exclude=exclude)
-        full = top_k_columns(scores, ids, k)
+        excluded = top_k_columns_by_id(scores, ids, k, exclude=exclude)
+        full = top_k_columns_by_id(scores, ids, k)
         for i, row in enumerate(scores):
             assert excluded[i].tolist() == naive_top_k(row, ids, k, exclude[i])
             assert full[i].tolist() == naive_top_k(row, ids, k)
@@ -815,7 +849,7 @@ class TestTopKColumns:
     @pytest.mark.parametrize("bad", [-1, -5, 5, 6, 1.5, float("nan")])
     def test_an_exclude_entry_that_is_not_a_column_is_rejected(self, bad):
         with pytest.raises(ValueError) as caught:
-            top_k_columns(np.zeros((2, 5)), list("abcde"), 2, exclude=[[0], [1, bad]])
+            top_k_columns_by_id(np.zeros((2, 5)), list("abcde"), 2, exclude=[[0], [1, bad]])
         assert str(caught.value) == f"exclude holds {bad!r}, not a column index in [0, 5)"
 
     @pytest.mark.parametrize("k", [-1, -3])
@@ -823,17 +857,17 @@ class TestTopKColumns:
         # a negative k once dropped the row's last |k| columns: [0, 2, 1] at k=-1
         scores = np.array([[3.0, 1.0, 2.0, 0.0]])
         with pytest.raises(ValueError, match=f"k must be >= 0, got {k}"):
-            top_k_columns(scores, list("abcd"), k)
-        assert top_k_columns(scores, list("abcd"), 0)[0].tolist() == []
+            top_k_columns_by_id(scores, list("abcd"), k)
+        assert top_k_columns_by_id(scores, list("abcd"), 0)[0].tolist() == []
 
     def test_exclude_rows_may_be_tuples_or_arrays(self):
         rng = np.random.default_rng(5)
         scores = rng.integers(0, 3, size=(3, 9)) / 2.0
         ids = [f"d{i}" for i in rng.permutation(9)]
         rows = [[4, 0], [], [8, 8, 3]]
-        expected = top_k_columns(scores, ids, 3, exclude=rows)
+        expected = top_k_columns_by_id(scores, ids, 3, exclude=rows)
         for kind in (tuple, lambda r: np.array(r, dtype=np.int64)):
-            got = top_k_columns(scores, ids, 3, exclude=[kind(r) for r in rows])
+            got = top_k_columns_by_id(scores, ids, 3, exclude=[kind(r) for r in rows])
             assert [g.tolist() for g in got] == [e.tolist() for e in expected]
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -854,8 +888,31 @@ class TestTopKColumns:
                                      min_size=n_drawn, max_size=n_drawn), label="exclude")
         scores = scores[np.arange(n_rows) % n_drawn]
         exclude = [exclude[i % n_drawn] for i in range(n_rows)]
-        excluded = top_k_columns(scores, ids, k, exclude=exclude)
-        full = top_k_columns(scores, ids, k)
+        excluded = top_k_columns_by_id(scores, ids, k, exclude=exclude)
+        full = top_k_columns_by_id(scores, ids, k)
+        for i, row in enumerate(scores):
+            assert excluded[i].tolist() == naive_top_k(row, ids, k, exclude[i])
+            assert full[i].tolist() == naive_top_k(row, ids, k)
+
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.data())
+    def test_property_the_corpus_key_matches_full_sort_oracle(self, draw):
+        # a corpus of shuffled, unpadded ids ranks them once for every call
+        # over tie-heavy rows that exclude 0-3 cells each
+        n = draw.draw(st.integers(1, 40), label="n")
+        n_rows = draw.draw(st.integers(1, 12), label="rows")
+        k = draw.draw(st.integers(0, n + 2), label="k")
+        ids = [f"d{i}" for i in draw.draw(st.permutations(range(n)), label="ids")]
+        rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1), label="seed"))
+        scores = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(n_rows, n))
+        exclude = [rng.choice(n, rng.integers(0, min(3, n) + 1), replace=False).tolist()
+                   for _ in range(n_rows)]
+        corpus = Corpus([Document(d, "t") for d in ids])
+        key = corpus.id_ranks
+        excluded = top_k_columns(scores, key, k, exclude=exclude)
+        full = top_k_columns(scores, corpus.id_ranks, k)
+        assert corpus.id_ranks is key
         for i, row in enumerate(scores):
             assert excluded[i].tolist() == naive_top_k(row, ids, k, exclude[i])
             assert full[i].tolist() == naive_top_k(row, ids, k)

@@ -69,6 +69,12 @@ class TestScoreBatch:
         with pytest.raises(ValueError, match="sim needs at least B=3 columns, got 2"):
             ScoreBatch(sim=np.zeros((3, 2)), tau=1.0)
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4)])
+    def test_sim_without_rows_rejected(self, shape):
+        # the column check's (m - b) % b once raised ZeroDivisionError here
+        with pytest.raises(ValueError, match=rf"^sim of shape \({shape[0]}, {shape[1]}\) has no rows"):
+            ScoreBatch(sim=np.zeros(shape), tau=1.0)
+
     def test_union_of_negative_sets_size(self):
         sb = ScoreBatch(sim=np.zeros((3, 9)), tau=1.0)
         mask = sb.offdiag_mask()

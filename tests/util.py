@@ -322,6 +322,19 @@ def naive_top_k(row, ids, k, exclude=()) -> list[int]:
     return [j for j in order if j not in skip][:k]
 
 
+def id_ranks(ids) -> np.ndarray:
+    """Each column's rank among ``ids`` by a Python sort: the tie key
+    ``Corpus.id_ranks`` caches, built without numpy's string arrays."""
+    ranks = np.empty(len(ids), dtype=np.intp)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
+
+
+def top_k_columns_by_id(scores, ids, k, exclude=None) -> list[np.ndarray]:
+    """``data.top_k_columns`` with its tie key ranked from the id strings."""
+    return data.top_k_columns(scores, id_ranks(ids), k, exclude)
+
+
 def naive_pool(scores, queries, corpus, top_k) -> tuple[list[list[float]], list[list[float]]]:
     """Per query, its positive scores in ``positive_ids`` order and its
     top_k largest non-positive scores (all of them when it has fewer),
