@@ -188,8 +188,10 @@ class Corpus(_Collection):
 
     @cached_property
     def id_ranks(self) -> np.ndarray:
-        """The tie key: each column's id rank, ascending. Read-only, cached until ``add``."""
-        return _read_only(np.argsort(np.argsort(np.array(self.ids), kind="stable"), kind="stable"))
+        """The tie key: each column's rank in Python's order of the ids (numpy's
+        ``<U`` drops trailing NULs). Read-only, cached until ``add``."""
+        ids = self.ids
+        return _read_only(np.argsort(sorted(range(len(ids)), key=ids.__getitem__)))
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._by_id

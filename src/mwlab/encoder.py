@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -123,32 +125,32 @@ def prepare_tokens(texts: Sequence[str], hash_dim: int) -> sp.csr_matrix:
     n_texts x hash_dim CSR matrix of count / total per row, buckets (FNV-1a
     mod ``hash_dim``) ascending. A text without tokens is a row with no
     stored entry. Row ``i`` of the table, or of any row gather
-    ``table[rows]``, is what hashing text ``i`` alone gives. Each distinct
-    token is hashed on first sight into one map per call; the collections'
-    ``tokens`` cache the table."""
+    ``table[rows]``, is what hashing text ``i`` alone gives; the
+    collections' ``tokens`` cache the table. Tokens are kept as numbers
+    given on first sight, each distinct token is hashed once, and one sort
+    of the keys row * n_buckets + bucket rank counts every cell (Weinberger
+    et al. 2009, "Feature hashing for large scale multitask learning")."""
     if hash_dim < 1:
         raise ValueError(f"hash_dim must be >= 1, got {hash_dim}")
-    buckets: dict[str, int] = {}
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
+    number: defaultdict[str, int] = defaultdict()
+    number.default_factory = number.__len__  # a new token gets the next number
+    seen, lengths = array("q"), array("q")
     for text in texts:
-        counts: dict[int, int] = {}
-        for token in _TOKEN_RE.findall(text.lower()):
-            bucket = buckets.get(token)
-            if bucket is None:
-                bucket = buckets[token] = fnv1a64(token) % hash_dim
-            counts[bucket] = counts.get(bucket, 0) + 1
-        if counts:
-            total = sum(counts.values())
-            for bucket in sorted(counts):
-                indices.append(bucket)
-                data.append(counts[bucket] / total)
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(texts), hash_dim),
-    )
+        tokens = _TOKEN_RE.findall(text.lower())
+        lengths.append(len(tokens))
+        seen.extend(map(number.__getitem__, tokens))
+    buckets = np.fromiter((fnv1a64(t) % hash_dim for t in number), np.int64, len(number))
+    distinct = buckets[np.argsort(buckets)]  # argsort: int64 sort is numpy code no other step runs
+    distinct = distinct[np.diff(distinct, prepend=-1) != 0]
+    totals = np.frombuffer(lengths, dtype=np.int64)
+    keys = np.repeat(np.arange(len(texts), dtype=np.int64) * len(distinct), totals)
+    keys += np.searchsorted(distinct, buckets)[np.frombuffer(seen, dtype=np.int64)]
+    keys = keys[np.argsort(keys)]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # each (row, rank) run's first key
+    rows, ranks = np.divmod(keys[starts], len(distinct))
+    indptr = np.searchsorted(rows, np.arange(len(texts) + 1))
+    return sp.csr_matrix((np.diff(starts, append=len(keys)) / totals[rows], distinct[ranks],
+                          indptr), shape=(len(texts), hash_dim))
 
 
 @dataclass

@@ -9,22 +9,23 @@ of numpy's generator internals.
 The xoshiro256** state update is linear over GF(2): one step is a
 256x256 bit matrix T, and T^k jumps a state k steps ahead (Blackman &
 Vigna, "Scrambled linear pseudorandom number generators", TOMS 2021).
-Every draw reads one stream of buffered blocks of _BLOCK_LANES x
-_BLOCK_STEPS = 512 x 32 raw values: lane l starts 32*l steps into the
-block, the lanes step together as numpy ``uint64`` arrays, and the block
-is laid out lane-major. Each block places its lane starts by doubling
-from the state words through 4-bit lookup tables of T^(32 * 2^k), built
-once per process. ``doubles`` reads whole blocks the way scalar draws
-read single values. The state words always hold the state after the
-buffered block, which is the next block's lane-0 start, so every call
-leaves the generator exactly where the same draws taken one at a time
-would.
+A block of L lanes x S steps therefore holds exactly the next L*S values
+of the one stream: lane l starts l*S steps in, and is placed by doubling
+from the state words through 4-bit lookup tables of T^(32 * 2^k), 2^k <
+512, built once per process, then by whole runs of lanes one jump of the
+widest table on. The lanes step together as numpy ``uint64`` arrays, and
+a block is laid out lane-major. Scalar draws read a buffered 512 x 32
+block. Bulk reads take its unread rest, then write whole 2048 x 128 and
+512 x 32 blocks straight into their output. The state words always hold
+the state after the last block made, so every call leaves the generator
+exactly where the same draws taken one at a time would.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -58,6 +59,7 @@ def derive_seed(seed: int, salt: int) -> int:
 _BLOCK_LANES = 512
 _BLOCK_STEPS = 32
 _BLOCK_SIZE = _BLOCK_LANES * _BLOCK_STEPS
+_WIDE_LANES, _WIDE_SIZE = 2048, 1 << 18  # a bulk read's wide block: faster than 8192 x 32
 _NO_BLOCK = memoryview(np.empty(0, dtype=np.uint64))
 
 
@@ -139,7 +141,8 @@ class Xoshiro256StarStar:
 
     The four state words are the first four splitmix64 outputs of the
     seed, guaranteeing a non-zero state for every seed. ``_state`` is the
-    state after the block ``_block``, read up to ``_pos``.
+    state after the last block made; the buffered ``_block`` is read up to
+    ``_pos``.
     """
 
     __slots__ = ("_state", "_block", "_pos", "_spare_normal")
@@ -155,27 +158,52 @@ class Xoshiro256StarStar:
         self._pos = _BLOCK_SIZE
         self._spare_normal: float | None = None
 
-    def _refill(self) -> None:
-        """Buffer the next block and move the state words past it. Lane 0
-        starts at the state words. The block is rewritten in place, so a
-        generator leaves no new long-lived allocation behind in the heap."""
-        starts = np.empty((_BLOCK_LANES, 4), dtype=np.uint64)
+    def _fill(self, raw: np.ndarray, lanes: int) -> None:
+        """Write the next len(raw) values into uint64 ``raw`` as one block of
+        ``lanes`` (a power of two) lanes, and move the state words past it."""
+        steps = len(raw) // lanes  # 32 * 2^j, so tables[k] is T^(steps * 2^k)
+        tables = _jump_tables()[steps.bit_length() - _BLOCK_STEPS.bit_length():]
+        starts = np.empty((lanes, 4), dtype=np.uint64)
         starts[0] = self._state
-        for k, table in enumerate(_jump_tables()):
-            # lanes [2^k, 2^(k+1)) are lanes [0, 2^k) 32 * 2^k steps on
-            starts[1 << k:2 << k] = _apply(table, starts[:1 << k])
+        placed = 1
+        while placed < lanes:  # the next run of lanes is the run before it, jumped
+            run = min(placed, 1 << len(tables) - 1)  # tables[k] jumps 2^k lanes
+            starts[placed:placed + run] = _apply(tables[run.bit_length() - 1],
+                                                 starts[placed - run:placed])
+            placed += run
         s = np.ascontiguousarray(starts.T)
-        s1 = np.empty((_BLOCK_STEPS, _BLOCK_LANES), dtype=np.uint64)
-        tmp = np.empty(_BLOCK_LANES, dtype=np.uint64)
-        for t in range(_BLOCK_STEPS):
-            s1[t] = s[1]
+        tmp = np.empty(lanes, dtype=np.uint64)
+        by_lane = raw.reshape(lanes, steps)
+        for t in range(steps):
+            by_lane[:, t] = s[1]
             _advance_lanes(s, tmp)
         self._state = s[:, -1].copy()
+        scratch = np.empty(min(len(raw), _BLOCK_SIZE), dtype=np.uint64)
+        for part in np.split(raw, range(_BLOCK_SIZE, len(raw), _BLOCK_SIZE)):
+            _scramble(part, part, scratch[:len(part)])
+
+    def _refill(self) -> None:
+        """Buffer the next block, rewritten in place, so a generator leaves
+        no new long-lived allocation behind in the heap."""
         if not len(self._block):
             self._block = np.empty(_BLOCK_SIZE, dtype=np.uint64).data
-        block = np.asarray(self._block).reshape(_BLOCK_LANES, _BLOCK_STEPS)
-        _scramble(s1.T, block, s1.T)  # s1 is spent once read, so it is the scratch
+        self._fill(np.asarray(self._block), _BLOCK_LANES)
         self._pos = 0
+
+    def _read(self, raw: np.ndarray) -> None:
+        """Write the next len(raw) values into uint64 ``raw``: the buffered
+        block's unread rest, whole blocks made in place, a new block's head."""
+        done = min(len(raw), _BLOCK_SIZE - self._pos)
+        raw[:done] = self._block[self._pos:self._pos + done]
+        self._pos += done
+        for size, lanes in ((_WIDE_SIZE, _WIDE_LANES), (_BLOCK_SIZE, _BLOCK_LANES)):
+            while len(raw) - done >= size:
+                self._fill(raw[done:done + size], lanes)
+                done += size
+        if done < len(raw):
+            self._refill()
+            self._pos = len(raw) - done
+            raw[done:] = self._block[:self._pos]
 
     def next_u64(self) -> int:
         pos = self._pos
@@ -190,28 +218,21 @@ class Xoshiro256StarStar:
         return (self.next_u64() >> 11) * _INV_2_53
 
     def doubles(self, n: int) -> np.ndarray:
-        """n doubles in [0, 1), each ``random()`` of the next draw.
-
-        Reads the block's unread rest, then refills and reads again until
-        it has n values, so the result and the state left behind are
-        bit-identical to n calls of ``random()``.
-        """
+        """n doubles in [0, 1), each ``random()`` of the next draw, so the
+        result and the state left behind are bit-identical to n calls of
+        ``random()``. The raw values are read into the result's own bytes."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         out = np.empty(n, dtype=np.float64)
-        done = 0
-        while True:
-            raw = np.asarray(self._block[self._pos:self._pos + n - done])
-            self._pos += len(raw)
-            raw >>= 11  # these values are now read, so the block is the scratch
-            np.multiply(raw, _INV_2_53, out=out[done:done + len(raw)])
-            done += len(raw)
-            if done == n:
-                return out
-            self._refill()
+        raw = out.view(np.uint64)
+        self._read(raw)
+        raw >>= 11
+        return np.multiply(raw, _INV_2_53, out=out)  # numpy copies raw, as it overlaps out
 
     def uniform(self, low: float, high: float, n: int) -> np.ndarray:
-        return low + (high - low) * self.doubles(n)
+        """``low + (high - low) * doubles(n)``, scaled in place."""
+        out = self.doubles(n)
+        return np.add(np.multiply(out, high - low, out=out), low, out=out)
 
     def below(self, n: int) -> int:
         """Unbiased integer in [0, n) via rejection sampling."""
@@ -222,6 +243,27 @@ class Xoshiro256StarStar:
         while v >= limit:
             v = self.next_u64()
         return v % n
+
+    def belows(self, bounds: np.ndarray) -> np.ndarray:
+        """``[below(b) for b in bounds]`` (1 <= b < 2**64) as a uint64 array,
+        from one read of len(bounds) values. After a rejected value (odds
+        under b / 2**64), the draws go on as ``below`` takes them."""
+        bounds = np.asarray(bounds, dtype=np.uint64)
+        if len(bounds) and bounds.min() == 0:
+            raise ValueError("belows() requires every bound >= 1")
+        out = np.empty(len(bounds), dtype=np.uint64)
+        self._read(out)
+        # -b wraps to 2**64 - b, so r = 2**64 mod b < 2**63; v is accepted
+        # when v <= 2**64 - 1 - r, that is v - 2**63 <= 2**63 - 1 - r in int64
+        top = np.int64(2**63 - 1) - (-bounds % bounds).view(np.int64)
+        accepted = (out ^ np.uint64(1 << 63)).view(np.int64) <= top
+        if not accepted.all():
+            first = int(accepted.argmin())
+            stream = chain(out[first + 1:].tolist(), iter(self.next_u64, None))
+            for i, b in enumerate(bounds[first:].tolist(), first):
+                out[i] = next(v for v in stream if v < (1 << 64) - (1 << 64) % b)
+        out %= bounds
+        return out
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .data import Corpus, Document, Query, QuerySet
 from .metrics import ScorePool
 from .prng import Xoshiro256StarStar
@@ -55,29 +57,37 @@ def make_benchmark(spec: SyntheticSpec) -> tuple[Corpus, QuerySet]:
     """Generate the corpus and query set for a SyntheticSpec.
 
     Query i's positive is document i (queries cover the first n_queries
-    documents), so in-batch positives are always distinct.
+    documents), so in-batch positives are always distinct. The draws come
+    in two bulk reads: every document's sample_indices draws in turn, then
+    every query's sample_indices draws and filler count in turn.
     """
     rng = Xoshiro256StarStar(spec.seed)
-    docs = []
-    doc_topic_words: list[list[str]] = []
-    for d in range(spec.n_docs):
-        if d % DOCS_PER_TOPIC == 0:
-            vocab = [f"t{d // DOCS_PER_TOPIC}w{j}" for j in range(TOKENS_PER_TOPIC)]
-        idx = rng.sample_indices(TOKENS_PER_TOPIC, DOC_TOPIC_TOKENS)
-        words = [vocab[j] for j in idx]
-        doc_topic_words.append(words)
-        text = " ".join(words + [FILLER_TOKEN, f"u{d}"])
-        docs.append(Document(id=f"d{d}", text=text))
-    corpus = Corpus(docs)
+    vocab = [[f"t{t}w{j}" for j in range(TOKENS_PER_TOPIC)]
+             for t in range(-(-spec.n_docs // DOCS_PER_TOPIC))]
+    picked = _sample_rows(rng, spec.n_docs, TOKENS_PER_TOPIC, DOC_TOPIC_TOKENS)[0]
+    corpus = Corpus([Document(f"d{d}", " ".join(
+        [*map(vocab[d // DOCS_PER_TOPIC].__getitem__, row), FILLER_TOKEN, f"u{d}"]))
+        for d, row in enumerate(picked.tolist())])
+    kept, repeats = _sample_rows(rng, spec.n_queries, DOC_TOPIC_TOKENS, QUERY_TOPIC_TOKENS,
+                                 MAX_FILLER_REPEATS + 1)
+    words = np.take_along_axis(picked[:spec.n_queries], kept, axis=1)
+    return corpus, QuerySet([Query(f"q{i}", " ".join(
+        [*map(vocab[i // DOCS_PER_TOPIC].__getitem__, row), *[FILLER_TOKEN] * r]), [f"d{i}"])
+        for i, (row, r) in enumerate(zip(words.tolist(), repeats.tolist()))])
 
-    queries = []
-    for i in range(spec.n_queries):
-        kept = rng.sample_indices(DOC_TOPIC_TOKENS, QUERY_TOPIC_TOKENS)
-        words = [doc_topic_words[i][j] for j in kept]
-        repeats = rng.below(MAX_FILLER_REPEATS + 1)
-        text = " ".join(words + [FILLER_TOKEN] * repeats)
-        queries.append(Query(id=f"q{i}", text=text, positive_ids=[f"d{i}"]))
-    return corpus, QuerySet(queries)
+
+def _sample_rows(rng: Xoshiro256StarStar, rows: int, n: int, k: int, *extra: int):
+    """Per row, the draws of ``rng.sample_indices(n, k)``, then of ``below(b)``
+    per b in ``extra``, in one ``belows`` read: the rows x k samples, shuffled
+    over all rows at once, then one column of draws per extra bound."""
+    draws = rng.belows(np.tile([*range(n, n - k, -1), *extra], rows)).astype(np.intp)
+    draws = draws.reshape(rows, k + len(extra))
+    pool = np.tile(np.arange(n), (rows, 1))
+    every = np.arange(rows)
+    for i in range(k):  # swap position i with i + below(n - i), as sample_indices does
+        j = i + draws[:, i]
+        pool[every, i], pool[every, j] = pool[every, j], pool[every, i]
+    return pool[:, :k], *draws[:, k:].T
 
 
 DEMO_POSITIVES = 2

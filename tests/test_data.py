@@ -314,6 +314,69 @@ def test_only_encoder_and_scoring_multiply_matrices():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+RANDOM_MODULES = ("random", "secrets")
+GENERATOR_STATE = ("_block", "_pos", "_state")
+
+
+def random_sources(source: str) -> list[str]:
+    """Lines of Python source that take random numbers outside ``prng``: an
+    import of ``random`` or ``secrets``, of ``numpy.random`` or of
+    ``os.urandom``, a use of ``np.random`` or ``os.urandom``, or a read of a
+    generator's ``_block``, ``_pos`` or ``_state``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[0] in RANDOM_MODULES or a.name.startswith("numpy.random")
+                      for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "" if node.level else node.module
+            hit = (module.split(".")[0] in RANDOM_MODULES or module.startswith("numpy.random")
+                   or any((module, a.name) in (("numpy", "random"), ("os", "urandom"))
+                          for a in node.names))
+        elif isinstance(node, ast.Attribute):
+            owner = getattr(node.value, "id", None)
+            hit = (node.attr in GENERATOR_STATE or (owner, node.attr) in (
+                ("np", "random"), ("numpy", "random"), ("os", "urandom")))
+        else:
+            continue
+        if hit:
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"{line}: {text}" for line, text in sorted(found)]
+
+
+def test_the_random_source_scan_finds_each_kind():
+    source = """
+import random
+import secrets as s
+from random import choice
+import numpy.random
+from numpy import random as npr
+from os import urandom
+x = np.random.default_rng(0)
+y = os.urandom(8)
+gen._block[0]
+self._pos += 1
+rng._state
+from .prng import Xoshiro256StarStar
+z = rng.random() + rng.below(3)
+w = "np.random"
+"""
+    assert random_sources(source) == [
+        "2: import random", "3: import secrets as s", "4: from random import choice",
+        "5: import numpy.random", "6: from numpy import random as npr",
+        "7: from os import urandom", "8: np.random", "9: os.urandom", "10: gen._block",
+        "11: self._pos", "12: rng._state"]
+
+
+def test_only_prng_draws_random_numbers():
+    # every stream is a seeded Xoshiro256StarStar read through its public
+    # draws, so a seed fixes every bit and no module can skip a draw
+    src = Path(mwlab.__file__).parent
+    found = {path.name: random_sources(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py")) if path.stem != "prng"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
 class TestFieldTypes:
     @pytest.mark.parametrize("doc_id, text", [(7, "t"), (None, "t"), ("d1", 5), ("d1", ["t"])])
     def test_document_rejects_non_string(self, doc_id, text):
@@ -533,6 +596,17 @@ class TestIdRanks:
         assert corpus.id_ranks is not before
         assert corpus.id_ranks.tolist() == [r + 1 for r in before.tolist()] + [0]
         assert corpus.id_ranks.tolist() == id_ranks(corpus.ids).tolist()
+
+    def test_ids_that_differ_by_trailing_nuls_keep_python_order(self):
+        # numpy's <U strings drop trailing NULs, which would tie "d\x00" with "d"
+        ids = ["d\x00", "d", "c\x00\x00", "c\x00", "c", "e"]
+        corpus = Corpus([Document(d, "t") for d in ids])
+        assert corpus.id_ranks.tolist() == id_ranks(ids).tolist() == [4, 3, 2, 1, 0, 5]
+        scores = np.array([[0.5] * 6, [0.5, 0.5, 1.0, 0.5, 1.0, 0.5]])
+        for k in range(len(ids) + 1):
+            tops = top_k_columns(scores, corpus.id_ranks, k, exclude=[[], [4]])
+            assert tops[0].tolist() == naive_top_k(scores[0], ids, k)
+            assert tops[1].tolist() == naive_top_k(scores[1], ids, k, [4])
 
     @pytest.mark.parametrize("length", [4, 6])
     def test_a_key_of_another_length_is_rejected(self, length):

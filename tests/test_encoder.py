@@ -1,7 +1,11 @@
 """Tests for the feature-hashing encoder and its analytic backward pass."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwlab.data import Corpus, Document, Query, QuerySet
 from mwlab.encoder import (
@@ -18,7 +22,9 @@ from mwlab.encoder import (
     save_checkpoint,
 )
 
-from util import encode_forward
+from mwlab.prng import derive_seed
+from mwlab.synthetic import SyntheticSpec, make_benchmark
+from util import encode_forward, naive_token_table
 
 SMALL = EncoderConfig(hash_dim=256, embed_dim=12, proj_dim=8, seed=7)
 
@@ -233,6 +239,48 @@ class TestInit:
         assert EncoderConfig(hash_dim=100).hash_dim == 100
         with pytest.raises(ValueError, match=">= 1"):
             EncoderConfig(hash_dim=16, embed_dim=0)
+
+
+def table_digest(table) -> str:
+    """sha256 over data, indices and indptr: each array's dtype, then its bytes."""
+    h = hashlib.sha256()
+    for array in (table.data, table.indices, table.indptr):
+        h.update(array.dtype.str.encode())
+        h.update(array.tobytes())
+    return h.hexdigest()
+
+
+# Pieces of text: empty, punctuation only, underscores (which split tokens),
+# non-ASCII letters and digits, case variants, and repeats
+PIECES = ["", " ", "!!", "?.", "_", "a_b", "__x__", "é", "É", "ß", "Straße", "ΣΑΣ", "σ", "İ",
+          "٣4", "½", "x2", "Tok", "tok", "TOK", "tok tok tok", "a", "a a", "\t\n", "ǅ", "ﬁ"]
+TEXT_LISTS = st.lists(st.tuples(st.sampled_from(["", " ", ","]), st.lists(st.sampled_from(PIECES),
+                                                                    max_size=6))
+                 .map(lambda t: t[0].join(t[1])), max_size=8)
+
+
+class TestTokenTableCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(texts=TEXT_LISTS, hash_dim=st.sampled_from([1, 3, 8192]))
+    def test_matches_counting_one_text_at_a_time(self, texts, hash_dim):
+        table, naive = prepare_tokens(texts, hash_dim), naive_token_table(texts, hash_dim)
+        assert table.shape == naive.shape
+        for attr in ("data", "indices", "indptr"):
+            got, want = getattr(table, attr), getattr(naive, attr)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
+
+    @pytest.mark.parametrize("n_queries, n_docs, corpus_digest, queries_digest", [
+        (400, 1000, "856192d95f196b5b781619e9a4febdfe637f0f1fb7bec7959226cdfc22c6a4e6",
+         "13937ccd7545fd3b43207afc409f9d46cc6bd699469fb3e6836be6f2599f359c"),
+        (2000, 5000, "4129d7d4688c2c49c204ffec7a39f85fb7de280f15cf7c6312331af070b16b57",
+         "2d0695734cd9d0cd54ec6732ffdb045d697a5b68d93f9fa8cf3919553603bb08"),
+    ])
+    def test_planted_benchmark_tables_golden(self, n_queries, n_docs, corpus_digest,
+                                             queries_digest):
+        # recorded from tables counted one text at a time
+        corpus, queries = make_benchmark(SyntheticSpec(n_queries, n_docs, derive_seed(0, 10)))
+        assert table_digest(prepare_tokens(corpus.texts, 8192)) == corpus_digest
+        assert table_digest(prepare_tokens(queries.texts, 8192)) == queries_digest
 
 
 class TestTokenTableRows:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwlab.encoder import EncoderConfig, init_params
-from mwlab.prng import _BLOCK_SIZE, Xoshiro256StarStar, _splitmix64, derive_seed
+from mwlab.prng import _BLOCK_SIZE, _WIDE_SIZE, Xoshiro256StarStar, _splitmix64, derive_seed
 from util import ReferenceXoshiro, reference_splitmix64_sequence, reference_xoshiro_sequence
 
 MASK = (1 << 64) - 1
@@ -141,9 +141,11 @@ class TestBulkDraws:
 # One call of each draw method: (name, arguments). ``below(2**63 + 1)``
 # rejects about half of the raw values; the doubles sizes straddle one
 # buffered block.
+BOUNDS = [1, 2, 7, 300, 2**32 + 1, 2**63 + 1, 2**64 - 1]
 CALLS = st.one_of(
     st.tuples(st.sampled_from(["next_u64", "random", "normal"])),
-    st.tuples(st.just("below"), st.sampled_from([1, 2, 7, 300, 2**32 + 1, 2**63 + 1, 2**64])),
+    st.tuples(st.just("below"), st.sampled_from(BOUNDS + [2**64])),
+    st.tuples(st.just("belows"), st.lists(st.sampled_from(BOUNDS), max_size=40)),
     st.tuples(st.just("normals"), st.integers(0, 9), st.sampled_from([1.0, 0.5])),
     st.tuples(st.just("doubles"), st.one_of(
         st.sampled_from([0, 1, _BLOCK_SIZE - 1, _BLOCK_SIZE, _BLOCK_SIZE + 1,
@@ -187,6 +189,7 @@ class TestOneStream:
     @pytest.mark.parametrize("first", [
         ("next_u64",), ("random",), ("below", 300), ("normal",), ("normals", 3, 2.0),
         ("doubles", 5), ("doubles", _BLOCK_SIZE + 1), ("uniform", -1.0, 1.0, 6),
+        ("belows", [300, 2**63 + 1, 7]),
         ("shuffle", 9), ("sample_indices", 50, 5),
     ])
     def test_fresh_generator_first_call(self, first):
@@ -199,6 +202,28 @@ class TestOneStream:
         assert draws == [oracle.below(2**63 + 1) for _ in range(2 * _BLOCK_SIZE)]
         assert oracle.draws > 3 * _BLOCK_SIZE  # about half rejected
         assert gen.next_u64() == oracle.next_u64()
+
+    def test_belows_rejection_path(self):
+        # the same bounds in one bulk read: from the first rejection on,
+        # every draw moves one value on
+        gen, oracle = Xoshiro256StarStar(5), ReferenceXoshiro(5)
+        gen.below(7), oracle.below(7)
+        draws = gen.belows([2**63 + 1] * 2 * _BLOCK_SIZE)
+        assert draws.tolist() == oracle.belows([2**63 + 1] * 2 * _BLOCK_SIZE).tolist()
+        assert oracle.draws > 3 * _BLOCK_SIZE
+        assert gen.next_u64() == oracle.next_u64()
+
+    @pytest.mark.parametrize("calls", [
+        [("below", 7)] * 100 + [("doubles", _WIDE_SIZE), ("belows", [2**63 + 1] * 40)],
+        [("doubles", _WIDE_SIZE + _BLOCK_SIZE + 17), ("random",),
+         ("belows", [3, 2**63 + 1, 5] * 20), ("doubles", 2 * _WIDE_SIZE - 1)],
+        [("belows", [2**63 + 1] * (_BLOCK_SIZE + 9)), ("uniform", -2.0, 3.0, _WIDE_SIZE - 1),
+         ("belows", [7] * (_WIDE_SIZE + 3))],
+    ])
+    def test_wide_blocks_between_scalar_draws(self, calls):
+        # whole wide blocks are written straight into the result, between
+        # partly read buffered blocks
+        assert_same_calls(7, calls)
 
     @pytest.mark.parametrize("n", [10, 3996, 4096, 12293,
                                    _BLOCK_SIZE - 100, _BLOCK_SIZE, 3 * _BLOCK_SIZE + 5])
@@ -218,6 +243,10 @@ class TestCounts:
     def test_bulk_methods_reject_a_negative_count(self, method, args):
         with pytest.raises(ValueError, match="n must be >= 0, got -"):
             getattr(Xoshiro256StarStar(0), method)(*args)
+
+    def test_belows_rejects_a_zero_bound(self):
+        with pytest.raises(ValueError, match="every bound >= 1"):
+            Xoshiro256StarStar(0).belows([3, 0, 2])
 
     @pytest.mark.parametrize("n", [0, -1, 2**64 + 1])
     def test_below_rejects_a_range_it_cannot_draw(self, n):

@@ -8,12 +8,14 @@ draw at a time) and independent of the library's fast paths.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from mwlab import data
-from mwlab.encoder import encode_tokens, prepare_tokens
+from mwlab.encoder import encode_tokens, fnv1a64, prepare_tokens
 from mwlab.scoring import ScoreBatch
 from mwlab.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
@@ -95,6 +97,9 @@ class ReferenceXoshiro:
         while v >= limit:
             v = self.next_u64()
         return v % n
+
+    def belows(self, bounds) -> np.ndarray:
+        return np.array([self.below(b) for b in bounds], dtype=np.uint64)
 
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):
@@ -365,6 +370,33 @@ def naive_list_metrics(scores, queries, corpus) -> dict[str, float]:
         totals["precision10"] += gains.count(1.0) / 10
         totals["recall1"] += gains[0] / len(relevant)
     return {name: total / len(queries) for name, total in totals.items()}
+
+
+def naive_token_table(texts, hash_dim):
+    """The token table counted one text at a time: each text's lowercased
+    alphanumeric runs, hashed on first sight into one map, counted in a dict
+    per text, and written in ascending bucket order as count / total."""
+    buckets: dict[str, int] = {}
+    indptr = [0]
+    indices: list[int] = []
+    values: list[float] = []
+    for text in texts:
+        counts: dict[int, int] = {}
+        for token in re.findall(r"[^\W_]+", text.lower()):
+            bucket = buckets.get(token)
+            if bucket is None:
+                bucket = buckets[token] = fnv1a64(token) % hash_dim
+            counts[bucket] = counts.get(bucket, 0) + 1
+        if counts:
+            total = sum(counts.values())
+            for bucket in sorted(counts):
+                indices.append(bucket)
+                values.append(counts[bucket] / total)
+        indptr.append(len(indices))
+    return sp.csr_matrix(
+        (np.array(values), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        shape=(len(texts), hash_dim),
+    )
 
 
 def encode_forward(params, texts):
