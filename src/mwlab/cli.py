@@ -172,8 +172,8 @@ def cmd_compare(args) -> int:
 
 def cmd_lemma1_demo(args) -> int:
     if args.pool:
-        pools = read_jsonl(args.pool, "pool",
-                           lambda obj: ScorePool(obj["positives"], obj["negatives"]))
+        pools = read_jsonl(args.pool, "pool", lambda objs: [
+            ScorePool(obj["positives"], obj["negatives"]) for obj in objs])
         if not pools:
             raise ValueError(f"{args.pool}: no pools found")
     elif args.synthetic:

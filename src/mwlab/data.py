@@ -13,10 +13,10 @@ indented by 2 with a closing newline; ``write_csv`` writes a float cell
 as its ``repr``. Only ``encoder`` reads and writes a file of its own,
 the binary checkpoint.
 
-A ``Corpus`` or ``QuerySet`` hashes its texts once per ``hash_dim``
-(``tokens``) and keeps that table until it grows, so mining, every
-training run and every evaluation of one collection share one table.
-A ``Corpus`` keeps the tie key of its columns, ``id_ranks``, the same way.
+A ``Corpus`` or ``QuerySet`` is built once and never changes: it hashes
+its texts once per ``hash_dim`` (``tokens``) and keeps that table, so
+mining, every training run and every evaluation of one collection share
+one table, and a ``Corpus`` keeps the tie key of its columns, ``id_ranks``.
 Mined and split query sets inherit their parent's rows of those tables.
 
 This module owns the columns of a score matrix and every selection over
@@ -129,29 +129,24 @@ def _read_only(table: sp.csr_matrix | np.ndarray) -> sp.csr_matrix | np.ndarray:
 
 
 class _Collection:
-    """An ordered, id-indexed list of items with an ``id`` and a ``text``.
+    """An ordered, id-indexed list of items with an ``id`` and a ``text``,
+    built once from an iterable: a repeated id raises ValueError as it is read.
 
-    ``tokens(hash_dim)`` is the token table of the texts, hashed on first
-    use and cached on the object until the next ``add``. Its arrays are
-    read-only, so no caller can change the table another caller shares.
+    ``tokens(hash_dim)`` is the token table of the texts, hashed on first use
+    and cached. Its arrays are read-only, so no caller can change the table
+    another caller shares.
     """
 
     kind = ""  # names the item in errors
 
-    def __init__(self, items: Sequence = ()):
+    def __init__(self, items: Iterable = ()):
         self._items: list = []
         self._by_id: dict[str, int] = {}
+        for i, item in enumerate(items):
+            if self._by_id.setdefault(item.id, i) != i:  # the id's first position
+                raise ValueError(f"duplicate {self.kind} id {item.id!r}")
+            self._items.append(item)
         self._tokens: dict[int, sp.csr_matrix] = {}
-        for item in items:
-            self.add(item)
-
-    def add(self, item) -> None:
-        if item.id in self._by_id:
-            raise ValueError(f"duplicate {self.kind} id {item.id!r}")
-        self._by_id[item.id] = len(self._items)
-        self._items.append(item)
-        self._tokens.clear()
-        self.__dict__.pop("id_ranks", None)  # a Corpus's cached tie key
 
     def __len__(self) -> int:
         return len(self._items)
@@ -189,7 +184,7 @@ class Corpus(_Collection):
     @cached_property
     def id_ranks(self) -> np.ndarray:
         """The tie key: each column's rank in Python's order of the ids (numpy's
-        ``<U`` drops trailing NULs). Read-only, cached until ``add``."""
+        ``<U`` drops trailing NULs). Read-only, ranked on first read."""
         ids = self.ids
         return _read_only(np.argsort(sorted(range(len(ids)), key=ids.__getitem__)))
 
@@ -250,21 +245,25 @@ def read_json(path: str | Path, what: str):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def read_jsonl(path: str | Path, what: str, parse: Callable[[dict], object]) -> list:
-    """``parse(obj)`` of each non-blank line of a JSONL file, in order. A
-    line that is not UTF-8 JSON, or that ``parse`` rejects with a KeyError,
-    TypeError or ValueError, raises ValueError prefixed ``path: line N:``.
+def read_jsonl(path: str | Path, what: str, build: Callable[[Iterator[dict]], object]):
+    """``build`` of a lazy iterator over the objects on the non-blank lines
+    of a JSONL file, in order. A line that is not UTF-8 JSON, or a
+    KeyError, TypeError or ValueError that ``build`` raises, raises
+    ValueError prefixed ``path: line N:``, where N is the line last read.
     A missing file raises FileNotFoundError naming ``what``."""
-    path = _existing(path, what)
-    parsed = []
-    # bytes.splitlines ends a line at \n, \r\n or \r, as text mode does
-    for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
-        try:
+    path, lineno = _existing(path, what), 0
+
+    def objects() -> Iterator[dict]:
+        nonlocal lineno
+        # bytes.splitlines ends a line at \n, \r\n or \r, as text mode does
+        for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
             if text := line.decode("utf-8").strip():
-                parsed.append(parse(json.loads(text)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-    return parsed
+                yield json.loads(text)
+
+    try:
+        return build(objects())
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: line {lineno}: {exc}") from exc
 
 
 def write_json(path: str | Path, obj) -> None:
@@ -296,25 +295,23 @@ def write_csv(path: str | Path, header: Iterable[str] | None, rows: Iterable[Ite
 def load_corpus(path: str | Path) -> Corpus:
     """Read a corpus JSONL file. Duplicate ids and malformed lines are
     rejected with the offending line number."""
-    corpus = Corpus()
-    read_jsonl(path, "corpus", lambda obj: corpus.add(Document(id=obj["id"], text=obj["text"])))
-    return corpus
+    return read_jsonl(path, "corpus", lambda objs: Corpus(
+        Document(id=obj["id"], text=obj["text"]) for obj in objs))
 
 
 def load_queries(path: str | Path, corpus: Corpus) -> QuerySet:
-    """Read a query JSONL file, validating all document references."""
-    queries = QuerySet()
+    """Read a query JSONL file, validating all document references. Duplicate
+    ids and malformed lines are rejected with the offending line number."""
 
-    def parse(obj: dict) -> None:
+    def parse(obj: dict) -> Query:
         query = Query(id=obj["id"], text=obj["text"], positive_ids=obj["positive_ids"],
                       hard_negative_ids=obj.get("hard_negative_ids", []))
         for doc_id in query.positive_ids + query.hard_negative_ids:
             if doc_id not in corpus:
                 raise ValueError(f"query {query.id!r} references unknown document {doc_id!r}")
-        queries.add(query)
+        return query
 
-    read_jsonl(path, "query", parse)
-    return queries
+    return read_jsonl(path, "query", lambda objs: QuerySet(map(parse, objs)))
 
 
 def save_queries(queries: QuerySet, path: str | Path) -> None:
@@ -521,7 +518,7 @@ def mine_hard_negatives(
 
     Ties are broken by ascending document id so the result is identical
     across platforms. Queries with fewer than k available negatives get
-    all of them. The input QuerySet is not modified.
+    all of them. The result is a new QuerySet with the input's token tables.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -167,10 +167,13 @@ class EmbeddingBatch:
 def encode_tokens(params: EncoderParams, tokens: sp.csr_matrix) -> EmbeddingBatch:
     """Forward pass from a token table. A token-free row pools to exact
     zeros, so its norm is 0 and the norm floor alone sends it to the
-    fallback."""
+    fallback. A norm that overflows raises ValueError."""
     pooled = tokens @ params.embedding
     projected = pooled @ params.projection
-    norms = np.linalg.norm(projected, axis=1)
+    with np.errstate(over="ignore"):  # an overflow raises below
+        norms = np.linalg.norm(projected, axis=1)
+    if np.isinf(norms).any():
+        raise ValueError("an encoded text's norm overflows: the weights are too large")
     active = norms >= NORM_FLOOR
     safe = np.where(active, norms, 1.0)
     vectors = projected / safe[:, None]

@@ -286,6 +286,24 @@ def toy_checkpoint(tmp_path) -> list[str]:
     return ["--corpus", corpus_path, "--queries", queries_path, "--checkpoint", str(ckpt)]
 
 
+@pytest.mark.parametrize("command, out", [
+    ("evaluate", "out"), ("roc", "out"), ("histogram", "out"), ("mine", "mined.jsonl")])
+def test_a_checkpoint_whose_norms_overflow_exits_2(tmp_path, capsys, command, out):
+    # finite weights whose squared norms overflow: every vector was 0, so
+    # every score was 0 and evaluate printed auc=0.5
+    corpus, queries = synthetic_provider(SyntheticSpec(n_queries=20, n_docs=60))(0)
+    corpus_path, queries_path = write_inputs(tmp_path, corpus, queries)
+    params = encoder.init_params(encoder.EncoderConfig(hash_dim=64, embed_dim=8, proj_dim=4))
+    params.embedding[:, 0] = 1e160
+    ckpt = tmp_path / "ckpt"
+    encoder.save_checkpoint(params, 0, ckpt)
+    assert cli.main([command, "--corpus", corpus_path, "--queries", queries_path,
+                     "--checkpoint", str(ckpt), "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: an encoded text's norm overflows: the weights are too large\n")
+    assert not (tmp_path / out).exists()
+
+
 def test_mine_with_repeated_positive_exits_2(tmp_path, capsys):
     corpus_path = tmp_path / "corpus.jsonl"
     corpus_path.write_text('{"id": "a", "text": "x y"}\n{"id": "b", "text": "y z"}\n')
@@ -418,6 +436,15 @@ def test_lemma1_demo_on_a_pool_file(tmp_path, capsys, pool, tau, code, err):
         assert [(r["cl_before"], r["cl_after"]) for r in rows] == [("0.0", "0.0")] * 2
     else:
         assert not out.exists()
+
+
+def test_lemma1_demo_names_the_line_of_a_bad_pool(tmp_path, capsys):
+    path, out = tmp_path / "pools.jsonl", tmp_path / "demo.csv"
+    path.write_text('{"positives": [0.6], "negatives": [0.5]}\n{"positives": [0.6]}\n')
+    assert cli.main(["lemma1-demo", "--pool", str(path), "--sigma", "0",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 2: 'negatives'\n"
+    assert not out.exists()
 
 
 def test_lemma2_check_at_an_overflowing_tau_keeps_stderr_empty(capsys):

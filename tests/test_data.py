@@ -108,9 +108,9 @@ class TestFileFormats:
         path = tmp_path / "rows.jsonl"
         path.write_text('{"a": 1}\n\n  \n{"a": 2}\n{"b": 3}\n')
         with pytest.raises(ValueError, match=f"^{path}: line 5: 'a'$"):
-            read_jsonl(path, "row", lambda obj: obj["a"])
+            read_jsonl(path, "row", lambda objs: [obj["a"] for obj in objs])
         path.write_text('{"a": 1}\n\n{"a": 2}\n')
-        assert read_jsonl(path, "row", lambda obj: obj["a"]) == [1, 2]
+        assert read_jsonl(path, "row", lambda objs: [obj["a"] for obj in objs]) == [1, 2]
 
     def test_read_json_names_the_file_in_its_errors(self, tmp_path):
         path = tmp_path / "config.json"
@@ -435,6 +435,11 @@ class TestErrorText:
          "query 'q1': document 'd2' appears twice in hard_negative_ids"),
         (lambda: Query("q1", "x", ["d3", "d1"], ["d1", "d2", "d3"]),
          "query 'q1': ids ['d1', 'd3'] are both positive and hard negative"),
+        # a collection names its first repeated id
+        (lambda: Corpus([Document(d, "t") for d in ["d1", "d2", "d2", "d1"]]),
+         "duplicate document id 'd2'"),
+        (lambda: QuerySet([Query(q, "t", ["d1"]) for q in ["q1", "q2", "q1", "q2"]]),
+         "duplicate query id 'q1'"),
     ])
     def test_direct(self, make, expected):
         with pytest.raises(ValueError) as caught:
@@ -448,6 +453,21 @@ class TestErrorText:
             load_corpus(path)
         assert str(caught.value) == f"{path}: line 2: document 'd3': text must be a string, got int 5"
 
+    @pytest.mark.parametrize("lines, expected", [
+        # a blank line still counts as a line of the file
+        (['{"id": "d1", "text": "a"}', "", '{"id": "d2", "text": "b"}',
+          '{"id": "d1", "text": "c"}'], "line 4: duplicate document id 'd1'"),
+        # the repeat is named before the next line is read
+        (['{"id": "d1", "text": "a"}', '{"id": "d1", "text": "b"}', "not json"],
+         "line 2: duplicate document id 'd1'"),
+    ], ids=["after-a-blank-line", "before-a-malformed-line"])
+    def test_duplicate_through_load_corpus(self, tmp_path, lines, expected):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as caught:
+            load_corpus(path)
+        assert str(caught.value) == f"{path}: {expected}"
+
     @pytest.mark.parametrize("row, expected", [
         ({"id": "q1", "text": 5, "positive_ids": ["7"]},
          "query 'q1': text must be a string, got int 5"),
@@ -455,6 +475,7 @@ class TestErrorText:
          "query 'q1': document id must be a string, got int 7"),
         ({"id": "q1", "text": "x", "positive_ids": ["7"], "hard_negative_ids": [False]},
          "query 'q1': document id must be a string, got bool False"),
+        ({"id": "q0", "text": "x", "positive_ids": ["7"]}, "duplicate query id 'q0'"),
     ])
     def test_through_load_queries(self, tmp_path, row, expected):
         corpus = Corpus([Document("7", "a")])
@@ -527,8 +548,8 @@ def items(kind):
     return [Query(f"q{i}", t, ["d0"]) for i, t in enumerate(TEXTS)]
 
 
-def collection(kind, n=len(TEXTS)):
-    return (Corpus if kind == "corpus" else QuerySet)(items(kind)[:n])
+def collection(kind):
+    return (Corpus if kind == "corpus" else QuerySet)(items(kind))
 
 
 def assert_same_table(a, b):
@@ -555,13 +576,13 @@ class TestTokenCache:
         assert c.tokens(64) is small
         assert_same_table(large, prepare_tokens(TEXTS, 128))
 
-    def test_add_invalidates(self, kind):
-        c = collection(kind, 3)
-        before = c.tokens(64)
-        c.add(items(kind)[3])
-        after = c.tokens(64)
-        assert after is not before
-        assert_same_table(after, prepare_tokens(TEXTS, 64))
+    def test_exposes_no_public_mutator(self, kind):
+        # built once, so a cached table or tie key can never go stale
+        readers = {"kind", "texts", "tokens"} | ({"columns", "id_ranks", "ids"}
+                                                  if kind == "corpus" else set())
+        c = collection(kind)
+        assert {name for name in dir(c) if not name.startswith("_")} == readers
+        assert not {"__setitem__", "__delitem__", "__iadd__"} & set(dir(c))
 
     @pytest.mark.parametrize("attr", ["data", "indices", "indptr"])
     def test_table_is_read_only(self, kind, attr):
@@ -588,14 +609,6 @@ class TestIdRanks:
         assert corpus.id_ranks is key and corpus.id_ranks is key
         with pytest.raises(ValueError, match="read-only"):
             key[0] = 3
-
-    def test_add_ranks_every_id_again(self):
-        corpus = Corpus([Document(d, "t") for d in TIE_IDS])
-        before = corpus.id_ranks
-        corpus.add(Document("c", "t"))  # sorts before every "d..." id
-        assert corpus.id_ranks is not before
-        assert corpus.id_ranks.tolist() == [r + 1 for r in before.tolist()] + [0]
-        assert corpus.id_ranks.tolist() == id_ranks(corpus.ids).tolist()
 
     def test_ids_that_differ_by_trailing_nuls_keep_python_order(self):
         # numpy's <U strings drop trailing NULs, which would tie "d\x00" with "d"
