@@ -167,12 +167,10 @@ class _Collection:
 
     def _take(self, rows: Sequence[int]):
         """The items at ``rows`` as a new collection that inherits those rows
-        of each cached table, wrapped as ``prepare_tokens`` wraps its own."""
+        of each cached table: scipy's row gather, index dtype and all."""
         taken = type(self)([self._items[i] for i in rows])
         for hash_dim, table in self._tokens.items():
-            sub = table[np.asarray(rows, dtype=np.intp)]
-            taken._tokens[hash_dim] = _read_only(sp.csr_matrix(
-                (sub.data, sub.indices.astype(np.int64), sub.indptr.astype(np.int64)), sub.shape))
+            taken._tokens[hash_dim] = _read_only(table[np.asarray(rows, dtype=np.intp)])
         return taken
 
 

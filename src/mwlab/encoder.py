@@ -8,15 +8,16 @@ similarity of two encodings is their cosine. Query and passage sides
 share the same weights.
 
 A batch of texts is hashed once into its token table, a plain
-``scipy.sparse.csr_matrix`` with one row per text; encoding takes that
-table or any row gather of it. ``data.Corpus`` and ``data.QuerySet``
-cache their table per ``hash_dim`` and ``make_scorer`` encodes those, so
-scoring a collection again hashes nothing, and every retrieval score is
-a block product of its ``ScoreRows``. A row whose pre-normalization
-vector has norm below ``NORM_FLOOR`` maps to a fixed fallback, the first
-standard basis vector, and receives zero gradient; the fallback is not
-trainable. A text with no tokens has an empty row, pools to exact
-zeros, and so always takes the fallback.
+``scipy.sparse.csr_matrix`` with one row per text whose cells scipy's COO
+to CSR sum counts; encoding takes that table or any row gather of it.
+``data.Corpus`` and ``data.QuerySet`` cache their table per ``hash_dim``
+and ``make_scorer`` encodes those, so scoring a collection again hashes
+nothing, and every retrieval score is a block product of its
+``ScoreRows``. A row whose pre-normalization vector has norm below
+``NORM_FLOOR`` maps to a fixed fallback, the first standard basis
+vector, and receives zero gradient; the fallback is not trainable. A
+text with no tokens has an empty row, pools to exact zeros, and so
+always takes the fallback.
 """
 
 from __future__ import annotations
@@ -127,11 +128,13 @@ def prepare_tokens(texts: Sequence[str], hash_dim: int) -> sp.csr_matrix:
     stored entry. Row ``i`` of the table, or of any row gather
     ``table[rows]``, is what hashing text ``i`` alone gives; the
     collections' ``tokens`` cache the table. Tokens are kept as numbers
-    given on first sight, each distinct token is hashed once, and one sort
-    of the keys row * n_buckets + bucket rank counts every cell (Weinberger
-    et al. 2009, "Feature hashing for large scale multitask learning")."""
+    given on first sight, each distinct token is hashed once, and scipy's
+    COO to CSR sum counts every (row, bucket) cell (Weinberger et al. 2009,
+    "Feature hashing for large scale multitask learning")."""
     if hash_dim < 1:
         raise ValueError(f"hash_dim must be >= 1, got {hash_dim}")
+    if len(texts) == 0:  # int32 indices, as scipy gives any 0-row (data, indices, indptr)
+        return sp.csr_matrix(([], [], [0]), shape=(0, hash_dim))
     number: defaultdict[str, int] = defaultdict()
     number.default_factory = number.__len__  # a new token gets the next number
     seen, lengths = array("q"), array("q")
@@ -140,17 +143,13 @@ def prepare_tokens(texts: Sequence[str], hash_dim: int) -> sp.csr_matrix:
         lengths.append(len(tokens))
         seen.extend(map(number.__getitem__, tokens))
     buckets = np.fromiter((fnv1a64(t) % hash_dim for t in number), np.int64, len(number))
-    distinct = buckets[np.argsort(buckets)]  # argsort: int64 sort is numpy code no other step runs
-    distinct = distinct[np.diff(distinct, prepend=-1) != 0]
     totals = np.frombuffer(lengths, dtype=np.int64)
-    keys = np.repeat(np.arange(len(texts), dtype=np.int64) * len(distinct), totals)
-    keys += np.searchsorted(distinct, buckets)[np.frombuffer(seen, dtype=np.int64)]
-    keys = keys[np.argsort(keys)]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # each (row, rank) run's first key
-    rows, ranks = np.divmod(keys[starts], len(distinct))
-    indptr = np.searchsorted(rows, np.arange(len(texts) + 1))
-    return sp.csr_matrix((np.diff(starts, append=len(keys)) / totals[rows], distinct[ranks],
-                          indptr), shape=(len(texts), hash_dim))
+    rows = np.repeat(np.arange(len(texts)), totals)
+    cells = buckets[np.frombuffer(seen, dtype=np.int64)]
+    table = sp.csr_matrix((np.ones(len(cells)), (rows, cells)), shape=(len(texts), hash_dim))
+    table.sum_duplicates()  # each cell's count, buckets ascending in each row
+    table.data /= np.repeat(totals, np.diff(table.indptr))
+    return table
 
 
 @dataclass

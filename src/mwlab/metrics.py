@@ -38,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -212,19 +212,19 @@ def _hit_ranks(lists: Sequence[RankedList], k: int) -> list[list[int]]:
              if doc_id in rl.relevant_ids] for rl in lists]
 
 
-def _mean(values: Sequence[float]) -> float:
-    """Mean of per-query values, summed in query order from zero by a
-    running total (``sum`` compensates float sums from Python 3.12 on)."""
+def _total(values: Iterable[float]) -> float:
+    """The values summed in order from zero by a running total (``sum``
+    compensates float sums from Python 3.12 on)."""
     total = 0.0
     for value in values:
         total += value
-    return total / len(values)
+    return total
 
 
 def mrr_at_k(lists: Sequence[RankedList], k: int = 10) -> float:
     """Mean reciprocal rank of the first relevant hit within the top k;
     queries with no hit contribute 0."""
-    return _mean([1.0 / hits[0] if hits else 0.0 for hits in _hit_ranks(lists, k)])
+    return _total(1.0 / hits[0] if hits else 0.0 for hits in _hit_ranks(lists, k)) / len(lists)
 
 
 def ranked_lists(
@@ -253,25 +253,23 @@ def evaluate(
     scores = np.asarray(scores, dtype=np.float64)
     pool, auc_value = pooled_auc_protocol(queries, corpus, lambda *_: scores, top_k=top_k)
     lists = ranked_lists(queries, corpus, lambda *_: scores, depth=10)
-    # nDCG's gains are binary, and its ideal DCG places every relevant
-    # document first; every query has a relevant document
+    # nDCG's gains are binary, so its DCG sums the hits' discounts in rank
+    # order, and its ideal DCG places every relevant document first; every
+    # query has a relevant document. Each metric is a running total over
+    # the queries in order, over their number.
     discounts = 1.0 / np.log2(np.arange(2, 12))
-    rr, ndcg, precision, recall = [], [], [], []
+    ideal = [float(discounts[:m].sum()) for m in range(11)]
+    discounts = discounts.tolist()
+    rr = ndcg = precision = recall = 0.0
     for rl, hits in zip(lists, _hit_ranks(lists, 10)):
         n_rel = len(rl.relevant_ids)
-        gains = [float(rank in hits) for rank in range(1, len(rl.ranked_ids) + 1)]
-        rr.append(1.0 / hits[0] if hits else 0.0)
-        ndcg.append(float(np.dot(gains, discounts[:len(gains)]))
-                    / float(discounts[:min(n_rel, 10)].sum()))
-        precision.append(len(hits) / 10)
-        recall.append(int(1 in hits) / n_rel)
-    return pool, {
-        "auc": auc_value,
-        "mrr10": _mean(rr),
-        "ndcg10": _mean(ndcg),
-        "precision10": _mean(precision),
-        "recall1": _mean(recall),
-    }
+        rr += 1.0 / hits[0] if hits else 0.0
+        ndcg += _total(discounts[r - 1] for r in hits) / ideal[min(n_rel, 10)]
+        precision += len(hits) / 10
+        recall += int(1 in hits) / n_rel
+    n = len(lists)
+    return pool, {"auc": auc_value, "mrr10": rr / n, "ndcg10": ndcg / n,
+                  "precision10": precision / n, "recall1": recall / n}
 
 
 @dataclass

@@ -994,3 +994,13 @@ GOLDEN = {
 
 def test_every_command_writes_the_recorded_bytes(tmp_path, capsys):
     assert golden_run(tmp_path, capsys) == GOLDEN
+
+
+def test_preset_compare_writes_the_recorded_bytes(tmp_path, capsys):
+    # the 400-query, 1000-document preset at two seeds with every other flag
+    # at its default; recorded while token tables were counted by a key sort
+    assert cli.main(["compare", "--synthetic", "--synth-queries", "400", "--synth-docs", "1000",
+                     "--seeds", "0", "1", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert hashlib.sha256((tmp_path / "compare.json").read_bytes()).hexdigest() == (
+        "5fa92086d6e5b81f7ed90d92cfe00dccf60f7fa6fa40d9baff06d44c8a9c42a0")

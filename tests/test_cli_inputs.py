@@ -11,6 +11,11 @@ nothing on stderr, or exits 2 with exactly one ``error:`` line. The
 suite turns any warning into an error, so a numpy warning fails the
 property too.
 
+A second property holds ``mine`` and ``evaluate`` to the same outcomes
+over corpus and query JSONL files with 1-4 bytes edited, inserted,
+deleted or cut off, so every text that still parses goes through the
+token table.
+
 No drawn input asks for an allocation that could succeed and hurt: valid
 dimensions stay at 1-3, and the one huge dimension, 2^48, makes any
 array it sizes 2^48 bytes or more, beyond the 47-bit user address space.
@@ -21,6 +26,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -31,7 +37,7 @@ from hypothesis import strategies as st
 
 from mwlab import cli
 from mwlab.data import mine_hard_negatives
-from mwlab.encoder import EncoderConfig, init_params, make_scorer
+from mwlab.encoder import EncoderConfig, init_params, make_scorer, save_checkpoint
 from mwlab.experiments import synthetic_provider
 from mwlab.synthetic import SyntheticSpec
 from mwlab.trainer import TrainConfig
@@ -113,6 +119,9 @@ def assert_finite_outputs(out: Path) -> None:
     for path in out.rglob("*"):
         if path.suffix == ".json":
             json.loads(path.read_text(), parse_constant=no_constant)
+        elif path.suffix == ".jsonl":
+            for line in path.read_text().splitlines():
+                json.loads(line, parse_constant=no_constant)
         elif path.suffix == ".csv":
             for row in csv.reader(path.read_text().splitlines()):
                 for cell in row:
@@ -137,13 +146,72 @@ def test_every_input_runs_clean_or_exits_2_with_one_error_line(inputs, command, 
                 code = cli.main(argv)
             except SystemExit as exc:  # every drawn flag value has the flag's type
                 raise AssertionError(f"argparse rejected {argv}: {stderr.getvalue()}") from exc
-        err = stderr.getvalue()
-        event(f"{argv[0]} exits {code}")  # see --hypothesis-show-statistics
-        if code == 0:
-            assert err == "", err
-            assert_finite_outputs(out)
-        else:
-            assert code == 2, (code, err)
-            assert [line for line in err.splitlines() if "error: " in line] == [
-                err.splitlines()[-1]], err
-            assert err.startswith("error: ") and "Traceback" not in err
+        assert_clean_or_one_error(code, stderr.getvalue(), argv, out)
+
+
+def assert_clean_or_one_error(code: int, err: str, argv: list[str], out: Path) -> None:
+    event(f"{argv[0]} exits {code}")  # see --hypothesis-show-statistics
+    if code == 0:
+        assert err == "", err
+        assert_finite_outputs(out)
+    else:
+        assert code == 2, (code, err)
+        assert [line for line in err.splitlines() if "error: " in line] == [
+            err.splitlines()[-1]], err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def text_files(tmp_path_factory):
+    """The bytes of a 12-query, 30-document corpus and query JSONL, the
+    queries mined at k=3, and the path of a checkpoint that scores them."""
+    corpus, queries = synthetic_provider(SyntheticSpec(n_queries=12, n_docs=30))(0)
+    params = init_params(EncoderConfig(hash_dim=256, embed_dim=4, proj_dim=2))
+    mined = mine_hard_negatives(queries, corpus, make_scorer(params), k=3)
+    tmp = tmp_path_factory.mktemp("text")
+    paths = write_inputs(tmp, corpus, mined)
+    save_checkpoint(params, 0, tmp / "ckpt")
+    return {Path(p).name: Path(p).read_bytes() for p in paths}, str(tmp / "ckpt")
+
+
+# JSON's structural bytes and bytes that break UTF-8, printable ASCII, any byte
+BYTES = st.one_of(st.sampled_from(list(b'"\\{}[],:\n\r\x00\x80\xc3\xff')),
+                  st.integers(0x20, 0x7e), st.integers(0, 255))
+TEXT_VALUE = re.compile(rb'"text": "([^"]*)"')
+
+
+@st.composite
+def mutated(draw, raw: bytes) -> bytes:
+    """``raw`` with one byte edited, inserted or deleted, or cut off at a
+    byte: anywhere, or as often inside a ``text`` value."""
+    texts = [at for m in TEXT_VALUE.finditer(raw) for at in range(*m.span(1))]
+    at = draw(st.one_of(st.integers(0, max(len(raw) - 1, 0)),
+                        st.sampled_from(texts) if texts else st.nothing()))
+    op = draw(st.sampled_from(["edit", "insert", "delete", "truncate"]))
+    if op == "truncate":
+        return raw[:at]
+    byte = bytes([draw(BYTES)]) if op != "delete" else b""
+    return raw[:at] + byte + raw[at + (op != "insert"):]
+
+
+@pytest.mark.parametrize("command", ["mine", "evaluate"])
+@settings(PROPERTY, max_examples=60)
+@given(data=st.data())
+def test_mutated_text_files_run_clean_or_exit_2_with_one_error_line(text_files, command,
+                                                                    data):
+    files, checkpoint = text_files
+    files = dict(files)
+    for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+        name = data.draw(st.sampled_from(sorted(files)), label="file")
+        files[name] = data.draw(mutated(files[name]), label=name)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, raw in files.items():
+            (Path(tmp) / name).write_bytes(raw)
+        out = Path(tmp) / "run"
+        argv = [command, "--corpus", str(Path(tmp) / "corpus.jsonl"), "--queries",
+                str(Path(tmp) / "queries.jsonl"), "--checkpoint", checkpoint, "--top-k", "3",
+                "--out", str(out / "mined.jsonl" if command == "mine" else out)]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        assert_clean_or_one_error(code, stderr.getvalue(), argv, out)

@@ -475,22 +475,31 @@ class TestEvaluate:
         rng = np.random.default_rng(5)
         ids = [f"d{i:02d}" for i in rng.permutation(30)]
         corpus = Corpus([Document(d, d) for d in ids])
-        queries = QuerySet([
-            Query(f"q{i}", f"q{i}", rng.choice(ids, size=1 + i % 3, replace=False).tolist())
-            for i in range(8)
-        ])
-        # ties within and across rows, then continuous scores
-        for scores in (rng.integers(0, 5, size=(8, 30)) / 4.0, rng.normal(size=(8, 30))):
-            scorer = lambda qs, c: scores  # noqa: E731
-            pool, metrics = evaluate(scores, queries, corpus, top_k=6)
+        # 8 queries of 1-3 relevant documents, then one query at a time of
+        # 1-10 whose relevant documents score 1 higher: up to ten hits in a
+        # top 10 sum nDCG's discounts in an order that can change its bits
+        inputs = [([1 + i % 3 for i in range(8)], 0.0), *(([n], 1.0) for n in range(1, 11))]
+        for n_relevant, boost in inputs:
+            queries = QuerySet([
+                Query(f"q{i}", f"q{i}", rng.choice(ids, size=n, replace=False).tolist())
+                for i, n in enumerate(n_relevant)
+            ])
+            shape = (len(queries), len(corpus))
+            lift = boost * np.array([np.isin(ids, q.positive_ids) for q in queries])
+            # ties within and across rows, then continuous scores
+            for scores in (rng.integers(0, 5, size=shape) / 4.0 + lift,
+                           rng.normal(size=shape) + lift):
+                scorer = lambda qs, c: scores  # noqa: E731
+                pool, metrics = evaluate(scores, queries, corpus, top_k=6)
 
-            ref_pool, ref_auc = pooled_auc_protocol(queries, corpus, scorer, top_k=6)
-            lists = ranked_lists(queries, corpus, scorer, depth=10)
-            np.testing.assert_array_equal(pool.positives, ref_pool.positives)
-            np.testing.assert_array_equal(pool.negatives, ref_pool.negatives)
-            assert pool.n_neg == 8 * 6  # top_k below every query's negative count
-            assert metrics == {"auc": ref_auc, **naive_list_metrics(scores, queries, corpus)}
-            assert metrics["mrr10"] == mrr_at_k(lists, 10)
+                ref_pool, ref_auc = pooled_auc_protocol(queries, corpus, scorer, top_k=6)
+                lists = ranked_lists(queries, corpus, scorer, depth=10)
+                np.testing.assert_array_equal(pool.positives, ref_pool.positives)
+                np.testing.assert_array_equal(pool.negatives, ref_pool.negatives)
+                # top_k is below every query's negative count
+                assert pool.n_neg == len(queries) * 6
+                assert metrics == {"auc": ref_auc, **naive_list_metrics(scores, queries, corpus)}
+                assert metrics["mrr10"] == mrr_at_k(lists, 10)
 
 
 class TestRankedMetrics:
